@@ -10,11 +10,15 @@
 //!   `backends × replicas`, same workload, same machine. The 1×1 row is
 //!   the degenerate cluster (router + one full-ish backend) anchoring
 //!   the router's own overhead;
-//! * **kill-one-replica** — with `R = 2`, one backend is shut down in
-//!   the middle of the load run. The gate demands **zero wrong
-//!   answers**, ≥ 99% request success, and a failover counter that
-//!   actually moved — the paper-level claim that replicated HRW
-//!   ownership turns a backend loss into latency, not data loss.
+//! * **kill-one-replica** — with `R = 2`, one backend is shut down
+//!   between the two halves of the load run, so the second half's
+//!   router sessions find it dead. (A shut-down server drains: it keeps
+//!   serving connections that stay busy, so a kill timed into a run the
+//!   router already has pooled connections for goes unnoticed.) The
+//!   gate demands **zero wrong answers**, ≥ 99% request success, and a
+//!   failover counter that actually moved — the paper-level claim that
+//!   replicated HRW ownership turns a backend loss into latency, not
+//!   data loss.
 //!
 //! Backends are in-process [`pl_serve::serve_with`] servers on real
 //! sockets, so the numbers include genuine TCP round-trips for both
@@ -50,10 +54,13 @@ struct Row {
     dead_backends: usize,
     p99_batch_ms: f64,
     qps: f64,
+    /// Each backend's share of `plcluster_fanout_total`, in map order —
+    /// shows any load skew from the router's candidate ordering.
+    fanout_share: Vec<f64>,
 }
 
 /// Spins up `backends` partial-store servers plus the router, runs the
-/// loadgen through the router (killing backend 0 mid-run when asked),
+/// loadgen through the router (killing backend 0 halfway when asked),
 /// and tears everything down.
 fn run_scenario(
     scenario: &str,
@@ -61,7 +68,7 @@ fn run_scenario(
     tagged: &TaggedLabeling,
     backends: usize,
     replicas: usize,
-    kill_mid_run: bool,
+    kill_halfway: bool,
     requests_per_conn: usize,
 ) -> Row {
     let part = Partitioner::new(0xE21, backends, replicas);
@@ -97,19 +104,13 @@ fn run_scenario(
     )
     .expect("router");
 
-    // The assassin: give the run a moment to get going, then take one
-    // replica down hard while batches are in flight.
-    let killer = kill_mid_run.then(|| {
-        let victim = handles.remove(0);
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(40));
-            victim.shutdown();
-        })
-    });
-
     let config = LoadgenConfig {
         connections: 4,
-        requests_per_conn,
+        requests_per_conn: if kill_halfway {
+            requests_per_conn / 2
+        } else {
+            requests_per_conn
+        },
         batch: 32,
         skew: Skew::Zipf(1.2),
         seed: 0xE21,
@@ -122,24 +123,46 @@ fn run_scenario(
             seed: 0xE21,
         }),
     };
-    let report = loadgen::run_verified(router.addr(), &config, g).expect("cluster run");
-    if let Some(k) = killer {
-        k.join().expect("killer thread");
+    let mut report = loadgen::run_verified(router.addr(), &config, g).expect("cluster run");
+    if kill_halfway {
+        handles.remove(0).shutdown();
+        let rest = loadgen::run_verified(router.addr(), &config, g).expect("post-kill run");
+        let elapsed_secs = report.elapsed_secs + rest.elapsed_secs;
+        report = loadgen::LoadReport {
+            queries: report.queries + rest.queries,
+            adjacent_true: report.adjacent_true + rest.adjacent_true,
+            mismatches: report.mismatches + rest.mismatches,
+            elapsed_secs,
+            qps: (report.queries + rest.queries) as f64 / elapsed_secs.max(1e-9),
+            retries: report.retries + rest.retries,
+            failed: report.failed + rest.failed,
+            p99_batch_ns: report.p99_batch_ns.max(rest.p99_batch_ns),
+        };
     }
     // How many backends the router has quarantined — the kill scenario
-    // demands the loss was actually *felt* mid-run, not slept through.
+    // demands the loss was actually *felt*, not slept through.
     let dead_backends = router.backend_liveness().iter().filter(|l| !**l).count();
 
-    let failovers: u64 = router
-        .registry()
-        .samples()
-        .iter()
-        .filter(|s| s.name == "plcluster_failover_total")
-        .map(|s| match s.value {
-            MetricValue::Counter(c) => c,
-            _ => 0,
-        })
-        .sum();
+    let samples = router.registry().samples();
+    let per_backend = |name: &str| -> Vec<u64> {
+        (0..backends)
+            .map(|b| {
+                let b = b.to_string();
+                samples
+                    .iter()
+                    .filter(|s| s.name == name && s.labels.iter().any(|(_, v)| *v == b))
+                    .map(|s| match s.value {
+                        MetricValue::Counter(c) => c,
+                        _ => 0,
+                    })
+                    .sum()
+            })
+            .collect()
+    };
+    let failovers = per_backend("plcluster_failover_total").iter().sum();
+    let fanout = per_backend("plcluster_fanout_total");
+    let legs = fanout.iter().sum::<u64>().max(1) as f64;
+    let fanout_share = fanout.iter().map(|&f| f as f64 / legs).collect();
     router.shutdown();
     for h in handles {
         h.shutdown();
@@ -157,7 +180,17 @@ fn run_scenario(
         dead_backends,
         p99_batch_ms: report.p99_batch_ns as f64 / 1e6,
         qps: report.qps,
+        fanout_share,
     }
+}
+
+/// Fanout shares as `0.33, 0.33, 0.34`.
+fn shares(share: &[f64]) -> String {
+    share
+        .iter()
+        .map(|s| format!("{s:.3}"))
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 fn main() {
@@ -223,6 +256,7 @@ fn main() {
         "failovers",
         "p99 ms",
         "qps",
+        "fanout share",
         "status",
     ]);
     let mut gate_ok = true;
@@ -249,6 +283,7 @@ fn main() {
             r.failovers.to_string(),
             f1(r.p99_batch_ms),
             f1(r.qps),
+            shares(&r.fanout_share),
             (if ok { "ok" } else { "FAIL" }).to_string(),
         ]);
     }
@@ -258,6 +293,8 @@ fn main() {
          kill-one keeps ≥99% success with failovers > 0"
     );
 
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    println!("available_parallelism: {cores}");
     let mut json = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
         let sep = if i + 1 == rows.len() { "" } else { "," };
@@ -265,7 +302,8 @@ fn main() {
             json,
             "  {{\"scenario\": \"{}\", \"backends\": {}, \"replicas\": {}, \"queries\": {}, \
              \"failed\": {}, \"success_pct\": {:.2}, \"mismatches\": {}, \"failovers\": {}, \
-             \"dead_backends\": {}, \"p99_batch_ms\": {:.3}, \"qps\": {:.0}}}{sep}",
+             \"dead_backends\": {}, \"p99_batch_ms\": {:.3}, \"qps\": {:.0}, \
+             \"fanout_share\": [{}], \"available_parallelism\": {cores}}}{sep}",
             r.scenario,
             r.backends,
             r.replicas,
@@ -276,7 +314,8 @@ fn main() {
             r.failovers,
             r.dead_backends,
             r.p99_batch_ms,
-            r.qps
+            r.qps,
+            shares(&r.fanout_share),
         )
         .expect("write to String");
     }

@@ -37,8 +37,9 @@
 //!   protocol through [`pl_serve`]'s resilient client, fanning each
 //!   `BATCH` out per-partition and re-asking per-query failures
 //!   (`NOT_OWNED`, overload, dead backend) along the HRW candidate
-//!   list `owners(u) ∪ owners(v)`, with quarantine and seeded-backoff
-//!   re-probing for unhealthy backends.
+//!   list `owners(u) ∪ owners(v)` (owners of both endpoints first),
+//!   with quarantine and seeded-backoff re-probing for unhealthy
+//!   backends.
 //! * [`launch`] — a local process group: split, spawn one `plab serve
 //!   --partial` child per backend, start the router in-process, drain
 //!   and kill on shutdown. This is what `plab cluster launch` runs and

@@ -16,13 +16,16 @@
 //! sees it.
 //!
 //! What the router adds is **replica failover**. Each query `{u, v}`
-//! carries its HRW candidate list `owners(u) ∪ owners(v)`; the query is
-//! first sent to its foremost live candidate (batched per backend —
-//! the scatter), and any slot that comes back `NOT_OWNED` (the partial
-//! store could not answer one-sidedly), `OVERLOADED` (the backend's own
-//! retries were exhausted), or on a dead connection advances to its
-//! next candidate for the following round. A query whose candidates are
-//! exhausted answers `OVERLOADED` upward — never a wrong answer.
+//! carries its HRW candidate list `owners(u) ∪ owners(v)`, owners of
+//! both endpoints first; the query is first sent to its foremost live
+//! candidate (batched per backend — the scatter, one pipelined round on
+//! the session thread), and any slot that comes back `NOT_OWNED` (the
+//! partial store could not answer one-sidedly), `OVERLOADED` (the
+//! backend's own retries were exhausted), or on a dead connection
+//! advances to its next candidate for the following round. A query
+//! whose candidates are exhausted answers `OVERLOADED` upward — never a
+//! wrong answer. With `2R > B` every query has an owner of both
+//! endpoints, so a healthy cluster answers each batch in one round.
 //!
 //! Backends that fail are **quarantined**: skipped when ordering
 //! candidates (still usable as a last resort) and re-probed by a
@@ -43,7 +46,7 @@
 //! per-"shard" slots repurposed to carry per-backend cache counters,
 //! and the router front-end's own shed/fault counters folded in.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -51,7 +54,7 @@ use std::time::{Duration, Instant};
 
 use pl_obs::hist::Histogram;
 use pl_obs::registry::Counter;
-use pl_obs::trace::{self, TraceContext};
+use pl_obs::trace::{self, SpanGuard, TraceContext};
 use pl_obs::MetricsRegistry;
 use pl_serve::{ClientError, ResilientClient, RetryPolicy};
 use pl_wire::frontend::{self, FrontStats, FrontendHandle, FrontendOptions, QueryEngine};
@@ -771,95 +774,27 @@ impl Downstream {
     }
 }
 
-/// One round of the scatter: the pending queries grouped per backend,
-/// each group sent as its own BATCH on that backend's connection,
-/// concurrently.
-#[allow(clippy::type_complexity)]
-fn scatter_round(
-    shared: &Shared,
-    down: &mut Downstream,
-    groups: Vec<(u32, Vec<(usize, Query)>)>,
-    ctx: Option<TraceContext>,
-) -> Vec<(u32, Vec<(usize, Query)>, Result<Vec<Answer>, ClientError>)> {
-    // Pull each group's client out of the per-connection pool so every
-    // scoped thread owns its connection exclusively.
-    let work: Vec<(
-        u32,
-        Vec<(usize, Query)>,
-        Result<ResilientClient, ClientError>,
-    )> = groups
-        .into_iter()
-        .map(|(b, queries)| {
-            let client = down.take(shared, b);
-            (b, queries, client)
-        })
-        .collect();
-    let results: Vec<(
-        u32,
-        Vec<(usize, Query)>,
-        Result<Vec<Answer>, ClientError>,
-        Option<ResilientClient>,
-    )> = std::thread::scope(|scope| {
-        let threads: Vec<_> = work
-            .into_iter()
-            .map(|(b, queries, client)| {
-                scope.spawn(move || {
-                    // TLS does not cross threads: the leg adopts the
-                    // batch's context, opens its own span, and forwards
-                    // the context (with the leg span as parent) on the
-                    // wire, so backend spans parent to this leg.
-                    let _ctx_guard = ctx.map(trace::adopt);
-                    let mut client = match client {
-                        Ok(c) => c,
-                        Err(e) => return (b, queries, Err(e), None),
-                    };
-                    let state = shared.backend(b);
-                    state.fanout.inc();
-                    let batch: Vec<Query> = queries.iter().map(|&(_, q)| q).collect();
-                    let leg_span = pl_obs::span!("router.leg", u64::from(b), batch.len());
-                    let forward = trace::current();
-                    let t0 = Instant::now();
-                    let out = client.batch_ctx(&batch, forward.as_ref());
-                    state.backend_ns.record(t0.elapsed().as_nanos() as u64);
-                    drop(leg_span);
-                    match out {
-                        Ok(answers) => (b, queries, Ok(answers), Some(client)),
-                        Err(e) => (b, queries, Err(e), None),
-                    }
-                })
-            })
-            .collect();
-        threads
-            .into_iter()
-            .map(|t| t.join().expect("scatter thread panicked")) // lint: panic-ok(scatter workers catch per-backend errors into Results; a panic here is a router bug that must not be silently dropped)
-            .collect()
-    });
-    results
-        .into_iter()
-        .map(|(b, queries, out, client)| {
-            match (&out, client) {
-                (Ok(_), Some(c)) => {
-                    down.put(b, c);
-                    shared.mark_healthy(b);
-                }
-                _ => shared.quarantine(b),
-            }
-            (b, queries, out)
-        })
-        .collect()
-}
-
 /// Answers one upward BATCH: scatter along each query's candidate list,
 /// gather in request order, failing over per query until its list is
 /// exhausted.
+///
+/// Each round is pipelined on this session thread: every backend's
+/// BATCH is written on its pooled connection first, then the replies
+/// are read in turn, so the backends work concurrently without a thread
+/// per leg. A leg whose write or read fails, or whose reply has
+/// retryable slots, carries on in that backend's retrying client.
 fn answer_batch(shared: &Shared, down: &mut Downstream, queries: &[Query]) -> Vec<Answer> {
     shared.batches.inc();
     shared.queries.add(queries.len() as u64);
-    // The scatter span parents every leg; capture the live context here
-    // (scatter span as parent) because thread-local trace state does
-    // not cross into the scoped leg threads.
-    let _scatter_span = pl_obs::span!("router.scatter", queries.len());
-    let ctx = trace::current();
+    let scatter_span = pl_obs::span!("router.scatter", queries.len());
+    // Several legs are open at once on this thread; each opens under
+    // this context so that all of them parent to the scatter span.
+    let (trace_hi, trace_lo) = trace::current().map_or((0, 0), |c| (c.trace_hi, c.trace_lo));
+    let scatter_ctx = TraceContext {
+        trace_hi,
+        trace_lo,
+        parent_span: scatter_span.as_ref().map_or(0, SpanGuard::span_id),
+    };
     let t0 = Instant::now();
     // Candidate lists in HRW order, live backends first (stable, so the
     // HRW preference is kept within each liveness class).
@@ -876,13 +811,13 @@ fn answer_batch(shared: &Shared, down: &mut Downstream, queries: &[Query]) -> Ve
     let mut answers: Vec<Option<Answer>> = vec![None; queries.len()];
     let max_rounds = candidates.iter().map(Vec::len).max().unwrap_or(0);
     for _round in 0..=max_rounds {
-        let mut groups: HashMap<u32, Vec<(usize, Query)>> = HashMap::new();
-        for (i, q) in queries.iter().enumerate() {
+        let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+        for (i, cand) in candidates.iter().enumerate() {
             if answers[i].is_some() {
                 continue;
             }
-            match candidates[i].get(next_candidate[i]) {
-                Some(&b) => groups.entry(b).or_default().push((i, *q)),
+            match cand.get(next_candidate[i]) {
+                Some(&b) => groups.entry(b).or_default().push(i),
                 None => {
                     shared.exhausted.inc();
                     answers[i] = Some(Answer::Overloaded);
@@ -892,31 +827,53 @@ fn answer_batch(shared: &Shared, down: &mut Downstream, queries: &[Query]) -> Ve
         if groups.is_empty() {
             break;
         }
-        let mut groups: Vec<_> = groups.into_iter().collect();
-        groups.sort_unstable_by_key(|(b, _)| *b);
-        for (b, queries, out) in scatter_round(shared, down, groups, ctx) {
-            match out {
-                Ok(got) => {
-                    for ((i, _), answer) in queries.iter().zip(got) {
-                        match answer {
-                            // The partial store couldn't answer there, or
-                            // the backend's own retries ran dry: move the
-                            // query to its next candidate.
-                            Answer::NotOwned | Answer::Overloaded => {
-                                shared.backend(b).failover.inc();
-                                next_candidate[*i] += 1;
-                            }
-                            settled => answers[*i] = Some(settled),
-                        }
-                    }
+        let legs: Vec<_> = groups
+            .into_iter()
+            .map(|(b, slots)| {
+                let batch: Vec<Query> = slots.iter().map(|&i| queries[i]).collect();
+                let sent = down.take(shared, b).map(|mut client| {
+                    shared.backend(b).fanout.inc();
+                    let _home = trace::adopt(scatter_ctx);
+                    let span = pl_obs::span!("router.leg", u64::from(b), batch.len());
+                    // The leg span is the parent the backend's spans see.
+                    let forward = trace::current();
+                    let started = Instant::now();
+                    client.start_batch(&batch, forward.as_ref());
+                    (client, span, forward, started)
+                });
+                (b, slots, batch, sent)
+            })
+            .collect();
+        for (b, slots, batch, sent) in legs {
+            let state = shared.backend(b);
+            let out = sent.and_then(|(mut client, span, forward, started)| {
+                let out = client.finish_batch(&batch, forward.as_ref());
+                state.backend_ns.record(started.elapsed().as_nanos() as u64);
+                drop(span);
+                out.map(|got| (client, got))
+            });
+            // A dead connection fails the whole leg over.
+            let got = match out {
+                Ok((client, got)) => {
+                    down.put(b, client);
+                    shared.mark_healthy(b);
+                    got
                 }
                 Err(_) => {
-                    // The whole connection failed (backend dead?): every
-                    // query in the group fails over.
-                    for (i, _) in &queries {
-                        shared.backend(b).failover.inc();
-                        next_candidate[*i] += 1;
+                    shared.quarantine(b);
+                    vec![Answer::Overloaded; slots.len()]
+                }
+            };
+            for (&i, answer) in slots.iter().zip(got) {
+                match answer {
+                    // The partial store couldn't answer there, or the
+                    // backend's own retries ran dry: move the query to
+                    // its next candidate.
+                    Answer::NotOwned | Answer::Overloaded => {
+                        state.failover.inc();
+                        next_candidate[i] += 1;
                     }
+                    settled => answers[i] = Some(settled),
                 }
             }
         }

@@ -156,15 +156,28 @@ impl Client {
         queries: &[Query],
         ctx: Option<&TraceContext>,
     ) -> io::Result<Vec<Answer>> {
+        self.send_batch_ctx(queries, ctx)?;
+        self.recv_batch(queries.len())
+    }
+
+    /// Writes one BATCH without waiting for its reply, so a caller can
+    /// put a batch on each of several connections before it reads any.
+    /// Pair every call with one [`recv_batch`](Self::recv_batch).
+    fn send_batch_ctx(&mut self, queries: &[Query], ctx: Option<&TraceContext>) -> io::Result<()> {
         let body =
             encode_batch_ctx(queries, ctx, self.version).map_err(|e| bad_data(e.to_string()))?;
-        write_frame(&mut self.stream, &body)?;
+        write_frame(&mut self.stream, &body)
+    }
+
+    /// Reads the reply to the BATCH of `count` queries that
+    /// [`send_batch_ctx`](Self::send_batch_ctx) wrote.
+    fn recv_batch(&mut self, count: usize) -> io::Result<Vec<Answer>> {
         let reply = read_frame(&mut self.stream)?;
         match reply.first() {
             Some(&opcode::BATCH_REPLY) => {
                 let answers =
                     parse_batch_reply(&reply, self.version).map_err(|e| bad_data(e.to_string()))?;
-                if answers.len() != queries.len() {
+                if answers.len() != count {
                     return Err(bad_data("reply count mismatch"));
                 }
                 Ok(answers)
@@ -585,12 +598,58 @@ impl ResilientClient {
         queries: &[Query],
         ctx: Option<&TraceContext>,
     ) -> Result<Vec<Answer>, ClientError> {
+        self.settle(queries, ctx, None)
+    }
+
+    /// First half of a pipelined [`batch_ctx`](Self::batch_ctx): writes
+    /// the BATCH on the current connection (dialing once if there is
+    /// none) and returns without waiting, so a caller can put one batch
+    /// on each of several servers before reading any reply. No retries
+    /// here: a failure only drops the connection, and the paired
+    /// [`finish_batch`](Self::finish_batch) counts it as the first
+    /// attempt.
+    pub fn start_batch(&mut self, queries: &[Query], ctx: Option<&TraceContext>) {
+        let sent = self.ensure_connected().and_then(|c| {
+            c.send_batch_ctx(queries, ctx)
+                .map_err(ClientError::classify)
+        });
+        if sent.is_err() {
+            self.client = None;
+        }
+    }
+
+    /// Second half of a pipelined batch: reads the reply to the
+    /// [`start_batch`](Self::start_batch) made with the same `queries`
+    /// and `ctx`. From there it continues exactly as
+    /// [`batch_ctx`](Self::batch_ctx) after its first attempt: a failed
+    /// write or read reconnects and replays, and retryable slots are
+    /// re-asked, within the same retry budget.
+    pub fn finish_batch(
+        &mut self,
+        queries: &[Query],
+        ctx: Option<&TraceContext>,
+    ) -> Result<Vec<Answer>, ClientError> {
+        let first = match &mut self.client {
+            Some(client) => client.recv_batch(queries.len()),
+            None => Err(io::ErrorKind::NotConnected.into()),
+        };
+        self.settle(queries, ctx, Some(first))
+    }
+
+    /// The [`batch_ctx`](Self::batch_ctx) loop; `first`, when given, is
+    /// the outcome of an attempt already made for the whole batch.
+    fn settle(
+        &mut self,
+        queries: &[Query],
+        ctx: Option<&TraceContext>,
+        mut first: Option<io::Result<Vec<Answer>>>,
+    ) -> Result<Vec<Answer>, ClientError> {
         let mut answers: Vec<Option<Answer>> = vec![None; queries.len()];
         let mut pending: Vec<usize> = (0..queries.len()).collect();
         let mut round = 0u32;
         loop {
             let subset: Vec<Query> = pending.iter().map(|&i| queries[i]).collect();
-            let got = self.with_retries(|c| c.batch_ctx(&subset, ctx))?;
+            let got = self.retry_after(first.take(), |c| c.batch_ctx(&subset, ctx))?;
             let mut still_pending = Vec::new();
             for (&slot, answer) in pending.iter().zip(got) {
                 if answer.is_retryable() {
@@ -663,13 +722,26 @@ impl ResilientClient {
     /// on retryable failures, with backoff between attempts.
     fn with_retries<T>(
         &mut self,
+        op: impl FnMut(&mut Client) -> io::Result<T>,
+    ) -> Result<T, ClientError> {
+        self.retry_after(None, op)
+    }
+
+    /// [`with_retries`](Self::with_retries) whose first attempt, when
+    /// `first` is given, was already made and had that outcome.
+    fn retry_after<T>(
+        &mut self,
+        mut first: Option<io::Result<T>>,
         mut op: impl FnMut(&mut Client) -> io::Result<T>,
     ) -> Result<T, ClientError> {
         let mut attempt = 0u32;
         loop {
-            let result = self
-                .ensure_connected()
-                .and_then(|client| op(client).map_err(ClientError::classify));
+            let result = match first.take() {
+                Some(done) => done.map_err(ClientError::classify),
+                None => self
+                    .ensure_connected()
+                    .and_then(|client| op(client).map_err(ClientError::classify)),
+            };
             let err = match result {
                 Ok(v) => return Ok(v),
                 Err(e) => e,

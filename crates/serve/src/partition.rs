@@ -87,14 +87,20 @@ impl Partitioner {
     }
 
     /// The failover candidate list for an adjacency query `{u, v}`:
-    /// `owners(u)` then `owners(v)`, first occurrence kept. Any single
-    /// dead backend leaves a live owner of `u` *and* of `v` in the list
-    /// whenever `replicas ≥ 2`, which is exactly what the partial-store
-    /// decoder needs to answer every fat/thin case.
+    /// the backends owning *both* endpoints first (in `owners(u)`
+    /// order), then the rest of `owners(u)`, then the rest of
+    /// `owners(v)`. An owner of both holds both full labels, so it
+    /// answers every fat/thin case (Thm 4 decodes from the two labels
+    /// alone); the intersection is never empty when `2·replicas >
+    /// backends`, so a healthy cluster answers each query at its first
+    /// candidate. Any single dead backend leaves a live owner of `u`
+    /// *and* of `v` in the list whenever `replicas ≥ 2`, which is
+    /// exactly what the partial-store decoder needs.
     #[must_use]
     pub fn candidates(&self, u: u32, v: u32) -> Vec<u32> {
-        let mut out = self.owners(u);
-        for b in self.owners(v) {
+        let (ou, ov) = (self.owners(u), self.owners(v));
+        let mut out: Vec<u32> = ou.iter().copied().filter(|b| ov.contains(b)).collect();
+        for b in ou.into_iter().chain(ov) {
             if !out.contains(&b) {
                 out.push(b);
             }
@@ -160,6 +166,38 @@ mod tests {
                 (3_000..=5_000).contains(&c),
                 "backend {b} owns {c} of expected ~4000"
             );
+        }
+    }
+
+    #[test]
+    fn candidates_put_a_common_owner_first() {
+        for (backends, replicas) in [(3, 2), (5, 3), (4, 2), (5, 2), (3, 1)] {
+            let p = Partitioner::new(0xC0DE, backends, replicas);
+            for u in 0..150u32 {
+                for v in 0..150u32 {
+                    let (ou, ov) = (p.owners(u), p.owners(v));
+                    let cand = p.candidates(u, v);
+                    // Same set as owners(u) ∪ owners(v), no repeats.
+                    let mut got = cand.clone();
+                    got.sort_unstable();
+                    let mut want: Vec<u32> = ou.iter().chain(&ov).copied().collect();
+                    want.sort_unstable();
+                    want.dedup();
+                    assert_eq!(got, want, "({u},{v}) at {backends}x{replicas}");
+                    // Common owners lead, then owners(u), then owners(v).
+                    let common = cand.iter().take_while(|b| ou.contains(b) && ov.contains(b));
+                    let rest = &cand[common.count()..];
+                    assert!(rest.iter().all(|b| !(ou.contains(b) && ov.contains(b))));
+                    let split = rest.iter().take_while(|b| ou.contains(b)).count();
+                    assert!(rest[split..].iter().all(|b| ov.contains(b)));
+                    if 2 * replicas > backends {
+                        assert!(
+                            ou.contains(&cand[0]) && ov.contains(&cand[0]),
+                            "({u},{v}) at {backends}x{replicas}: {cand:?} leads with a one-sided owner"
+                        );
+                    }
+                }
+            }
         }
     }
 
