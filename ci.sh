@@ -10,7 +10,7 @@
 #                 encode/query, observability, chaos, cluster, router
 #                 front-end, distributed-tracing, and live-reconfiguration
 #                 smokes
-#   ci.sh bench   release build + cut-down e17/e22/e23 runs, gated
+#   ci.sh bench   release build + cut-down e17/e23 runs, gated
 #                 against the committed quick-mode baselines in
 #                 bench/baselines/ (fails on >20% qps regression or >5%
 #                 tracing overhead); reports land in results/
@@ -184,8 +184,7 @@ observability_smoke() {
         --skew zipf:1.2 > "$smoke_dir/loadgen.out"
     scrape "$prom" > "$smoke_dir/metrics.prom"
     local metric
-    for metric in plserve_adj_queries_total plserve_cache_hits_total \
-                  plserve_cache_hit_ratio plserve_query_latency_ns \
+    for metric in plserve_adj_queries_total plserve_query_latency_ns \
                   plserve_slow_queries_total; do
         grep -q "$metric" "$smoke_dir/metrics.prom" \
             || { echo "ci: scrape is missing $metric" >&2; return 1; }
@@ -218,7 +217,7 @@ chaos_smoke() {
     "$plab" health "$addr" > "$smoke_dir/chaos_health.out" \
         || { echo "ci: plab health failed against the chaos server" >&2; return 1; }
     grep -q '^healthy' "$smoke_dir/chaos_health.out" \
-        || { echo "ci: chaos server did not report healthy shards" >&2; return 1; }
+        || { echo "ci: chaos server did not report healthy" >&2; return 1; }
     # Exit 0 here is the correctness assert: --verify makes loadgen exit
     # nonzero if any retried answer disagrees with the graph.
     "$plab" loadgen "$addr" --connections 2 --requests 2000 --batch 32 \
@@ -502,18 +501,14 @@ soak_chaos() {
     return 0
 }
 
-# Bench-regression gate: cut-down (--quick) runs of the serving,
-# batch-execution, and tracing benches, compared against the committed
+# Bench-regression gate: cut-down (--quick) runs of the serving and
+# tracing benches, compared against the committed
 # quick-mode baselines. bench_gate fails on a >20% qps drop or >5%
 # absolute tracing overhead on gated rows.
 bench_e17() { target/release/e17_serving --quick --out results/BENCH_serve.json; }
-bench_e22() { target/release/e22_batch_exec --quick --out results/BENCH_batch.json; }
 bench_e23() { target/release/e23_tracing --quick --out results/BENCH_trace.json; }
 gate_serve() {
     target/release/bench_gate bench/baselines/BENCH_serve.json results/BENCH_serve.json
-}
-gate_batch() {
-    target/release/bench_gate bench/baselines/BENCH_batch.json results/BENCH_batch.json
 }
 gate_trace() {
     target/release/bench_gate bench/baselines/BENCH_trace.json results/BENCH_trace.json
@@ -557,10 +552,8 @@ bench)
     mkdir -p results
     run_step "release build (bench)"  cargo build --release -p pl-bench --bins
     run_step "bench e17 serving"      bench_e17
-    run_step "bench e22 batch"        bench_e22
     run_step "bench e23 tracing"      bench_e23
     run_step "gate e17 vs baseline"   gate_serve
-    run_step "gate e22 vs baseline"   gate_batch
     run_step "gate e23 vs baseline"   gate_trace
     ;;
 soak)

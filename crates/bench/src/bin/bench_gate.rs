@@ -1,9 +1,9 @@
 //! `bench_gate` — the bench-regression CI gate.
 //!
 //! Compares a freshly measured bench report against a committed
-//! baseline (both the flat-row JSON arrays the `e17`/`e22`/`e23`
-//! binaries emit with `--out`) and fails the build when performance
-//! regressed beyond budget:
+//! baseline (both the flat-row JSON arrays the `e17`/`e23` binaries
+//! emit with `--out`) and fails the build when performance regressed
+//! beyond budget:
 //!
 //! * every numeric field ending in `qps` may drop at most
 //!   `--max-drop-pct` (default 20%) below its baseline value;
@@ -14,7 +14,7 @@
 //!
 //! Rows are matched by their identity fields: every string or boolean
 //! field plus the small-integer configuration axes (`threads`,
-//! `shards`, `cache`, `queries`). A baseline row with no matching
+//! `queries`). A baseline row with no matching
 //! candidate row fails the gate — silently losing coverage is itself
 //! a regression; regenerate the baselines when a grid changes.
 //!
@@ -192,7 +192,7 @@ fn load(path: &str) -> Vec<Row> {
 }
 
 /// Configuration axes that identify a row alongside its string fields.
-const IDENTITY_INTS: &[&str] = &["threads", "shards", "cache", "queries"];
+const IDENTITY_INTS: &[&str] = &["threads", "queries"];
 
 fn identity(row: &Row) -> String {
     let mut parts: Vec<String> = Vec::new();

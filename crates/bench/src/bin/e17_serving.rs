@@ -1,13 +1,12 @@
-//! E17 — serving throughput: shard count × cache size × query skew.
+//! E17 — serving throughput: scheme × query skew.
 //!
 //! Puts the pl-serve engine under load: one in-process server per
 //! configuration, a multi-connection Zipf/uniform load over real TCP,
 //! and the paper's threshold scheme against the adjacency-list baseline.
-//! Expected shape: the decode cache only pays off under skew (the hot
-//! set must be the fat hubs), shard count matters little for pure reads
-//! (labels are lock-free either way; shards bound cache-mutex
-//! contention), and the threshold scheme holds its throughput while
-//! shipping far smaller labels than the baseline.
+//! The store answers every query in place from its label arena (a
+//! fat–fat pair is one bit read), so there is no cache or shard axis
+//! left to sweep. Expected shape: the threshold scheme holds its
+//! throughput while shipping far smaller labels than the baseline.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -30,26 +29,17 @@ fn skew_name(skew: Skew) -> String {
 
 struct RunResult {
     qps: f64,
-    hit_rate: f64,
     p50_ns: u64,
     p99_ns: u64,
 }
 
 fn run_one(
     tagged: TaggedLabeling,
-    shards: usize,
-    cache: usize,
     skew: Skew,
     hot_order: &[u32],
     requests_per_conn: usize,
 ) -> RunResult {
-    let store = Arc::new(LabelStore::new(
-        tagged,
-        StoreConfig {
-            shards,
-            cache_capacity: cache,
-        },
-    ));
+    let store = Arc::new(LabelStore::new(tagged, StoreConfig::default()));
     let handle = pl_serve::serve(store, "127.0.0.1:0").expect("bind");
     let config = LoadgenConfig {
         connections: 4,
@@ -67,14 +57,13 @@ fn run_one(
     handle.shutdown();
     RunResult {
         qps: report.qps,
-        hit_rate: stats.cache_hit_rate(),
         p50_ns: stats.p50_ns,
         p99_ns: stats.p99_ns,
     }
 }
 
 fn main() {
-    banner("E17", "serving throughput: shards x cache x skew");
+    banner("E17", "serving throughput: scheme x skew");
     // JSON report only on request: the smoke test runs this binary from
     // the package dir, which must stay free of generated artifacts.
     let out_path = {
@@ -112,68 +101,21 @@ fn main() {
         adjlist.labeling.max_bits(),
     );
 
-    let shard_grid: &[usize] = if quick_mode() { &[1, 4] } else { &[1, 2, 4, 8] };
-    let cache_grid: &[usize] = if quick_mode() {
-        &[0, 4_096]
-    } else {
-        &[0, 1_024, 16_384]
-    };
     let skews = [Skew::Uniform, Skew::Zipf(1.2)];
-
-    let mut rows: Vec<(&str, usize, usize, String, RunResult)> = Vec::new();
-    for &shards in shard_grid {
-        for &cache in cache_grid {
-            for skew in skews {
-                let res = run_one(
-                    threshold.clone(),
-                    shards,
-                    cache,
-                    skew,
-                    &hot_order,
-                    requests_per_conn,
-                );
-                rows.push(("threshold", shards, cache, skew_name(skew), res));
-            }
+    let mut rows: Vec<(&str, String, RunResult)> = Vec::new();
+    for (scheme, tagged) in [("threshold", &threshold), ("adjlist", &adjlist)] {
+        for skew in skews {
+            let res = run_one(tagged.clone(), skew, &hot_order, requests_per_conn);
+            rows.push((scheme, skew_name(skew), res));
         }
     }
-    // Baseline: the adjacency-list labeling at one representative layout
-    // (its thin-list decode never touches the fat cache).
-    for skew in skews {
-        let res = run_one(
-            adjlist.clone(),
-            4,
-            *cache_grid.last().expect("nonempty grid"),
-            skew,
-            &hot_order,
-            requests_per_conn,
-        );
-        rows.push((
-            "adjlist",
-            4,
-            *cache_grid.last().expect("nonempty grid"),
-            skew_name(skew),
-            res,
-        ));
-    }
 
-    let mut table = Table::new(&[
-        "scheme",
-        "shards",
-        "cache",
-        "skew",
-        "kqps",
-        "cache hit %",
-        "p50 ns",
-        "p99 ns",
-    ]);
-    for (scheme, shards, cache, skew, res) in &rows {
+    let mut table = Table::new(&["scheme", "skew", "kqps", "p50 ns", "p99 ns"]);
+    for (scheme, skew, res) in &rows {
         table.row(vec![
             (*scheme).to_string(),
-            shards.to_string(),
-            cache.to_string(),
             skew.clone(),
             f1(res.qps / 1_000.0),
-            f1(res.hit_rate * 100.0),
             res.p50_ns.to_string(),
             res.p99_ns.to_string(),
         ]);
@@ -182,17 +124,13 @@ fn main() {
 
     if let Some(out_path) = out_path {
         let mut json = String::from("[\n");
-        for (i, (scheme, shards, cache, skew, res)) in rows.iter().enumerate() {
+        for (i, (scheme, skew, res)) in rows.iter().enumerate() {
             let sep = if i + 1 == rows.len() { "" } else { "," };
             writeln!(
                 json,
-                "  {{\"scheme\": \"{scheme}\", \"shards\": {shards}, \"cache\": {cache}, \
-                 \"skew\": \"{skew}\", \"qps\": {:.0}, \"cache_hit_pct\": {:.1}, \
+                "  {{\"scheme\": \"{scheme}\", \"skew\": \"{skew}\", \"qps\": {:.0}, \
                  \"p50_ns\": {}, \"p99_ns\": {}}}{sep}",
-                res.qps,
-                res.hit_rate * 100.0,
-                res.p50_ns,
-                res.p99_ns
+                res.qps, res.p50_ns, res.p99_ns
             )
             .expect("write to String");
         }
@@ -201,10 +139,7 @@ fn main() {
         println!("wrote {out_path}");
     }
     println!(
-        "\nexpected: cache hit rate near zero under uniform load and high under\n\
-         zipf (the hot set is the fat hubs, which is what the per-shard LRU\n\
-         holds); threshold decode stays competitive with adjlist scans while\n\
-         its labels are a fraction of the size; shard count shifts p99 more\n\
-         than throughput (reads are lock-free, only the cache mutex shards)."
+        "\nexpected: threshold decode stays competitive with adjlist scans while\n\
+         its labels are a fraction of the size."
     );
 }

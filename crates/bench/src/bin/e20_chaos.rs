@@ -63,13 +63,7 @@ fn run_scenario(
             p.frame_fault_rate()
         );
     }
-    let store = Arc::new(LabelStore::new(
-        tagged.clone(),
-        StoreConfig {
-            shards: 4,
-            cache_capacity: 2048,
-        },
-    ));
+    let store = Arc::new(LabelStore::new(tagged.clone(), StoreConfig::default()));
     let handle = pl_serve::serve_with(
         store,
         "127.0.0.1:0",

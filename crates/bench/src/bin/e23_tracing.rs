@@ -31,8 +31,8 @@ use pl_bench::{banner, f1, quick_mode, rng, Table};
 use pl_labeling::threshold::encode_with_stats_threads;
 use pl_labeling::PowerLawScheme;
 use pl_obs::TraceContext;
-use pl_serve::protocol::{encode_batch, encode_batch_ctx, parse_batch, parse_batch_ctx};
 use pl_serve::{Client, LabelStore, Query, SchemeTag, StoreConfig, TaggedLabeling};
+use pl_wire::protocol::{encode_batch, encode_batch_ctx, parse_batch, parse_batch_ctx};
 use rand::Rng;
 
 struct Row {

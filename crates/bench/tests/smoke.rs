@@ -145,23 +145,11 @@ fn e16_runs() {
 #[test]
 fn e17_runs() {
     let out = run(env!("CARGO_BIN_EXE_e17_serving"));
-    // Quick grid: 2 shards x 2 caches x 2 skews + 2 adjlist baselines.
-    assert_table(&out, 10);
+    // 2 schemes x 2 skews.
+    assert_table(&out, 4);
     assert!(out.contains("threshold"));
     assert!(out.contains("adjlist"));
     assert!(out.contains("zipf"));
-    // Under zipf skew with a warm cache, the hit rate must be nonzero:
-    // at least one row reports a hit rate above zero.
-    let any_hits = out
-        .lines()
-        .filter(|l| l.starts_with('|') && l.contains("zipf"))
-        .any(|l| {
-            l.split('|')
-                .nth(6)
-                .and_then(|c| c.trim().parse::<f64>().ok())
-                .is_some_and(|pct| pct > 0.0)
-        });
-    assert!(any_hits, "no zipf row shows cache hits:\n{out}");
 }
 
 #[test]

@@ -42,9 +42,8 @@
 //! land in the same registry, the full `plserve_*` transport families
 //! (sheds, faults, deadline closes, bytes). A `STATS` request upward
 //! returns the *merged* cluster snapshot: counters summed across live
-//! backends, latency quantiles from the router's own observations, the
-//! per-"shard" slots repurposed to carry per-backend cache counters,
-//! and the router front-end's own shed/fault counters folded in.
+//! backends, latency quantiles from the router's own observations, and
+//! the router front-end's own shed/fault counters folded in.
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -467,19 +466,17 @@ impl RouterHandle {
         Arc::clone(&self.shared.registry)
     }
 
-    /// Renders the router registry as Prometheus text, plus the
-    /// scrape-time `plcluster_cache_hit_ratio{backend}` gauges computed
-    /// from each reachable backend's STATS.
+    /// Renders the router registry as Prometheus text.
     #[must_use]
     pub fn prometheus_text(&self) -> String {
-        prometheus_with_ratios(&self.shared)
+        pl_obs::prom::render(&self.shared.registry)
     }
 
     /// A boxed renderer for [`pl_obs::http::expose`].
     #[must_use]
     pub fn prometheus_renderer(&self) -> Arc<dyn Fn() -> String + Send + Sync> {
         let shared = Arc::clone(&self.shared);
-        Arc::new(move || prometheus_with_ratios(&shared))
+        Arc::new(move || pl_obs::prom::render(&shared.registry))
     }
 
     /// Per-backend liveness as the router currently believes it.
@@ -521,48 +518,6 @@ impl RouterHandle {
         }
         snap
     }
-}
-
-/// Router registry as Prometheus text plus per-backend cache hit-ratio
-/// gauges. The ratios are computed *at scrape time* from each backend's
-/// STATS over a short-deadline throwaway connection; quarantined or
-/// unreachable backends are skipped (no sample) rather than reported as
-/// zero, so a dead backend cannot masquerade as a cold cache.
-fn prometheus_with_ratios(shared: &Shared) -> String {
-    let mut p = pl_obs::prom::PromText::new();
-    p.registry(&shared.registry);
-    let deadline = shared
-        .config
-        .retry
-        .deadline
-        .unwrap_or(Duration::from_millis(500));
-    for slot in shared.current_slots() {
-        if shared.is_quarantined(slot) {
-            continue;
-        }
-        let state = shared.backend(slot);
-        let Ok(mut client) = pl_serve::Client::connect(&state.addr) else {
-            continue;
-        };
-        if client.set_io_deadline(Some(deadline)).is_err() {
-            continue;
-        }
-        let Ok(s) = client.stats() else {
-            continue;
-        };
-        let total = s.cache_hits + s.cache_misses;
-        let ratio = if total == 0 {
-            0.0
-        } else {
-            s.cache_hits as f64 / total as f64
-        };
-        p.gauge_f64(
-            "plcluster_cache_hit_ratio",
-            &vec![("backend".to_string(), slot.to_string())],
-            ratio,
-        );
-    }
-    p.finish()
 }
 
 /// The cluster-wide trace dump behind an upward `TRACE_DUMP`: the
@@ -614,14 +569,6 @@ fn router_snapshot(shared: &Shared) -> Snapshot {
         min_ns: h.min,
         max_ns: h.max,
         qps_milli: (queries as f64 / uptime * 1_000.0) as u64,
-        shard_cache: shared
-            .current_slots()
-            .into_iter()
-            .map(|slot| {
-                let state = shared.backend(slot);
-                (state.fanout.get(), state.failover.get())
-            })
-            .collect(),
         ..Snapshot::default()
     }
 }
@@ -886,15 +833,12 @@ fn answer_batch(shared: &Shared, down: &mut Downstream, queries: &[Query]) -> Ve
 }
 
 /// Merged cluster STATS: counters summed over reachable backends,
-/// quantiles from the router's own batch histogram, per-backend cache
-/// counters in the per-shard slots.
+/// quantiles from the router's own batch histogram.
 fn merged_stats(shared: &Shared, down: &mut Downstream) -> Snapshot {
     let mut merged = router_snapshot(shared);
     merged.adj_queries = 0;
-    merged.shard_cache.clear();
     for b in shared.current_slots() {
         let Ok(mut client) = down.take(shared, b) else {
-            merged.shard_cache.push((0, 0));
             continue;
         };
         match client.stats() {
@@ -902,8 +846,6 @@ fn merged_stats(shared: &Shared, down: &mut Downstream) -> Snapshot {
                 merged.adj_queries += s.adj_queries;
                 merged.dist_queries += s.dist_queries;
                 merged.connections += s.connections;
-                merged.cache_hits += s.cache_hits;
-                merged.cache_misses += s.cache_misses;
                 merged.bytes_in += s.bytes_in;
                 merged.bytes_out += s.bytes_out;
                 merged.protocol_errors += s.protocol_errors;
@@ -911,13 +853,9 @@ fn merged_stats(shared: &Shared, down: &mut Downstream) -> Snapshot {
                 merged.faults_injected += s.faults_injected;
                 merged.shed += s.shed;
                 merged.open_conns += s.open_conns;
-                merged.shard_cache.push((s.cache_hits, s.cache_misses));
                 down.put(b, client);
             }
-            Err(_) => {
-                merged.shard_cache.push((0, 0));
-                shared.quarantine(b);
-            }
+            Err(_) => shared.quarantine(b),
         }
     }
     merged

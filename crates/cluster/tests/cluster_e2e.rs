@@ -127,7 +127,7 @@ fn router_answers_like_a_single_server() {
     assert_eq!(health.shards.len(), 3);
     let stats = client.stats().expect("stats");
     assert!(stats.adj_queries >= 2_000, "merged adj_queries: {stats}");
-    assert_eq!(stats.shard_cache.len(), 3, "one slot per backend");
+    assert!(stats.shard_cache.is_empty(), "no cache slots: {stats}");
 
     client.goodbye().expect("goodbye");
     let snap = router.shutdown();

@@ -15,11 +15,11 @@ use pl_cluster::{route_with, split_all, ClusterMap, Partitioner, RouterConfig, R
 use pl_labeling::scheme::AdjacencyScheme;
 use pl_labeling::ThresholdScheme;
 use pl_serve::client::loadgen::{self, LoadgenConfig, Skew};
-use pl_serve::protocol::{encode_batch, encode_hello_version, opcode, read_frame, write_frame};
 use pl_serve::{
     Client, LabelStore, Query, RetryPolicy, SchemeTag, ServerHandle, StoreConfig, TaggedLabeling,
 };
 use pl_wire::fault::FaultPlan;
+use pl_wire::protocol::{encode_batch, encode_hello_version, opcode, read_frame, write_frame};
 use pl_wire::FrontendOptions;
 
 const SEED: u64 = 0xF00D;

@@ -22,15 +22,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use pl_obs::TraceContext;
-
-use crate::metrics::Snapshot;
-use crate::protocol::{
+use pl_wire::protocol::{
     encode_batch_ctx, encode_hello_version, encode_labels, encode_map_get, encode_map_set,
     encode_trace_dump, opcode, parse_batch_reply, parse_health_reply, parse_hello_ok,
     parse_labels_ok, parse_map_ok, parse_map_reply, parse_stats_reply, read_frame,
     trace_dump_flags, write_frame, Answer, HealthReport, LabelsStatus, MapSetMode, MapSetStatus,
     Query, MIN_VERSION, VERSION,
 };
+use pl_wire::stats::Snapshot;
 
 fn bad_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -215,7 +214,7 @@ impl Client {
         parse_stats_reply(&reply).map_err(|e| bad_data(e.to_string()))
     }
 
-    /// Fetches the server's shard-liveness report. Requires protocol
+    /// Fetches the server's liveness report. Requires protocol
     /// version ≥ 3.
     pub fn health(&mut self) -> io::Result<HealthReport> {
         if self.version < 3 {
@@ -293,7 +292,7 @@ impl Client {
     /// Pushes a map-state transition (`prepare`/`commit`/`abort`/
     /// `shrink`) and returns the peer's verdict plus its current epoch.
     /// `backend` is the receiver's index in the pushed map (or
-    /// [`crate::protocol::MAP_TARGET_ROUTER`]); `moved` is only
+    /// [`pl_wire::protocol::MAP_TARGET_ROUTER`]); `moved` is only
     /// meaningful on a router commit. Requires protocol version ≥ 6.
     pub fn map_set(
         &mut self,
@@ -699,7 +698,7 @@ impl ResilientClient {
         self.with_retries(Client::stats)
     }
 
-    /// Fetches the shard-liveness report with retries (needs v3).
+    /// Fetches the liveness report with retries (needs v3).
     pub fn health(&mut self) -> Result<HealthReport, ClientError> {
         self.with_retries(Client::health)
     }

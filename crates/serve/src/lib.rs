@@ -1,27 +1,23 @@
-//! pl-serve: a sharded, concurrent label-serving engine.
+//! pl-serve: a concurrent label-serving engine.
 //!
 //! The paper's decoders answer adjacency from two labels alone — no
 //! graph needed — which makes a labeling a natural unit to *serve*: load
 //! the `.plab` file once, keep the labels in memory, and answer queries
 //! over the network. This crate is that serving layer:
 //!
-//! * [`store`] — the labeling partitioned across shards behind `Arc`s;
-//!   immutable labels mean lock-free reads, and each shard keeps a small
-//!   LRU of decoded fat-label bitmaps (the hubs — exactly the vertices a
-//!   power-law workload hammers).
-//! * [`protocol`] — re-export shim over [`pl_wire::protocol`], the
-//!   length-prefixed binary wire format: versioned handshake, batched
-//!   adjacency/distance queries, stats, orderly goodbye. All parsers
-//!   are total on untrusted bytes.
+//! * [`store`] — the labeling as one immutable bit arena queried in
+//!   place: no locks and no side caches, so any number of connection
+//!   threads read concurrently. A fat–fat query is one bit read at a
+//!   known offset of a fat label's bitmap.
 //! * [`server`] — the shared hardened [`pl_wire::frontend`] TCP
 //!   front-end (thread-per-connection, shedding, deadlines, graceful
-//!   drain) over a [`server::StoreEngine`] answering batches
-//!   shard-grouped.
-//! * [`metrics`] — re-export shim over [`pl_wire::stats`]:
-//!   [`pl_obs`]-backed counters and power-of-two latency histograms in
-//!   a per-server [`pl_obs::MetricsRegistry`], snapshotted on demand
-//!   (`STATS`) and at shutdown, and renderable as Prometheus text via
-//!   [`ServerHandle::prometheus_text`].
+//!   drain) over a [`server::StoreEngine`] answering batches query by
+//!   query. The wire format ([`pl_wire::protocol`]), the server metrics
+//!   ([`pl_wire::stats`]: [`pl_obs`]-backed counters and latency
+//!   histograms, snapshotted as `STATS` and renderable as Prometheus
+//!   text via [`ServerHandle::prometheus_text`]) and the deterministic
+//!   fault-injection harness ([`pl_wire::fault`], see RELIABILITY.md)
+//!   live in `pl-wire`.
 //! * [`client`] — blocking client plus a multi-connection load
 //!   generator with uniform and Zipf-skewed query mixes, and
 //!   [`ResilientClient`]: deadlines, bounded backoff with jitter, and
@@ -33,35 +29,25 @@
 //!   reconfiguration: a backend receiving a `MAP_SET` push validates
 //!   the map and computes its own ownership locally
 //!   (`pl_cluster::{map, partition}` re-export them unchanged).
-//! * [`fault`] — re-export shim over [`pl_wire::fault`], the
-//!   deterministic fault-injection harness ([`FaultPlan`]): seeded
-//!   per-connection delays, drops, truncations, byte flips, and
-//!   simulated store errors, for chaos testing the whole request path
-//!   (see RELIABILITY.md).
-//! * [`format`] — thin re-exports of the codec layer
-//!   ([`pl_labeling::codec`]): the scheme tag, tagged container, and
-//!   decoder dispatch now live with the labels, not the server.
+//!
+//! The scheme tag and tagged container come from
+//! [`pl_labeling::codec`]; they are re-exported at the crate root.
 //!
 //! Everything is std-only: no async runtime, no serialization crates.
 
-pub mod cache;
 pub mod client;
-pub mod fault;
-pub mod format;
 pub mod map;
-pub mod metrics;
 pub mod partition;
-pub mod protocol;
 pub mod server;
 pub mod store;
 
 pub use client::loadgen::{LoadReport, LoadgenConfig, Skew};
 pub use client::{Client, ClientError, ResilientClient, RetryKind, RetryPolicy};
-pub use fault::{FaultKind, FaultPlan};
-pub use format::{SchemeTag, TaggedLabeling};
 pub use map::{ClusterMap, MapError};
-pub use metrics::Snapshot;
 pub use partition::Partitioner;
-pub use protocol::{Answer, HealthReport, Query, QueryKind};
+pub use pl_labeling::codec::{SchemeTag, TaggedLabeling};
+pub use pl_wire::fault::{FaultKind, FaultPlan};
+pub use pl_wire::protocol::{Answer, HealthReport, Query, QueryKind};
+pub use pl_wire::stats::Snapshot;
 pub use server::{serve, serve_with, ServeOptions, ServerHandle, StoreEngine};
 pub use store::{BatchOutcome, LabelStore, QueryPath, StoreConfig, StoreError};

@@ -6,10 +6,9 @@
 //! drain-on-shutdown, and fault injection — lives in
 //! [`pl_wire::frontend`] and is shared with the `pl-cluster` router.
 //! This module supplies only the engine: [`StoreEngine`] implements
-//! [`QueryEngine`] by answering batches against the store, grouping a
-//! batch's fat-cache lookups by shard
-//! ([`LabelStore::adjacent_batch_traced`]) so each touched shard lock
-//! is taken once per batch instead of once per query.
+//! [`QueryEngine`] by answering each batch against the store query by
+//! query ([`LabelStore::adjacent_batch_traced`]). The store is an
+//! immutable arena, so the answer path takes no lock.
 //!
 //! ## Degradation under load and failure
 //!
@@ -28,27 +27,27 @@
 //!   the handle vector stays bounded by the number of *live*
 //!   connections ([`ServerHandle::conn_handle_count`]).
 //! - A [`FaultPlan`] ([`ServeOptions::fault_plan`]) turns on the
-//!   deterministic fault-injection harness of [`crate::fault`] for
+//!   deterministic fault-injection harness of [`pl_wire::fault`] for
 //!   chaos testing: injected read/write delays, dropped and truncated
 //!   reply frames, flipped reply bytes (protocol v3 checksums catch
-//!   them), and simulated shard-store errors.
+//!   them), and simulated store errors.
 //!
 //! ## Observability
 //!
 //! Every server owns a [`MetricsRegistry`] (per-instance, so parallel
 //! servers in one process — e.g. tests — never share counters). The
 //! serve path is instrumented with [`pl_obs`] spans (`serve.batch`,
-//! `store.adjacent`, cache hit/miss events) and a threshold-triggered
-//! slow-query log: a query at or over
-//! [`ServeOptions::slow_query_ns`] increments
+//! `store.adjacent`) and a threshold-triggered slow-query log: a query
+//! at or over [`ServeOptions::slow_query_ns`] increments
 //! `plserve_slow_queries_total` and records a `serve.slow_query` trace
-//! event carrying the vertex pair and the shard/cache provenance.
+//! event carrying the vertex pair and the query path
+//! ([`QueryPath`](crate::QueryPath)).
 //! Resilience events land in `plserve_faults_injected_total{kind}`,
 //! `plserve_shed_total`, `plserve_idle_reaped_total`,
 //! `plserve_deadline_closes_total`, and the `plserve_open_conns` gauge.
-//! [`ServerHandle::prometheus_text`] renders the registry (plus derived
-//! per-shard hit ratios and the process-global encode metrics) in
-//! Prometheus text format — `plab serve --prom` exposes it over HTTP.
+//! [`ServerHandle::prometheus_text`] renders the registry (plus the
+//! process-global encode metrics) in Prometheus text format — `plab
+//! serve --prom` exposes it over HTTP.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -56,25 +55,24 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use pl_labeling::bits::BitWriter;
+use pl_labeling::codec::{SchemeTag, TaggedLabeling};
 use pl_labeling::{Label, LabelingBuilder};
 use pl_obs::MetricsRegistry;
+use pl_wire::fault::FaultPlan;
 use pl_wire::frontend::{self, FrontStats, FrontendHandle, FrontendOptions, QueryEngine};
-use pl_wire::protocol::{LabelsStatus, MapSetMode, MapSetRequest, MapSetStatus};
+use pl_wire::protocol::{
+    Answer, LabelsStatus, MapSetMode, MapSetRequest, MapSetStatus, Query, QueryKind,
+};
+use pl_wire::stats::{Metrics, Snapshot};
 
-use crate::fault::FaultPlan;
-use crate::format::{SchemeTag, TaggedLabeling};
 use crate::map::ClusterMap;
-use crate::metrics::{Metrics, Snapshot};
-use crate::protocol::{Answer, Query, QueryKind};
-use crate::store::{BatchOutcome, LabelStore, StoreError};
+use crate::store::{BatchOutcome, LabelStore, StoreConfig, StoreError};
 
 /// Server tuning knobs beyond the store itself.
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
     /// Metrics registry to register the server's instruments in; a
-    /// fresh private registry when `None`. Pass the registry the
-    /// store was built with ([`LabelStore::with_registry`]) so the
-    /// per-shard cache families land on the same scrape surface.
+    /// fresh private registry when `None`.
     pub registry: Option<Arc<MetricsRegistry>>,
     /// Queries taking at least this many nanoseconds are counted in
     /// `plserve_slow_queries_total` and logged as `serve.slow_query`
@@ -100,7 +98,7 @@ pub struct ServeOptions {
     pub max_version: Option<u8>,
 }
 
-/// [`LabelStore`] as a [`QueryEngine`]: answers batches shard-grouped,
+/// [`LabelStore`] as a [`QueryEngine`]: answers batches query by query,
 /// records per-query latency and the slow-query log.
 ///
 /// Since protocol v6 the store is *swappable*: a `MAP_SET` push stages
@@ -115,10 +113,6 @@ pub struct StoreEngine {
     metrics: Metrics,
     /// Slow-query threshold; `u64::MAX` disables.
     slow_query_ns: u64,
-    /// Registry rebuilt stores register their shard counters in;
-    /// families are get-or-create, so a swap reuses the existing
-    /// counters rather than forking them.
-    registry: Arc<MetricsRegistry>,
     /// The v6 map-install state machine.
     reconfig: Mutex<ReconfigState>,
 }
@@ -259,13 +253,12 @@ impl StoreEngine {
             }
         }
         let rebuilt = Arc::new(
-            LabelStore::with_registry(
+            LabelStore::new(
                 TaggedLabeling {
                     tag: old.tag(),
                     labeling: builder.finish(),
                 },
-                old.config(),
-                &self.registry,
+                StoreConfig::default(),
             )
             .with_partial(old.is_partial()),
         );
@@ -312,13 +305,12 @@ impl StoreEngine {
             }
         }
         let rebuilt = Arc::new(
-            LabelStore::with_registry(
+            LabelStore::new(
                 TaggedLabeling {
                     tag: old.tag(),
                     labeling: builder.finish(),
                 },
-                old.config(),
-                &self.registry,
+                StoreConfig::default(),
             )
             .with_partial(true),
         );
@@ -430,8 +422,10 @@ impl QueryEngine for StoreEngine {
         }
     }
 
+    /// One always-live entry: the store is an immutable arena with no
+    /// lock that a panicking thread could poison.
     fn health(&self) -> Vec<bool> {
-        self.store().shard_health()
+        vec![true]
     }
 
     fn map_payload(&self, _s: &mut StoreSession) -> Option<Vec<u8>> {
@@ -465,32 +459,16 @@ impl QueryEngine for StoreEngine {
     }
 
     fn local_snapshot(&self, front: &FrontStats) -> Snapshot {
-        front.metrics.snapshot(
-            front.started,
-            &self.store().shard_cache_counts(),
-            front.faults.total(),
-        )
+        front.metrics.snapshot(front.started, front.faults.total())
     }
 }
 
-/// Prometheus text: the server registry, derived per-shard hit
-/// ratios, and the process-global registry (encode-phase timings
-/// and label-size histograms), deduplicated if they are the same.
-fn prometheus_text(registry: &MetricsRegistry, store: &LabelStore) -> String {
+/// Prometheus text: the server registry and the process-global
+/// registry (encode-phase timings and label-size histograms),
+/// deduplicated if they are the same.
+fn prometheus_text(registry: &MetricsRegistry) -> String {
     let mut p = pl_obs::prom::PromText::new();
     p.registry(registry);
-    for (i, &(h, m)) in store.shard_cache_counts().iter().enumerate() {
-        let ratio = if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        };
-        p.gauge_f64(
-            "plserve_cache_hit_ratio",
-            &vec![("shard".to_string(), i.to_string())],
-            ratio,
-        );
-    }
     if !std::ptr::eq(registry, pl_obs::global()) {
         p.registry(pl_obs::global());
     }
@@ -538,23 +516,19 @@ impl ServerHandle {
         self.front.conn_handle_count()
     }
 
-    /// Current metrics in Prometheus text format (server registry,
-    /// derived per-shard cache hit ratios, process-global encode
-    /// metrics).
+    /// Current metrics in Prometheus text format (server registry and
+    /// process-global encode metrics).
     #[must_use]
     pub fn prometheus_text(&self) -> String {
-        prometheus_text(&self.registry, &self.front.engine().store())
+        prometheus_text(&self.registry)
     }
 
     /// A closure rendering [`prometheus_text`](Self::prometheus_text)
     /// on demand — plug it straight into [`pl_obs::http::expose`].
-    /// Reads the engine's *current* store each render, so a
-    /// reconfiguration swap is reflected on the next scrape.
     #[must_use]
     pub fn prometheus_renderer(&self) -> pl_obs::http::RenderFn {
         let registry = Arc::clone(&self.registry);
-        let engine = Arc::clone(self.front.engine());
-        Arc::new(move || prometheus_text(&registry, &engine.store()))
+        Arc::new(move || prometheus_text(&registry))
     }
 
     /// The committed reconfiguration epoch (0 until the first map
@@ -590,7 +564,6 @@ pub fn serve_with(
         store: RwLock::new(store),
         metrics: Metrics::new(&registry),
         slow_query_ns: options.slow_query_ns.unwrap_or(u64::MAX),
-        registry: Arc::clone(&registry),
         reconfig: Mutex::new(ReconfigState::default()),
     });
     let front = frontend::bind(

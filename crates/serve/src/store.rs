@@ -1,24 +1,18 @@
-//! The sharded in-memory label store.
+//! The in-memory label store.
 //!
 //! The labeling is loaded once as a single contiguous bit arena
 //! ([`pl_labeling::Labeling`]) and queried in place: `label(v)` hands out
 //! a borrowed [`LabelRef`] window, so the query path performs zero heap
-//! allocation. Labels are immutable after load, so reads need no
-//! synchronization at all — any number of connection threads query
-//! concurrently.
+//! allocation. Labels are immutable after load and the store holds no
+//! other state, so reads need no synchronization at all — any number of
+//! connection threads query concurrently, and there is no lock to
+//! contend on or poison.
 //!
-//! The only mutable state is a sharded LRU cache of *decoded fat
-//! labels* (vertex `v` maps to shard `v mod S`). A fat vertex's label is
-//! a `k`-bit adjacency bitmap over the fat vertices, prefixed by a
-//! gamma-coded `k`; a fat–fat query must skip the varint and seek to one
-//! bit. Decoding the bitmap once into `u64` words turns repeat queries
-//! against the same hub into a word-indexed bit test. Under a power-law
-//! workload this is exactly the right thing to cache: the hot vertices
-//! *are* the hubs, hubs are fat, and `k` is small (Theorem 4 picks τ so
-//! that `k ≈ (C'n/log n)^{1/α}`), so the cache holds the heavy tail of
-//! the query distribution in a few KB. Thin labels are deliberately not
-//! cached — they are cheap linear scans, and under skew they would flood
-//! the LRU with cold entries.
+//! A fat vertex's label is a `k`-bit adjacency bitmap over the fat
+//! vertices, prefixed by a gamma-coded `k` (Theorem 4 picks τ so that
+//! `k ≈ (C'n/log n)^{1/α}`). A fat–fat query is therefore one gamma read
+//! plus one bit read at a known offset of the arena — there is nothing
+//! to decode ahead of time or to cache.
 //!
 //! Labels are untrusted once a `.plab` leaves the encoder: the threshold
 //! fast path reads them with checked (non-panicking) bit reads, and a
@@ -41,36 +35,17 @@
 //! the other endpoint fat). The router turns `NotOwned` into a re-ask at
 //! a replica owning the other endpoint.
 
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use pl_labeling::scheme::AdjacencyDecoder;
-use pl_labeling::threshold::ThresholdDecoder;
+use pl_labeling::bits::BitReader;
+use pl_labeling::codec::{decode_adjacent, decode_distance, SchemeTag, TaggedLabeling};
 use pl_labeling::LabelRef;
-use pl_obs::registry::Counter;
 use pl_obs::MetricsRegistry;
 
-use crate::cache::LruCache;
-use crate::format::{decode_adjacent, decode_distance, SchemeTag, TaggedLabeling};
-
-/// Store sizing knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreConfig {
-    /// Number of cache shards `S`; clamped to at least 1.
-    pub shards: usize,
-    /// Total decoded-fat-label cache entries across all shards (split
-    /// evenly; 0 disables the cache).
-    pub cache_capacity: usize,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        Self {
-            shards: 4,
-            cache_capacity: 1024,
-        }
-    }
-}
+/// Store construction options; there are none. Kept only because the
+/// `loadbench` benchmark constructs one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreConfig {}
 
 /// A query the store cannot answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,77 +63,64 @@ pub enum StoreError {
     NotOwned,
 }
 
-/// A fat label's adjacency bitmap, decoded into words for O(1) bit tests.
-#[derive(Debug)]
-pub struct DecodedFat {
-    k: u64,
-    words: Vec<u64>,
+/// A threshold label with its prelude read — id width, scheme id, fat
+/// flag — and a reader positioned just past the flag, so the query path
+/// parses each label once.
+struct Prelude<'a> {
+    reader: BitReader<'a>,
+    width: usize,
+    id: u64,
+    fat: bool,
 }
 
-impl DecodedFat {
-    /// Decodes the bitmap of a fat threshold label; `None` if the label
-    /// is thin — or truncated mid-field, so corrupt labels surface as a
-    /// decode failure rather than a panic.
-    #[must_use]
-    pub fn from_label(label: LabelRef<'_>) -> Option<Self> {
-        let mut r = label.reader();
-        let w = r.try_read_bits(6)? as usize;
-        let _id = r.try_read_bits(w)?;
-        if !r.try_read_bit()? {
-            return None;
-        }
-        let k = r.try_read_gamma()? - 1;
-        if k > r.remaining() as u64 {
-            return None;
-        }
-        let mut words = vec![0u64; (k as usize).div_ceil(64)];
-        for i in 0..k as usize {
-            if r.read_bit() {
-                words[i / 64] |= 1u64 << (i % 64);
-            }
-        }
-        Some(Self { k, words })
+impl<'a> Prelude<'a> {
+    /// Checked read of `l`'s prelude; `None` if the label is too short
+    /// to carry it.
+    fn read(l: LabelRef<'a>) -> Option<Self> {
+        let mut reader = l.reader();
+        let width = reader.try_read_bits(6)? as usize;
+        let id = reader.try_read_bits(width)?;
+        let fat = reader.try_read_bit()?;
+        Some(Self {
+            reader,
+            width,
+            id,
+            fat,
+        })
     }
-
-    /// Tests adjacency to fat scheme-id `id`.
-    #[must_use]
-    pub fn test(&self, id: u64) -> bool {
-        id < self.k && (self.words[id as usize / 64] >> (id % 64)) & 1 == 1
-    }
-
-    /// Number of fat vertices the bitmap covers.
-    #[must_use]
-    pub fn k(&self) -> u64 {
-        self.k
-    }
-}
-
-/// Checked peek at a threshold label's prelude and fat flag; `None` if
-/// the label is too short to carry them.
-fn peek_threshold(l: LabelRef<'_>) -> Option<(u64, bool)> {
-    let mut r = l.reader();
-    let w = r.try_read_bits(6)? as usize;
-    let id = r.try_read_bits(w)?;
-    let fat = r.try_read_bit()?;
-    Some((id, fat))
 }
 
 /// Checked scan of a thin threshold label's neighbour list for scheme id
-/// `target`; `None` if the label is a prelude stub (or truncated) so the
-/// list is unreadable. Mirrors the unchecked decoder's short-circuit on
-/// a match.
-fn thin_contains(l: LabelRef<'_>, target: u64) -> Option<bool> {
-    let mut r = l.reader();
-    let w = r.try_read_bits(6)? as usize;
-    let _id = r.try_read_bits(w)?;
-    let _fat = r.try_read_bit()?;
-    let deg = r.try_read_gamma()? - 1;
-    for _ in 0..deg {
-        if r.try_read_bits(w)? == target {
-            return Some(true);
-        }
+/// `target`; `None` if the label is a prelude stub or declares more
+/// neighbours than it carries.
+fn thin_contains(mut l: Prelude<'_>, target: u64) -> Option<bool> {
+    let deg = l.reader.try_read_gamma()? - 1;
+    // One bounds check for the whole list, so the scan cannot run off
+    // the label's end.
+    if deg.checked_mul(l.width as u64)? > l.reader.remaining() as u64 {
+        return None;
     }
-    Some(false)
+    Some((0..deg).any(|_| l.reader.read_bits(l.width) == target))
+}
+
+/// Checked read of bit `id` in a fat threshold label's adjacency bitmap,
+/// in place in the arena; `None` if the label is thin, a prelude stub,
+/// or declares a `k` beyond the bits it carries. Ids at or past `k` are
+/// never adjacent.
+fn fat_contains(mut l: Prelude<'_>, id: u64) -> Option<bool> {
+    if !l.fat {
+        return None;
+    }
+    let k = l.reader.try_read_gamma()? - 1;
+    if k > l.reader.remaining() as u64 {
+        return None;
+    }
+    if id >= k {
+        return Some(false);
+    }
+    // `id < k ≤ remaining`, so the skip stays inside the label.
+    l.reader.skip(id as usize);
+    l.reader.try_read_bit()
 }
 
 /// How one adjacency query was answered — the provenance attached to
@@ -169,25 +131,19 @@ pub enum QueryPath {
     Generic,
     /// At least one endpoint thin: neighbour-list scan.
     ThinScan,
-    /// Fat–fat pair answered through the decode cache.
-    FatFat {
-        /// Cache shard consulted (`u mod S`).
-        shard: u32,
-        /// Whether the decoded bitmap was already cached.
-        hit: bool,
-    },
+    /// Fat–fat pair: one bit read in a fat label's bitmap.
+    FatFat,
 }
 
 impl QueryPath {
-    /// Packs the provenance into one trace payload word:
-    /// low byte = path kind (0 generic, 1 thin, 2 fat–fat),
-    /// bit 8 = cache hit, bits 32.. = shard index.
+    /// Packs the provenance into one trace payload word: 0 generic,
+    /// 1 thin scan, 2 fat–fat.
     #[must_use]
     pub fn as_u64(&self) -> u64 {
         match *self {
             Self::Generic => 0,
             Self::ThinScan => 1,
-            Self::FatFat { shard, hit } => 2 | (u64::from(hit) << 8) | (u64::from(shard) << 32),
+            Self::FatFat => 2,
         }
     }
 }
@@ -197,33 +153,22 @@ impl QueryPath {
 /// measured store-side latency.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchOutcome {
-    /// The adjacency answer, with shard/cache provenance, or the
-    /// per-query failure.
+    /// The adjacency answer with its provenance, or the per-query
+    /// failure.
     pub result: Result<(bool, QueryPath), StoreError>,
-    /// Store-side latency in nanoseconds (under contention this
-    /// includes the shard-lock wait).
+    /// Store-side latency in nanoseconds.
     pub ns: u64,
 }
 
-/// The sharded, concurrently readable label store.
+/// The immutable, concurrently readable label store.
 pub struct LabelStore {
     labeling: pl_labeling::Labeling,
-    caches: Vec<Mutex<LruCache<Arc<DecodedFat>>>>,
     tag: SchemeTag,
     n: u32,
-    /// Per-shard decode-cache hit counters
-    /// (`plserve_cache_hits_total{shard=...}`), index-aligned with
-    /// `caches`.
-    shard_hits: Vec<Arc<Counter>>,
-    /// Per-shard miss counters, likewise.
-    shard_misses: Vec<Arc<Counter>>,
     /// Cluster-partition sub-store: non-owned vertices are prelude
     /// stubs, and unanswerable queries report [`StoreError::NotOwned`]
     /// instead of [`StoreError::Malformed`].
     partial: bool,
-    /// The config this store was built with, so a reconfiguration swap
-    /// can rebuild a replacement with identical sharding.
-    config: StoreConfig,
 }
 
 impl std::fmt::Debug for LabelStore {
@@ -231,63 +176,34 @@ impl std::fmt::Debug for LabelStore {
         f.debug_struct("LabelStore")
             .field("tag", &self.tag)
             .field("n", &self.n)
-            .field("shards", &self.caches.len())
+            .field("partial", &self.partial)
             .finish_non_exhaustive()
     }
 }
 
 impl LabelStore {
-    /// Wraps `tagged` with a cache sharded per `config`. The labeling's
-    /// arena is kept whole — shards only partition the decode cache.
-    /// Cache counters are created privately; use
-    /// [`with_registry`](Self::with_registry) to make them scrapeable.
+    /// Wraps `tagged` for serving; the labeling's arena is kept whole
+    /// and queried in place.
     #[must_use]
-    pub fn new(tagged: TaggedLabeling, config: StoreConfig) -> Self {
-        Self::with_registry(tagged, config, &MetricsRegistry::new())
+    pub fn new(tagged: TaggedLabeling, _config: StoreConfig) -> Self {
+        let n = u32::try_from(tagged.labeling.len()).expect("more than u32::MAX labels"); // lint: panic-ok(store construction happens at startup/reconfig, not per-request; vertex ids are u32 on the wire)
+        Self {
+            labeling: tagged.labeling,
+            tag: tagged.tag,
+            n,
+            partial: false,
+        }
     }
 
-    /// Like [`new`](Self::new), but registers the per-shard cache
-    /// counters as the `plserve_cache_hits_total{shard=...}` /
-    /// `plserve_cache_misses_total{shard=...}` families in `registry`.
+    /// Same as [`new`](Self::new); the store registers no metrics. Kept
+    /// only because the `loadbench` benchmark calls it.
     #[must_use]
     pub fn with_registry(
         tagged: TaggedLabeling,
         config: StoreConfig,
-        registry: &MetricsRegistry,
+        _registry: &MetricsRegistry,
     ) -> Self {
-        let shard_count = config.shards.max(1);
-        let per_shard_cache = config.cache_capacity.div_ceil(shard_count);
-        let n = u32::try_from(tagged.labeling.len()).expect("more than u32::MAX labels"); // lint: panic-ok(store construction happens at startup/reconfig, not per-request; vertex ids are u32 on the wire)
-        let caches = (0..shard_count)
-            .map(|_| {
-                Mutex::new(LruCache::new(if config.cache_capacity == 0 {
-                    0
-                } else {
-                    per_shard_cache
-                }))
-            })
-            .collect();
-        let shard_counter = |name: &str| -> Vec<Arc<Counter>> {
-            (0..shard_count)
-                .map(|i| registry.counter_with(name, &[("shard", &i.to_string())]))
-                .collect()
-        };
-        Self {
-            labeling: tagged.labeling,
-            caches,
-            tag: tagged.tag,
-            n,
-            shard_hits: shard_counter("plserve_cache_hits_total"),
-            shard_misses: shard_counter("plserve_cache_misses_total"),
-            partial: false,
-            config,
-        }
-    }
-
-    /// The config this store was built with.
-    #[must_use]
-    pub fn config(&self) -> StoreConfig {
-        self.config
+        Self::new(tagged, config)
     }
 
     /// Marks the store as a cluster-partition sub-store (see the module
@@ -318,42 +234,16 @@ impl LabelStore {
         self.tag
     }
 
-    /// Number of cache shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.caches.len()
-    }
-
-    /// Decode-cache hits so far, summed over shards.
+    /// Always 0: there is no cache. Kept only because the `loadbench` benchmark calls it.
     #[must_use]
     pub fn cache_hits(&self) -> u64 {
-        self.shard_hits.iter().map(|c| c.get()).sum()
+        0
     }
 
-    /// Decode-cache misses so far, summed over shards.
+    /// Always 0: there is no cache. Kept only because the `loadbench` benchmark calls it.
     #[must_use]
     pub fn cache_misses(&self) -> u64 {
-        self.shard_misses.iter().map(|c| c.get()).sum()
-    }
-
-    /// Per-shard liveness, in shard order: a shard is unhealthy if its
-    /// cache mutex was poisoned by a panicking connection thread. Labels
-    /// themselves are immutable, so an unhealthy shard still answers
-    /// queries — this feeds the wire `HEALTH` reply so operators see the
-    /// degradation.
-    #[must_use]
-    pub fn shard_health(&self) -> Vec<bool> {
-        self.caches.iter().map(|m| !m.is_poisoned()).collect()
-    }
-
-    /// Per-shard `(hits, misses)` pairs, in shard order.
-    #[must_use]
-    pub fn shard_cache_counts(&self) -> Vec<(u64, u64)> {
-        self.shard_hits
-            .iter()
-            .zip(&self.shard_misses)
-            .map(|(h, m)| (h.get(), m.get()))
-            .collect()
+        0
     }
 
     /// The label of `v`, viewed in place, if in range.
@@ -370,20 +260,11 @@ impl LabelStore {
     }
 
     /// Like [`adjacent`](Self::adjacent), but wraps the lookup in a
-    /// `store.adjacent` trace span, emits cache hit/miss events, and
-    /// reports how the query was answered (shard and cache provenance
-    /// for the slow-query log).
+    /// `store.adjacent` trace span and reports how the query was
+    /// answered (provenance for the slow-query log).
     pub fn adjacent_traced(&self, u: u32, v: u32) -> Result<(bool, QueryPath), StoreError> {
         let _span = pl_obs::span!("store.adjacent", u, v);
-        let out = self.adjacent_inner(u, v);
-        if let Ok((_, QueryPath::FatFat { shard, hit })) = out {
-            if hit {
-                pl_obs::event!("store.cache_hit", u, shard);
-            } else {
-                pl_obs::event!("store.cache_miss", u, shard);
-            }
-        }
-        out
+        self.adjacent_inner(u, v)
     }
 
     fn adjacent_inner(&self, u: u32, v: u32) -> Result<(bool, QueryPath), StoreError> {
@@ -392,41 +273,48 @@ impl LabelStore {
         if self.tag != SchemeTag::Threshold {
             return Ok((decode_adjacent(self.tag, la, lb), QueryPath::Generic));
         }
-        // Threshold fast path: peek at the preludes and fat flags; a
-        // fat–fat pair is answered from the cached decoded bitmap.
-        let (ida, fat_a) = peek_threshold(la).ok_or(StoreError::Malformed)?;
-        let (idb, fat_b) = peek_threshold(lb).ok_or(StoreError::Malformed)?;
+        // Threshold fast path: read both preludes once; a fat–fat pair
+        // is one checked bit read in a fat bitmap, any other pair a
+        // checked scan of a thin neighbour list.
+        let pa = Prelude::read(la).ok_or(StoreError::Malformed)?;
+        let pb = Prelude::read(lb).ok_or(StoreError::Malformed)?;
+        let (ida, idb) = (pa.id, pb.id);
         if ida == idb {
             return Ok((false, QueryPath::ThinScan));
         }
-        if fat_a && fat_b {
+        if pa.fat && pb.fat {
             if !self.partial {
-                let (decoded, hit) = self.decoded_fat(u, la).ok_or(StoreError::Malformed)?;
-                let shard = (u as usize % self.caches.len()) as u32;
-                return Ok((decoded.test(idb), QueryPath::FatFat { shard, hit }));
+                let edge = fat_contains(pa, idb).ok_or(StoreError::Malformed)?;
+                return Ok((edge, QueryPath::FatFat));
             }
             // Partial store: either owned bitmap answers a fat–fat pair.
-            for (w, lw, other_id) in [(u, la, idb), (v, lb, ida)] {
-                if let Some((decoded, hit)) = self.decoded_fat(w, lw) {
-                    let shard = (w as usize % self.caches.len()) as u32;
-                    return Ok((decoded.test(other_id), QueryPath::FatFat { shard, hit }));
-                }
-            }
-            return Err(StoreError::NotOwned);
+            return fat_contains(pa, idb)
+                .or_else(|| fat_contains(pb, ida))
+                .map(|edge| (edge, QueryPath::FatFat))
+                .ok_or(StoreError::NotOwned);
         }
         if !self.partial {
-            return Ok((ThresholdDecoder.adjacent(la, lb), QueryPath::ThinScan));
+            // The first thin endpoint's list decides, as in the decoder.
+            let edge = if pa.fat {
+                thin_contains(pb, ida)
+            } else {
+                thin_contains(pa, idb)
+            };
+            return edge
+                .map(|edge| (edge, QueryPath::ThinScan))
+                .ok_or(StoreError::Malformed);
         }
         // Partial store: a thin endpoint whose list is present answers
         // one-sidedly (the other endpoint's stub carries the scheme id
         // the scan looks for).
+        let (fat_a, fat_b) = (pa.fat, pb.fat);
         if !fat_a {
-            if let Some(edge) = thin_contains(la, idb) {
+            if let Some(edge) = thin_contains(pa, idb) {
                 return Ok((edge, QueryPath::ThinScan));
             }
         }
         if !fat_b {
-            if let Some(edge) = thin_contains(lb, ida) {
+            if let Some(edge) = thin_contains(pb, ida) {
                 return Ok((edge, QueryPath::ThinScan));
             }
         }
@@ -444,188 +332,22 @@ impl LabelStore {
         Ok(decode_distance(self.tag, la, lb))
     }
 
-    /// Answers a batch of adjacency pairs, grouping fat–fat cache
-    /// lookups by shard so each touched shard lock is taken **once per
-    /// batch** instead of once per query. Outcomes land in `out`
-    /// (cleared first) in input order, each carrying its measured
-    /// store-side latency.
-    ///
-    /// Semantics, per-shard hit/miss counter totals, and per-shard LRU
-    /// state are identical to calling
-    /// [`adjacent_traced`](Self::adjacent_traced) per query: within a
-    /// shard, pending lookups resolve in input order. Partial stores
-    /// and non-threshold schemes take the sequential path (their
-    /// queries have no groupable lock traffic).
+    /// Answers a batch of adjacency pairs with
+    /// [`adjacent_traced`](Self::adjacent_traced), one query at a time.
+    /// Outcomes land in `out` (cleared first) in input order, each
+    /// carrying its measured store-side latency.
     pub fn adjacent_batch_traced(&self, pairs: &[(u32, u32)], out: &mut Vec<BatchOutcome>) {
         out.clear();
-        if self.tag != SchemeTag::Threshold || self.partial {
-            for &(u, v) in pairs {
-                let t0 = Instant::now();
-                let result = self.adjacent_traced(u, v);
-                out.push(BatchOutcome {
-                    result,
-                    ns: t0.elapsed().as_nanos() as u64,
-                });
-            }
-            return;
-        }
-        struct Pending {
-            slot: usize,
-            u: u32,
-            v: u32,
-            idb: u64,
-            t0: Instant,
-        }
-        // Indexed by shard, so phase 2 walks shards in index order —
-        // concurrent batches touching multiple shards lock them in the
-        // same order.
-        let mut by_shard: Vec<Vec<Pending>> = (0..self.caches.len()).map(|_| Vec::new()).collect();
-        out.resize(
-            pairs.len(),
-            BatchOutcome {
-                result: Err(StoreError::OutOfRange),
-                ns: 0,
-            },
-        );
-        // Phase 1: classify. Everything except a full-store fat–fat
-        // pair settles immediately (mirroring `adjacent_inner`);
-        // fat–fat pairs pend on their shard.
-        for (slot, &(u, v)) in pairs.iter().enumerate() {
-            let t0 = Instant::now();
-            let settled: Option<Result<(bool, QueryPath), StoreError>> = 'classify: {
-                let Some(la) = self.label(u) else {
-                    break 'classify Some(Err(StoreError::OutOfRange));
-                };
-                let Some(lb) = self.label(v) else {
-                    break 'classify Some(Err(StoreError::OutOfRange));
-                };
-                let Some((ida, fat_a)) = peek_threshold(la) else {
-                    break 'classify Some(Err(StoreError::Malformed));
-                };
-                let Some((idb, fat_b)) = peek_threshold(lb) else {
-                    break 'classify Some(Err(StoreError::Malformed));
-                };
-                if ida == idb {
-                    break 'classify Some(Ok((false, QueryPath::ThinScan)));
-                }
-                if fat_a && fat_b {
-                    by_shard[u as usize % self.caches.len()].push(Pending {
-                        slot,
-                        u,
-                        v,
-                        idb,
-                        t0,
-                    });
-                    break 'classify None;
-                }
-                Some(Ok((ThresholdDecoder.adjacent(la, lb), QueryPath::ThinScan)))
-            };
-            if let Some(result) = settled {
-                let ns = t0.elapsed().as_nanos() as u64;
-                self.trace_batch_query(u, v, &result, ns);
-                out[slot] = BatchOutcome { result, ns };
-            }
-        }
-        // Phase 2: one lock acquisition per touched shard.
-        for (shard_idx, pending) in by_shard.iter().enumerate() {
-            if pending.is_empty() {
-                continue;
-            }
-            let mut cache = self.caches[shard_idx]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            // One clock read per shard group, not two per query: each
-            // pending query is charged classification + queue + lock
-            // wait (read at acquisition), which is the contended part
-            // of its store-side latency. In-lock resolution time is
-            // not attributed per query — at ~2 clock reads saved per
-            // query, the amortized timestamp is a measurable slice of
-            // the batch API's win.
-            let t_lock = Instant::now();
-            for p in pending {
-                let (decoded, hit) = match cache.get(p.u) {
-                    Some(d) => {
-                        self.shard_hits[shard_idx].inc();
-                        (Some(Arc::clone(d)), true)
-                    }
-                    None => {
-                        self.shard_misses[shard_idx].inc();
-                        let fresh = DecodedFat::from_label(self.labeling.label(p.u)).map(Arc::new);
-                        if let Some(ref d) = fresh {
-                            cache.insert(p.u, Arc::clone(d));
-                        }
-                        (fresh, false)
-                    }
-                };
-                let result = match decoded {
-                    Some(d) => Ok((
-                        d.test(p.idb),
-                        QueryPath::FatFat {
-                            shard: shard_idx as u32,
-                            hit,
-                        },
-                    )),
-                    None => Err(StoreError::Malformed),
-                };
-                // Includes the lock wait — that *is* this query's
-                // store-side latency under contention.
-                let ns = t_lock.saturating_duration_since(p.t0).as_nanos() as u64;
-                self.trace_batch_query(p.u, p.v, &result, ns);
-                out[p.slot] = BatchOutcome { result, ns };
-            }
-        }
-    }
-
-    /// Trace parity with [`adjacent_traced`](Self::adjacent_traced) for
-    /// batch-resolved queries: a completed `store.adjacent` span plus
-    /// cache hit/miss events.
-    fn trace_batch_query(
-        &self,
-        u: u32,
-        v: u32,
-        result: &Result<(bool, QueryPath), StoreError>,
-        ns: u64,
-    ) {
-        if !pl_obs::tracing_enabled() {
-            return;
-        }
-        let end = pl_obs::trace::now_ns();
-        pl_obs::trace::record_complete(
-            "store.adjacent",
-            end.saturating_sub(ns),
-            ns,
-            u64::from(u),
-            u64::from(v),
-        );
-        if let Ok((_, QueryPath::FatFat { shard, hit })) = result {
-            if *hit {
-                pl_obs::event!("store.cache_hit", u, *shard);
-            } else {
-                pl_obs::event!("store.cache_miss", u, *shard);
-            }
-        }
-    }
-
-    /// The decoded bitmap of fat vertex `u` (plus whether it was a cache
-    /// hit), from cache or decoded now; `None` if the label turns out
-    /// corrupt (fat flag set, body short).
-    fn decoded_fat(&self, u: u32, label: LabelRef<'_>) -> Option<(Arc<DecodedFat>, bool)> {
-        let shard_idx = u as usize % self.caches.len();
-        // A poisoned shard (a connection thread panicked mid-insert) is
-        // reported through `shard_health`, but the cache map itself is
-        // never left torn — keep answering rather than cascading the
-        // panic into every thread that touches this shard.
-        let mut cache = self.caches[shard_idx]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(hit) = cache.get(u) {
-            self.shard_hits[shard_idx].inc();
-            return Some((Arc::clone(hit), true));
-        }
-        self.shard_misses[shard_idx].inc();
-        let decoded = Arc::new(DecodedFat::from_label(label)?);
-        cache.insert(u, Arc::clone(&decoded));
-        Some((decoded, false))
+        // One clock read per query: each query is timed from the end of
+        // the one before it.
+        let mut t = Instant::now();
+        out.extend(pairs.iter().map(|&(u, v)| {
+            let result = self.adjacent_traced(u, v);
+            let now = Instant::now();
+            let ns = now.duration_since(t).as_nanos() as u64;
+            t = now;
+            BatchOutcome { result, ns }
+        }));
     }
 }
 
@@ -638,13 +360,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn store_for(g: &pl_graph::Graph, tau: usize, config: StoreConfig) -> LabelStore {
+    fn store_for(g: &pl_graph::Graph, tau: usize) -> LabelStore {
         LabelStore::new(
             TaggedLabeling {
                 tag: SchemeTag::Threshold,
                 labeling: ThresholdScheme::with_tau(tau).encode(g),
             },
-            config,
+            StoreConfig::default(),
         )
     }
 
@@ -655,68 +377,24 @@ mod tests {
     }
 
     #[test]
-    fn matches_graph_for_every_shard_count() {
+    fn matches_graph_on_every_pair() {
         let g = star_plus_cycle(40);
-        for shards in [1usize, 2, 3, 7, 40, 64] {
-            let store = store_for(
-                &g,
-                3,
-                StoreConfig {
-                    shards,
-                    cache_capacity: 16,
-                },
-            );
-            assert_eq!(store.shard_count(), shards);
-            for u in 0..40u32 {
-                for v in 0..40u32 {
-                    assert_eq!(
-                        store.adjacent(u, v).unwrap(),
-                        g.has_edge(u, v),
-                        "({u}, {v}) with {shards} shards"
-                    );
-                }
+        let store = store_for(&g, 3);
+        for u in 0..40u32 {
+            for v in 0..40u32 {
+                assert_eq!(
+                    store.adjacent(u, v).unwrap(),
+                    g.has_edge(u, v),
+                    "({u}, {v})"
+                );
             }
         }
-    }
-
-    #[test]
-    fn batch_execution_matches_sequential_exactly() {
-        let g = star_plus_cycle(64);
-        // Two stores with identical contents: one answers per query,
-        // one per batch. Counters, LRU state, and answers must agree.
-        let config = StoreConfig {
-            shards: 4,
-            cache_capacity: 8,
-        };
-        let seq = store_for(&g, 3, config);
-        let batched = store_for(&g, 3, config);
-
-        let mut rng = StdRng::seed_from_u64(0xBA7C);
-        let pairs: Vec<(u32, u32)> = (0..300)
-            .map(|_| (rng.gen_range(0..70), rng.gen_range(0..70)))
-            .collect();
-        let mut out = Vec::new();
-        for chunk in pairs.chunks(32) {
-            batched.adjacent_batch_traced(chunk, &mut out);
-            assert_eq!(out.len(), chunk.len());
-            for (&(u, v), outcome) in chunk.iter().zip(&out) {
-                let want = seq.adjacent_traced(u, v);
-                match (&outcome.result, &want) {
-                    (Ok(got), Ok(expect)) => assert_eq!(got, expect, "({u}, {v})"),
-                    (Err(got), Err(expect)) => assert_eq!(got, expect, "({u}, {v})"),
-                    (got, expect) => panic!("({u}, {v}): {got:?} vs {expect:?}"),
-                }
-            }
-        }
-        assert_eq!(batched.cache_hits(), seq.cache_hits());
-        assert_eq!(batched.cache_misses(), seq.cache_misses());
-        assert_eq!(batched.shard_cache_counts(), seq.shard_cache_counts());
     }
 
     #[test]
     fn out_of_range_is_an_error() {
         let g = star_plus_cycle(10);
-        let store = store_for(&g, 2, StoreConfig::default());
+        let store = store_for(&g, 2);
         assert_eq!(store.adjacent(0, 10), Err(StoreError::OutOfRange));
         assert_eq!(store.adjacent(10, 0), Err(StoreError::OutOfRange));
         assert_eq!(store.adjacent(u32::MAX, 0), Err(StoreError::OutOfRange));
@@ -726,129 +404,52 @@ mod tests {
     #[test]
     fn distance_unsupported_on_adjacency_scheme() {
         let g = star_plus_cycle(10);
-        let store = store_for(&g, 2, StoreConfig::default());
+        let store = store_for(&g, 2);
         assert_eq!(store.distance(0, 1), Err(StoreError::Unsupported));
     }
 
     #[test]
-    fn fat_fat_queries_hit_the_cache() {
-        // Star + cycle with tau=3: the hub (degree n-1) and every cycle
-        // vertex (degree 3) are fat.
+    fn query_provenance() {
         let g = star_plus_cycle(30);
-        let store = store_for(
-            &g,
-            3,
-            StoreConfig {
-                shards: 4,
-                cache_capacity: 64,
-            },
-        );
-        for v in 1..30u32 {
-            assert!(store.adjacent(0, v).unwrap());
-        }
-        assert_eq!(store.cache_misses(), 1, "hub decoded once");
-        assert_eq!(store.cache_hits(), 28, "then served from cache");
-    }
-
-    #[test]
-    fn per_shard_counters_and_query_provenance() {
-        let g = star_plus_cycle(30);
-        let reg = MetricsRegistry::new();
-        let store = LabelStore::with_registry(
-            TaggedLabeling {
-                tag: SchemeTag::Threshold,
-                labeling: ThresholdScheme::with_tau(3).encode(&g),
-            },
-            StoreConfig {
-                shards: 4,
-                cache_capacity: 64,
-            },
-            &reg,
-        );
-        // Hub (vertex 0) vs cycle vertices: all fat–fat, shard 0 holds
-        // the hub's decoded bitmap.
-        let (edge, path) = store.adjacent_traced(0, 1).unwrap();
-        assert!(edge);
-        assert_eq!(
-            path,
-            QueryPath::FatFat {
-                shard: 0,
-                hit: false
-            }
-        );
-        let (_, path) = store.adjacent_traced(0, 2).unwrap();
-        assert_eq!(
-            path,
-            QueryPath::FatFat {
-                shard: 0,
-                hit: true
-            }
-        );
-        let counts = store.shard_cache_counts();
-        assert_eq!(counts.len(), 4);
-        assert_eq!(counts[0], (1, 1), "hub lives in shard 0");
-        assert_eq!(counts[1], (0, 0));
-        assert_eq!(store.cache_hits(), 1);
-        assert_eq!(store.cache_misses(), 1);
-        // The same counters surface as a labeled Prometheus family.
-        let text = pl_obs::prom::render(&reg);
-        assert!(
-            text.contains("plserve_cache_hits_total{shard=\"0\"} 1"),
-            "{text}"
-        );
-        assert!(text.contains("plserve_cache_misses_total{shard=\"3\"} 0"));
-        // Provenance packing round-trips the interesting bits.
+        let store = store_for(&g, 3);
+        // Hub (vertex 0) vs cycle vertices: all fat–fat.
+        assert_eq!(store.adjacent_traced(0, 1), Ok((true, QueryPath::FatFat)));
+        // Provenance packing.
         assert_eq!(QueryPath::Generic.as_u64(), 0);
         assert_eq!(QueryPath::ThinScan.as_u64(), 1);
-        let p = QueryPath::FatFat {
-            shard: 3,
-            hit: true,
-        };
-        assert_eq!(p.as_u64() & 0xFF, 2);
-        assert_eq!((p.as_u64() >> 8) & 1, 1);
-        assert_eq!(p.as_u64() >> 32, 3);
+        assert_eq!(QueryPath::FatFat.as_u64(), 2);
+    }
+
+    /// [`fat_contains`] on a raw label.
+    fn fat_bit(l: LabelRef<'_>, id: u64) -> Option<bool> {
+        fat_contains(Prelude::read(l)?, id)
     }
 
     #[test]
-    fn zero_capacity_disables_caching_but_stays_correct() {
-        let g = star_plus_cycle(20);
-        let store = store_for(
-            &g,
-            3,
-            StoreConfig {
-                shards: 2,
-                cache_capacity: 0,
-            },
-        );
-        for v in 1..20u32 {
-            assert!(store.adjacent(0, v).unwrap());
-        }
-        assert_eq!(store.cache_hits(), 0);
-        assert!(store.cache_misses() > 0);
-    }
-
-    #[test]
-    fn decoded_fat_covers_all_fat_vertices() {
+    fn fat_contains_covers_all_fat_vertices() {
         // Every vertex of star+cycle(25) has degree ≥ 3, so all 25 are fat.
         let g = star_plus_cycle(25);
         let labeling = ThresholdScheme::with_tau(3).encode(&g);
-        let hub = DecodedFat::from_label(labeling.label(0)).expect("hub is fat");
-        assert_eq!(hub.k(), 25);
+        let hub = labeling.label(0);
         // The hub (scheme id 0, highest degree) is adjacent to every other
         // fat vertex and never to itself.
-        assert!(!hub.test(0));
+        assert_eq!(fat_bit(hub, 0), Some(false));
         for id in 1..25 {
-            assert!(hub.test(id), "hub should see fat id {id}");
+            assert_eq!(fat_bit(hub, id), Some(true), "hub should see fat id {id}");
         }
-        assert!(!hub.test(25), "out-of-range id is never adjacent");
+        assert_eq!(
+            fat_bit(hub, 25),
+            Some(false),
+            "out-of-range id is never adjacent"
+        );
     }
 
     #[test]
-    fn thin_label_does_not_decode_as_fat() {
+    fn thin_label_is_not_read_as_fat() {
         let g = pl_graph::builder::from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]);
         let labeling = ThresholdScheme::with_tau(2).encode(&g);
         // Vertex 1 has degree 1 < 2: thin.
-        assert!(DecodedFat::from_label(labeling.label(1)).is_none());
+        assert_eq!(fat_bit(labeling.label(1), 0), None);
     }
 
     /// A fat-looking label whose bitmap is cut short: prelude and fat
@@ -889,6 +490,20 @@ mod tests {
         assert_eq!(store.adjacent(0, 1), Err(StoreError::Malformed));
         // The healthy direction decodes vertex 1's bitmap instead.
         assert_eq!(store.adjacent(1, 0), Ok(true));
+        // A target id past the 3 carried bits but under the declared
+        // k = 50 must not seek past the label's end.
+        let store = LabelStore::new(
+            TaggedLabeling {
+                tag: SchemeTag::Threshold,
+                labeling: Labeling::new(vec![
+                    truncated_fat_label(0, 3),
+                    truncated_fat_label(10, 50),
+                ]),
+            },
+            StoreConfig::default(),
+        );
+        assert_eq!(store.adjacent(0, 1), Err(StoreError::Malformed));
+        assert_eq!(store.adjacent(1, 0), Ok(false));
         // An empty label can't even carry a prelude.
         let store = LabelStore::new(
             TaggedLabeling {
@@ -898,6 +513,31 @@ mod tests {
             StoreConfig::default(),
         );
         assert_eq!(store.adjacent(0, 1), Err(StoreError::Malformed));
+    }
+
+    #[test]
+    fn truncated_thin_list_answers_malformed_not_panic() {
+        // A thin label declaring 5 neighbours but carrying one; the
+        // full store's thin scan must not read past its end.
+        let short_thin = {
+            let mut w = BitWriter::new();
+            w.write_bits(6, 6);
+            w.write_bits(0, 6);
+            w.write_bit(false);
+            w.write_gamma(6); // degree 5
+            w.write_bits(7, 6);
+            Label::from(w)
+        };
+        let store = LabelStore::new(
+            TaggedLabeling {
+                tag: SchemeTag::Threshold,
+                labeling: Labeling::new(vec![short_thin, good2()]),
+            },
+            StoreConfig::default(),
+        );
+        assert_eq!(store.adjacent(0, 1), Err(StoreError::Malformed));
+        // Vertex 1's own (empty) list answers the other orientation.
+        assert_eq!(store.adjacent(1, 0), Ok(false));
     }
 
     fn good2() -> Label {
@@ -1010,7 +650,7 @@ mod tests {
     }
 
     #[test]
-    fn random_graph_random_queries_with_small_cache() {
+    fn random_graph_random_queries() {
         let mut r = StdRng::seed_from_u64(77);
         let n = 200u32;
         let mut b = pl_graph::GraphBuilder::new(n as usize);
@@ -1022,15 +662,7 @@ mod tests {
             }
         }
         let g = b.build();
-        // Tiny cache forces evictions; answers must not change.
-        let store = store_for(
-            &g,
-            4,
-            StoreConfig {
-                shards: 3,
-                cache_capacity: 2,
-            },
-        );
+        let store = store_for(&g, 4);
         for _ in 0..5_000 {
             let u = r.gen_range(0..n);
             let v = r.gen_range(0..n);

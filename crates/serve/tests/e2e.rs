@@ -8,10 +8,10 @@ use pl_graph::degree::vertices_by_degree_desc;
 use pl_labeling::scheme::AdjacencyScheme;
 use pl_labeling::ThresholdScheme;
 use pl_serve::client::loadgen::{self, LoadgenConfig, Skew};
-use pl_serve::protocol::{
+use pl_serve::{Client, LabelStore, SchemeTag, StoreConfig, TaggedLabeling};
+use pl_wire::protocol::{
     encode_batch, encode_hello, opcode, parse_batch_reply, read_frame, write_frame, Query,
 };
-use pl_serve::{Client, LabelStore, SchemeTag, StoreConfig, TaggedLabeling};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -32,23 +32,16 @@ fn threshold_store(g: &pl_graph::Graph, tau: usize, config: StoreConfig) -> Arc<
 
 /// The headline acceptance test: a 10⁴-vertex Chung–Lu graph served over
 /// TCP to four concurrent Zipf-skewed connections; every answer checked
-/// against the graph, cache hits observed, shutdown drains cleanly.
+/// against the graph, shutdown drains cleanly.
 #[test]
 fn serves_chung_lu_over_tcp_with_verified_answers() {
     let g = chung_lu(10_000, 42);
-    let store = threshold_store(
-        &g,
-        8,
-        StoreConfig {
-            shards: 4,
-            cache_capacity: 2048,
-        },
-    );
+    let store = threshold_store(&g, 8, StoreConfig::default());
     let handle = pl_serve::serve(store, "127.0.0.1:0").expect("bind");
     let addr = handle.addr();
 
     // Zipf-skewed load whose hot set is the hubs (degree-descending
-    // rank → vertex map): that is the regime the decode cache targets.
+    // rank → vertex map): mostly fat–fat pairs.
     let config = LoadgenConfig {
         connections: 4,
         requests_per_conn: 5_000,
@@ -69,15 +62,13 @@ fn serves_chung_lu_over_tcp_with_verified_answers() {
         "skewed load over hubs should hit some edges"
     );
 
-    // STATS over the wire: nonzero throughput, warm cache.
+    // STATS over the wire: nonzero throughput; the reserved cache
+    // words stay 0.
     let mut client = Client::connect(addr).expect("stats connection");
     let stats = client.stats().expect("stats fetch");
     assert_eq!(stats.adj_queries, 20_000);
     assert!(stats.qps() > 0.0, "qps should be nonzero: {stats}");
-    assert!(
-        stats.cache_hit_rate() > 0.0,
-        "Zipf load over fat hubs must produce cache hits: {stats}"
-    );
+    assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0), "{stats}");
     assert!(stats.batches >= 4 * (5_000 / 50));
     assert!(stats.bytes_in > 0 && stats.bytes_out > 0);
     assert_eq!(stats.protocol_errors, 0);
@@ -116,8 +107,7 @@ fn shutdown_drains_in_flight_requests() {
     );
 
     let reply = read_frame(&mut stream).expect("reply survives shutdown");
-    let answers =
-        parse_batch_reply(&reply, pl_serve::protocol::VERSION).expect("well-formed reply");
+    let answers = parse_batch_reply(&reply, pl_wire::protocol::VERSION).expect("well-formed reply");
     assert_eq!(answers.len(), 500, "no response may be dropped");
 }
 
@@ -286,10 +276,9 @@ fn tampered_plab_answers_malformed_and_server_survives() {
     handle.shutdown();
 }
 
-/// The whole observability surface over one live server: per-shard
-/// cache counters in the v2 STATS reply, extended latency quantiles,
-/// the slow-query log, TRACE_DUMP over the wire, and the Prometheus
-/// rendering with derived per-shard hit ratios.
+/// The whole observability surface over one live server: the v2 STATS
+/// reply with extended latency quantiles, the slow-query log,
+/// TRACE_DUMP over the wire, and the Prometheus rendering.
 ///
 /// This is the only test in this binary that drains the trace rings
 /// (via TRACE_DUMP) — draining consumes the process-global buffers, so
@@ -300,17 +289,7 @@ fn observability_surface_end_to_end() {
 
     let g = chung_lu(3_000, 99);
     let registry = Arc::new(pl_obs::MetricsRegistry::new());
-    let store = Arc::new(LabelStore::with_registry(
-        TaggedLabeling {
-            tag: SchemeTag::Threshold,
-            labeling: ThresholdScheme::with_tau(8).encode(&g),
-        },
-        StoreConfig {
-            shards: 4,
-            cache_capacity: 512,
-        },
-        &registry,
-    ));
+    let store = threshold_store(&g, 8, StoreConfig::default());
     let handle = pl_serve::serve_with(
         store,
         "127.0.0.1:0",
@@ -336,17 +315,13 @@ fn observability_surface_end_to_end() {
     loadgen::run(handle.addr(), &config).expect("load run");
 
     let mut client = Client::connect(handle.addr()).expect("connect");
-    assert_eq!(client.version(), pl_serve::protocol::VERSION);
+    assert_eq!(client.version(), pl_wire::protocol::VERSION);
 
-    // v2 snapshot: extended quantiles and per-shard cache provenance.
+    // v2 snapshot: extended quantiles; the reserved shard array is
+    // sent empty.
     let stats = client.stats().expect("stats");
     assert_eq!(stats.adj_queries, 2_000);
-    assert_eq!(stats.shard_cache.len(), 4, "{stats}");
-    assert_eq!(
-        stats.shard_cache.iter().map(|(h, m)| h + m).sum::<u64>(),
-        stats.cache_hits + stats.cache_misses,
-        "totals must be the shard sums"
-    );
+    assert!(stats.shard_cache.is_empty(), "{stats}");
     assert!(stats.p50_ns <= stats.p90_ns && stats.p90_ns <= stats.p99_ns);
     assert!(stats.p99_ns <= stats.p999_ns && stats.min_ns <= stats.max_ns);
     assert!(stats.max_ns > 0, "latencies were recorded");
@@ -365,19 +340,17 @@ fn observability_surface_end_to_end() {
         .all(|l| l.starts_with('{') && l.ends_with('}')));
     pl_obs::set_tracing(false);
 
-    // Prometheus text: server counters, latency summary, per-shard
-    // cache families, and the derived hit-ratio gauge.
+    // Prometheus text: server counters and latency summary; no cache
+    // families.
     let prom = handle.prometheus_text();
     for needle in [
         "plserve_adj_queries_total 2000",
         "plserve_slow_queries_total 2000",
         "plserve_query_latency_ns{quantile=\"0.999\"}",
-        "plserve_cache_hits_total{shard=\"0\"}",
-        "plserve_cache_misses_total{shard=\"3\"}",
-        "plserve_cache_hit_ratio{shard=\"0\"}",
     ] {
         assert!(prom.contains(needle), "missing {needle:?} in:\n{prom}");
     }
+    assert!(!prom.contains("plserve_cache"), "{prom}");
 
     client.goodbye().expect("goodbye");
     handle.shutdown();

@@ -15,10 +15,10 @@ use std::sync::Arc;
 
 use pl_labeling::scheme::AdjacencyScheme;
 use pl_labeling::ThresholdScheme;
-use pl_serve::protocol::{
+use pl_serve::{LabelStore, SchemeTag, ServerHandle, StoreConfig, TaggedLabeling};
+use pl_wire::protocol::{
     checksum, encode_batch, encode_hello_version, read_frame, write_frame, Query,
 };
-use pl_serve::{LabelStore, SchemeTag, ServerHandle, StoreConfig, TaggedLabeling};
 
 /// An 8-vertex path 0–1–2–3: adjacency of (0,1) and (0,3) is known by
 /// construction, so every reply byte is predictable.

@@ -10,10 +10,10 @@
 //! `protocol.rs`; if an edit changes any of these bytes, it changes
 //! the protocol and must bump the version instead.
 
-use pl_serve::metrics::Snapshot;
-use pl_serve::protocol::{
+use pl_wire::protocol::{
     checksum, encode_batch_reply, encode_stats_reply, parse_batch_reply, parse_stats_reply, Answer,
 };
+use pl_wire::stats::Snapshot;
 
 /// BATCH_REPLY on a v3 session: `0x81 | count u16 LE | status bytes |
 /// FNV-1a-32 LE of everything before it`.

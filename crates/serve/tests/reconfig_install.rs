@@ -7,11 +7,11 @@ use std::sync::Arc;
 
 use pl_labeling::scheme::AdjacencyScheme;
 use pl_labeling::ThresholdScheme;
-use pl_serve::protocol::{opcode, LabelsStatus, MapSetMode, MapSetStatus};
 use pl_serve::{
     serve_with, Answer, Client, ClusterMap, LabelStore, Query, SchemeTag, ServeOptions,
     StoreConfig, TaggedLabeling,
 };
+use pl_wire::protocol::{opcode, LabelsStatus, MapSetMode, MapSetStatus};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -11,11 +11,11 @@ use pl_labeling::scheme::AdjacencyScheme;
 use pl_labeling::ThresholdScheme;
 use pl_serve::client::loadgen::{self, LoadgenConfig, Skew};
 use pl_serve::client::{ClientError, RetryKind};
-use pl_serve::protocol::{encode_hello, opcode, read_frame, write_frame};
 use pl_serve::{
     Client, FaultPlan, LabelStore, ResilientClient, RetryPolicy, SchemeTag, ServeOptions,
     StoreConfig, TaggedLabeling,
 };
+use pl_wire::protocol::{encode_hello, opcode, read_frame, write_frame};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -51,14 +51,7 @@ fn fast_policy(seed: u64) -> RetryPolicy {
 #[test]
 fn faulted_server_never_answers_wrong() {
     let g = chung_lu(4_000, 42);
-    let store = threshold_store(
-        &g,
-        8,
-        StoreConfig {
-            shards: 4,
-            cache_capacity: 1024,
-        },
-    );
+    let store = threshold_store(&g, 8, StoreConfig::default());
     let plan = FaultPlan::parse(
         "seed=7,flip=0.05,truncate=0.04,drop=0.03,store_err=0.05,write_delay=0.02,read_delay=0.02,delay_ms=1",
     )
@@ -347,27 +340,21 @@ fn stalled_mid_frame_peer_is_deadline_closed() {
     assert_eq!(final_stats.open_conns, 0, "{final_stats}");
 }
 
-/// HEALTH over the wire: a v3 session gets per-shard liveness; a v2
-/// session is refused (the opcode is version-gated).
+/// HEALTH over the wire: a v3 session gets the store's single
+/// always-live entry; a v2 session is refused (the opcode is
+/// version-gated).
 #[test]
 fn health_reports_shard_liveness_and_is_version_gated() {
     let g = chung_lu(500, 13);
-    let store = threshold_store(
-        &g,
-        8,
-        StoreConfig {
-            shards: 3,
-            cache_capacity: 64,
-        },
-    );
+    let store = threshold_store(&g, 8, StoreConfig::default());
     let handle = pl_serve::serve(store, "127.0.0.1:0").expect("bind");
 
     let mut v3 = Client::connect(handle.addr()).expect("v3 connect");
-    assert_eq!(v3.version(), pl_serve::protocol::VERSION);
+    assert_eq!(v3.version(), pl_wire::protocol::VERSION);
     assert!(v3.version() >= 3, "HEALTH needs a v3+ session");
     let report = v3.health().expect("health");
     assert!(report.healthy);
-    assert_eq!(report.shards, vec![true, true, true]);
+    assert_eq!(report.shards, vec![true]);
     v3.goodbye().expect("goodbye");
 
     // A v2 session asking for HEALTH gets an ERROR frame from the

@@ -70,7 +70,7 @@ fn trace_context_propagates_into_server_rings() {
     };
     let (u, v) = g.edges().next().expect("graph has edges");
     let mut client = Client::connect(handle.addr()).expect("connect");
-    assert_eq!(client.version(), pl_serve::protocol::VERSION);
+    assert_eq!(client.version(), pl_wire::protocol::VERSION);
     let answers = client
         .batch_ctx(&[Query::adjacent(u, v)], Some(&ctx))
         .expect("traced batch");

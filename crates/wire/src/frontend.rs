@@ -819,9 +819,7 @@ mod tests {
             self.local_snapshot(front)
         }
         fn local_snapshot(&self, front: &FrontStats) -> Snapshot {
-            front
-                .metrics
-                .snapshot(front.started, &[], front.faults.total())
+            front.metrics.snapshot(front.started, front.faults.total())
         }
     }
 

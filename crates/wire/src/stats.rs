@@ -78,16 +78,11 @@ impl Metrics {
     }
 
     /// Immutable snapshot of all counters; `elapsed` is measured against
-    /// `started` for the QPS figure, `shard_cache` carries the store's
-    /// per-shard `(hits, misses)` pairs, `faults_injected` the fault
-    /// harness's total (0 when no plan is active).
+    /// `started` for the QPS figure, `faults_injected` is the fault
+    /// harness's total (0 when no plan is active). The reserved cache
+    /// words are 0 and the shard array is empty.
     #[must_use]
-    pub fn snapshot(
-        &self,
-        started: Instant,
-        shard_cache: &[(u64, u64)],
-        faults_injected: u64,
-    ) -> Snapshot {
+    pub fn snapshot(&self, started: Instant, faults_injected: u64) -> Snapshot {
         let adj = self.adj_queries.get();
         let dist = self.dist_queries.get();
         let secs = started.elapsed().as_secs_f64().max(1e-9);
@@ -97,8 +92,8 @@ impl Metrics {
             dist_queries: dist,
             batches: self.batches.get(),
             connections: self.connections.get(),
-            cache_hits: shard_cache.iter().map(|&(h, _)| h).sum(),
-            cache_misses: shard_cache.iter().map(|&(_, m)| m).sum(),
+            cache_hits: 0,
+            cache_misses: 0,
             bytes_in: self.bytes_in.get(),
             bytes_out: self.bytes_out.get(),
             protocol_errors: self.protocol_errors.get(),
@@ -110,7 +105,7 @@ impl Metrics {
             max_ns: lat.max,
             qps_milli: (((adj + dist) as f64 / secs) * 1000.0) as u64,
             slow_queries: self.slow_queries.get(),
-            shard_cache: shard_cache.to_vec(),
+            shard_cache: Vec::new(),
             faults_injected,
             shed: self.shed.get(),
             open_conns: self.open_conns.get().max(0) as u64,
@@ -146,9 +141,10 @@ pub struct Snapshot {
     pub dist_queries: u64,
     pub batches: u64,
     pub connections: u64,
-    /// Decode-cache hits, summed over shards.
+    /// Reserved: sent as 0 (the servers keep no decode cache); the
+    /// word stays so the wire layouts are unchanged.
     pub cache_hits: u64,
-    /// Decode-cache misses, summed over shards.
+    /// Reserved: sent as 0, like `cache_hits`.
     pub cache_misses: u64,
     pub bytes_in: u64,
     pub bytes_out: u64,
@@ -169,7 +165,8 @@ pub struct Snapshot {
     pub qps_milli: u64,
     /// Queries at or over the slow-query threshold (v2; 0 from v1).
     pub slow_queries: u64,
-    /// Per-shard decode-cache `(hits, misses)` (v2; empty from v1).
+    /// Reserved per-shard pairs (v2; empty from v1): sent empty, kept
+    /// so the wire layouts are unchanged.
     pub shard_cache: Vec<(u64, u64)>,
     /// Faults injected by the chaos harness (v3; 0 from v1/v2).
     pub faults_injected: u64,
@@ -323,34 +320,6 @@ impl Snapshot {
         })
     }
 
-    /// Cache hit rate in `[0, 1]`; 0 when the cache was never consulted.
-    #[must_use]
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Per-shard hit rates in `[0, 1]`, in shard order (empty for a v1
-    /// snapshot).
-    #[must_use]
-    pub fn shard_hit_rates(&self) -> Vec<f64> {
-        self.shard_cache
-            .iter()
-            .map(|&(h, m)| {
-                let total = h + m;
-                if total == 0 {
-                    0.0
-                } else {
-                    h as f64 / total as f64
-                }
-            })
-            .collect()
-    }
-
     /// Queries per second.
     #[must_use]
     pub fn qps(&self) -> f64 {
@@ -376,20 +345,6 @@ impl std::fmt::Display for Snapshot {
             self.min_ns,
             self.max_ns
         )?;
-        writeln!(
-            f,
-            "cache: {} hits / {} misses ({:.1}% hit rate)",
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_hit_rate() * 100.0
-        )?;
-        for (i, &(h, m)) in self.shard_cache.iter().enumerate() {
-            let rate = self.shard_hit_rates()[i] * 100.0;
-            writeln!(
-                f,
-                "  shard {i}: {h} hits / {m} misses ({rate:.1}% hit rate)"
-            )?;
-        }
         writeln!(f, "slow queries: {}", self.slow_queries)?;
         writeln!(
             f,
@@ -472,11 +427,6 @@ mod tests {
         assert_eq!(Snapshot::from_bytes(&bytes[..bytes.len() - 1]), None);
         assert_eq!(Snapshot::from_bytes(&bytes[..bytes.len() - 16]), None);
         assert!((s.qps() - 12.5).abs() < 1e-9);
-        assert!((s.cache_hit_rate() - 9.0 / 15.0).abs() < 1e-9);
-        let rates = s.shard_hit_rates();
-        assert!((rates[0] - 0.8).abs() < 1e-9);
-        assert!((rates[1] - 0.5).abs() < 1e-9);
-        assert!(rates[2].abs() < 1e-9);
     }
 
     #[test]
@@ -542,19 +492,15 @@ mod tests {
         m.query_latency.record(500);
         m.shed.add(2);
         m.open_conns.set(5);
-        let s = m.snapshot(
-            Instant::now() - std::time::Duration::from_secs(1),
-            &[(3, 0), (0, 1)],
-            7,
-        );
+        let s = m.snapshot(Instant::now() - std::time::Duration::from_secs(1), 7);
         assert_eq!(s.adj_queries, 10);
         assert_eq!(s.faults_injected, 7);
         assert_eq!(s.shed, 2);
         assert_eq!(s.open_conns, 5);
         assert!(s.qps() > 1.0, "ten queries over ~1s");
-        assert_eq!(s.cache_hits, 3);
-        assert_eq!(s.cache_misses, 1);
-        assert_eq!(s.shard_cache, vec![(3, 0), (0, 1)]);
+        assert_eq!(s.cache_hits, 0);
+        assert_eq!(s.cache_misses, 0);
+        assert!(s.shard_cache.is_empty());
         assert_eq!(s.min_ns, 500);
         assert_eq!(s.max_ns, 500);
         assert!(s.p90_ns >= s.p50_ns);

@@ -9,8 +9,8 @@
 //!              [--alpha 2.5] [--f 3] [--threads N] <graph.el> --out labels.plab
 //! plab query   <labels.plab> <u> <v>
 //! plab query   <labels.plab> --stdin          # one "u v" pair per line
-//! plab serve   <labels.plab> [--addr HOST:PORT] [--shards S] [--cache C]
-//!              [--duration SECS] [--prom HOST:PORT] [--trace] [--slow-us U]
+//! plab serve   <labels.plab> [--addr HOST:PORT] [--duration SECS]
+//!              [--prom HOST:PORT] [--trace] [--slow-us U]
 //!              [--max-conns N] [--idle-ms MS] [--stall-ms MS]
 //!              [--fault-plan SPEC]             # chaos testing
 //!              [--partial]                     # cluster sub-store mode
@@ -24,7 +24,7 @@
 //! plab loadgen <HOST:PORT> [--connections N] [--requests R] [--batch B]
 //!              [--skew uniform|zipf:S] [--seed X] [--retries N]
 //!              [--deadline-ms MS] [--backoff-ms MS] [--verify graph.el]
-//! plab health  <HOST:PORT>                    # shard liveness (v3)
+//! plab health  <HOST:PORT>                    # liveness (v3)
 //! plab stats   <HOST:PORT> [--prom]           # live server metrics
 //! plab trace   <HOST:PORT> [--snapshot] [--probe] [--out FILE]
 //! plab trace   --cluster <ROUTER> [--probe] [--explain ID|probe]
@@ -114,8 +114,8 @@ const USAGE: &str = "usage:
                <graph.el> --out <labels.plab>
   plab query   <labels.plab> <u> <v>
   plab query   <labels.plab> --stdin
-  plab serve   <labels.plab> [--addr HOST:PORT] [--shards S] [--cache C]
-               [--duration SECS] [--prom HOST:PORT] [--trace] [--slow-us U]
+  plab serve   <labels.plab> [--addr HOST:PORT] [--duration SECS]
+               [--prom HOST:PORT] [--trace] [--slow-us U]
                [--max-conns N] [--idle-ms MS] [--stall-ms MS]
                [--fault-plan seed=S,drop=P,flip=P,truncate=P,store_err=P,...]
                [--partial]
@@ -313,8 +313,6 @@ fn snapshot_prom(s: &pl_serve::Snapshot) -> String {
         ("plserve_bytes_out_total", s.bytes_out),
         ("plserve_protocol_errors_total", s.protocol_errors),
         ("plserve_slow_queries_total", s.slow_queries),
-        ("plserve_cache_hits_total", s.cache_hits),
-        ("plserve_cache_misses_total", s.cache_misses),
         ("plserve_faults_injected_total", s.faults_injected),
         ("plserve_shed_total", s.shed),
     ] {
@@ -333,15 +331,6 @@ fn snapshot_prom(s: &pl_serve::Snapshot) -> String {
     p.gauge("plserve_query_latency_ns_min", &no_labels, s.min_ns as i64);
     p.gauge("plserve_query_latency_ns_max", &no_labels, s.max_ns as i64);
     p.gauge_f64("plserve_qps", &no_labels, s.qps());
-    for (i, &(h, m)) in s.shard_cache.iter().enumerate() {
-        let labels = vec![("shard".to_string(), i.to_string())];
-        p.counter("plserve_shard_cache_hits_total", &labels, h);
-        p.counter("plserve_shard_cache_misses_total", &labels, m);
-    }
-    for (i, r) in s.shard_hit_rates().iter().enumerate() {
-        let labels = vec![("shard".to_string(), i.to_string())];
-        p.gauge_f64("plserve_cache_hit_ratio", &labels, *r);
-    }
     p.finish()
 }
 
@@ -568,8 +557,6 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw)?;
     let path = args.positional.first().ok_or("missing labeling file")?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:7401");
-    let shards: usize = args.get_parsed("shards", 4)?;
-    let cache: usize = args.get_parsed("cache", 1024)?;
     let duration: u64 = args.get_parsed("duration", 0)?;
     let slow_us: u64 = args.get_parsed("slow-us", 0)?;
     let max_conns: usize = args.get_parsed("max-conns", 0)?;
@@ -589,29 +576,17 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
     }
     let partial = args.get("partial").is_some_and(|v| v != "false");
     let tagged = load_labeling(path)?;
-    let registry = std::sync::Arc::new(pl_obs::MetricsRegistry::new());
-    let store = std::sync::Arc::new(
-        LabelStore::with_registry(
-            tagged,
-            StoreConfig {
-                shards,
-                cache_capacity: cache,
-            },
-            &registry,
-        )
-        .with_partial(partial),
-    );
+    let store =
+        std::sync::Arc::new(LabelStore::new(tagged, StoreConfig::default()).with_partial(partial));
     eprintln!(
-        "serving {} labels ({} scheme{}) on {} with {} shards, cache {}",
+        "serving {} labels ({} scheme{}) on {}",
         store.n(),
         store.tag().name(),
         if partial { ", partial" } else { "" },
         addr,
-        store.shard_count(),
-        cache
     );
     let options = pl_serve::ServeOptions {
-        registry: Some(registry),
+        registry: None,
         slow_query_ns: (slow_us > 0).then_some(slow_us * 1_000),
         max_conns: (max_conns > 0).then_some(max_conns),
         fault_plan,
@@ -623,7 +598,7 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
         pl_serve::serve_with(store, addr, options).map_err(|e| format!("binding {addr}: {e}"))?;
     eprintln!("listening on {}", handle.addr());
     // Prometheus sidecar: a plain-HTTP /metrics endpoint rendering the
-    // server registry plus derived per-shard hit ratios on every scrape.
+    // server registry on every scrape.
     let _prom_handle = match args.get("prom") {
         Some(prom_addr) => {
             let h = pl_obs::http::expose(prom_addr, handle.prometheus_renderer())
@@ -1054,9 +1029,10 @@ fn cmd_loadgen(raw: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `plab health <HOST:PORT>`: the server's shard-liveness report
-/// (protocol v3). Exit code is the health status, so scripts can gate
-/// on it directly.
+/// `plab health <HOST:PORT>`: the liveness report (protocol v3) — one
+/// always-live entry from a server, one entry per backend from a
+/// router. Exit code is the health status, so scripts can gate on it
+/// directly.
 fn cmd_health(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw)?;
     let addr = args.positional.first().ok_or("missing server address")?;
@@ -1066,13 +1042,13 @@ fn cmd_health(raw: &[String]) -> Result<(), String> {
     let mut client = Client::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
     let report = client.health().map_err(|e| format!("health check: {e}"))?;
     for (i, up) in report.shards.iter().enumerate() {
-        println!("shard {i}: {}", if *up { "ok" } else { "POISONED" });
+        println!("entry {i}: {}", if *up { "ok" } else { "DOWN" });
     }
     client.goodbye().ok();
     if report.healthy {
-        println!("healthy ({} shards)", report.shards.len());
+        println!("healthy ({} entries)", report.shards.len());
         Ok(())
     } else {
-        Err("server reports unhealthy shards".into())
+        Err("server reports unhealthy entries".into())
     }
 }

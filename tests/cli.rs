@@ -352,14 +352,7 @@ fn serve_and_loadgen_round_trip() {
     // Port 0 lets the OS pick; the server reports the bound address on
     // stderr as "listening on 127.0.0.1:PORT".
     let mut server = Command::new(env!("CARGO_BIN_EXE_plab"))
-        .args([
-            "serve",
-            labels.to_str().unwrap(),
-            "--addr",
-            "127.0.0.1:0",
-            "--shards",
-            "2",
-        ])
+        .args(["serve", labels.to_str().unwrap(), "--addr", "127.0.0.1:0"])
         .stderr(std::process::Stdio::piped())
         .spawn()
         .expect("server should launch");
