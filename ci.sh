@@ -4,8 +4,9 @@
 #   ci.sh quick   fmt + clippy + pl-lint (workspace static analysis:
 #                 wire invariants, panic paths, atomics orderings,
 #                 metric/experiment doc drift) + shellcheck +
-#                 offline-dep check + unit tests (the fast pre-push
-#                 loop; targets < 2 minutes warm)
+#                 offline-dep check + a compile check of the
+#                 benchmark in loadbench/ + unit tests (the fast
+#                 pre-push loop; targets < 2 minutes warm)
 #   ci.sh full    quick tier + release build + workspace tests + the
 #                 encode/query, observability, chaos, cluster, router
 #                 front-end, distributed-tracing, and live-reconfiguration
@@ -535,6 +536,9 @@ quick|full)
     run_step "shellcheck ci.sh"       shellcheck_self
     run_step "offline dep check"      offline_deps
     run_step "dep hygiene"            dep_hygiene
+    # loadbench/ is its own workspace, so nothing above compiles it; an
+    # API change that breaks the benchmark must fail here, not later.
+    run_step "loadbench compiles"     cargo check --offline --manifest-path loadbench/Cargo.toml
     run_step "unit tests"             cargo test -q
     if [ "$TIER" = full ]; then
         run_step "release build"          cargo build --release

@@ -1,23 +1,23 @@
 //! E23 — distributed-tracing overhead audit, emitting `BENCH_trace.json`.
 //!
-//! Protocol v5 added the `TRACE_CTX` extension trailer on `BATCH` and
-//! context adoption in the front-end. The contract is that the
-//! *untraced* path stays free: a v5 session carrying no context must
-//! encode, parse, and serve within ~5% of the pre-v5 code path. That
-//! is the gated number; the cost of actually shipping and recording a
-//! context is reported alongside as an informative row.
+//! `BATCH` frames may carry a `TRACE_CTX` extension trailer, which the
+//! front-end adopts as the parent of its spans. The contract is that the
+//! *untraced* path stays free: encoding and parsing a batch that carries
+//! no context must stay within ~5% of the plain entry codec, which knows
+//! nothing of trailers. That is the gated number; the cost of actually
+//! shipping and recording a context is reported alongside as an
+//! informative row.
 //!
 //! Three workloads:
 //!
-//! * `wire.encode` — `encode_batch` (pre-v5) vs `encode_batch_ctx`
-//!   with no context on a v5 session (the gate) vs with a context
-//!   (informative: +25 trailer bytes).
+//! * `wire.encode` — `encode_batch` (plain) vs `encode_batch_ctx`
+//!   with no context (the gate) vs with a context (informative: +25
+//!   trailer bytes).
 //! * `wire.parse` — `parse_batch` vs `parse_batch_ctx` on the same
 //!   bodies, same three modes.
-//! * `serve.tcp` — a real client/server batch loop: a v4 session
-//!   (pre-v5 parse path) vs a v5 session without context (the gate)
-//!   vs a v5 session with context and tracing on (informative: ring
-//!   pushes on every span).
+//! * `serve.tcp` — a real client/server batch loop: a session without
+//!   context (the baseline) vs a session with context and tracing on
+//!   (informative: ring pushes on every span).
 //!
 //! Each gated mode is the *minimum* of three interleaved runs — on a
 //! loaded CI box the min is far more noise-robust than the mean, and
@@ -32,7 +32,7 @@ use pl_labeling::threshold::encode_with_stats_threads;
 use pl_labeling::PowerLawScheme;
 use pl_obs::TraceContext;
 use pl_serve::{Client, LabelStore, Query, SchemeTag, StoreConfig, TaggedLabeling};
-use pl_wire::protocol::{encode_batch, encode_batch_ctx, parse_batch, parse_batch_ctx};
+use pl_wire::protocol::{encode_batch, encode_batch_ctx, parse_batch, parse_batch_ctx, VERSION};
 use rand::Rng;
 
 struct Row {
@@ -81,7 +81,7 @@ fn wire_rows(iters: usize, rows: &mut Vec<Row>) {
         parent_span: 99,
     };
 
-    // Encode: plain vs v5-no-ctx (gate) vs v5-with-ctx.
+    // Encode: plain vs no-ctx (gate) vs ctx.
     let timings = race(
         11,
         iters,
@@ -90,10 +90,12 @@ fn wire_rows(iters: usize, rows: &mut Vec<Row>) {
                 std::hint::black_box(encode_batch(&queries).expect("encode"));
             },
             &mut || {
-                std::hint::black_box(encode_batch_ctx(&queries, None, 5).expect("encode"));
+                std::hint::black_box(encode_batch_ctx(&queries, None, VERSION).expect("encode"));
             },
             &mut || {
-                std::hint::black_box(encode_batch_ctx(&queries, Some(&ctx), 5).expect("encode"));
+                std::hint::black_box(
+                    encode_batch_ctx(&queries, Some(&ctx), VERSION).expect("encode"),
+                );
             },
         ],
     );
@@ -101,21 +103,21 @@ fn wire_rows(iters: usize, rows: &mut Vec<Row>) {
     let pct = |x: f64, base: f64| (x - base) / base * 100.0;
     rows.push(Row {
         workload: "wire.encode",
-        mode: "pre-v5",
+        mode: "plain",
         ns_per_op: plain,
         overhead_pct: 0.0,
         gated: false,
     });
     rows.push(Row {
         workload: "wire.encode",
-        mode: "v5-no-ctx",
+        mode: "no-ctx",
         ns_per_op: gate,
         overhead_pct: pct(gate, plain),
         gated: true,
     });
     rows.push(Row {
         workload: "wire.encode",
-        mode: "v5-ctx",
+        mode: "ctx",
         ns_per_op: with_ctx,
         overhead_pct: pct(with_ctx, plain),
         gated: false,
@@ -123,7 +125,7 @@ fn wire_rows(iters: usize, rows: &mut Vec<Row>) {
 
     // Parse: same three modes over the matching bodies.
     let bare = encode_batch(&queries).expect("encode");
-    let traced = encode_batch_ctx(&queries, Some(&ctx), 5).expect("encode");
+    let traced = encode_batch_ctx(&queries, Some(&ctx), VERSION).expect("encode");
     let timings = race(
         11,
         iters,
@@ -132,31 +134,31 @@ fn wire_rows(iters: usize, rows: &mut Vec<Row>) {
                 std::hint::black_box(parse_batch(&bare).expect("parse"));
             },
             &mut || {
-                std::hint::black_box(parse_batch_ctx(&bare, 5).expect("parse"));
+                std::hint::black_box(parse_batch_ctx(&bare, VERSION).expect("parse"));
             },
             &mut || {
-                std::hint::black_box(parse_batch_ctx(&traced, 5).expect("parse"));
+                std::hint::black_box(parse_batch_ctx(&traced, VERSION).expect("parse"));
             },
         ],
     );
     let (plain, gate, with_ctx) = (timings[0], timings[1], timings[2]);
     rows.push(Row {
         workload: "wire.parse",
-        mode: "pre-v5",
+        mode: "plain",
         ns_per_op: plain,
         overhead_pct: 0.0,
         gated: false,
     });
     rows.push(Row {
         workload: "wire.parse",
-        mode: "v5-no-ctx",
+        mode: "no-ctx",
         ns_per_op: gate,
         overhead_pct: pct(gate, plain),
         gated: true,
     });
     rows.push(Row {
         workload: "wire.parse",
-        mode: "v5-ctx",
+        mode: "ctx",
         ns_per_op: with_ctx,
         overhead_pct: pct(with_ctx, plain),
         gated: false,
@@ -180,19 +182,18 @@ fn serve_rows(n: usize, batches: usize, rows: &mut Vec<Row>) {
         .map(|_| Query::adjacent(q_rng.gen_range(0..n as u32), q_rng.gen_range(0..n as u32)))
         .collect();
 
-    // ns per *query*, three sessions timed in interleaved rounds (see
-    // [`race`]): v4, v5 without context, v5 traced.
+    // ns per *query*, two sessions timed in interleaved rounds (see
+    // [`race`]): without context, and traced.
     let mut clients = [
-        Client::connect_version(handle.addr(), 4).expect("connect v4"),
-        Client::connect_version(handle.addr(), 5).expect("connect v5"),
-        Client::connect_version(handle.addr(), 5).expect("connect v5 traced"),
+        Client::connect(handle.addr()).expect("connect"),
+        Client::connect(handle.addr()).expect("connect traced"),
     ];
-    let ctxs: [Option<TraceContext>; 3] = [None, None, Some(TraceContext::root())];
-    let mut best = [f64::INFINITY; 3];
+    let ctxs: [Option<TraceContext>; 2] = [None, Some(TraceContext::root())];
+    let mut best = [f64::INFINITY; 2];
     pl_obs::set_tracing(false);
     for _ in 0..9 {
-        for i in 0..3 {
-            pl_obs::set_tracing(i == 2);
+        for i in 0..2 {
+            pl_obs::set_tracing(i == 1);
             // Warm-up quarter-run, then the measured run.
             for _ in 0..batches / 4 {
                 clients[i]
@@ -214,34 +215,27 @@ fn serve_rows(n: usize, batches: usize, rows: &mut Vec<Row>) {
     for c in clients {
         c.goodbye().ok();
     }
-    let (v4, gate, traced) = (best[0], best[1], best[2]);
+    let (plain, traced) = (best[0], best[1]);
     handle.shutdown();
 
     rows.push(Row {
         workload: "serve.tcp",
-        mode: "v4",
-        ns_per_op: v4,
+        mode: "no-ctx",
+        ns_per_op: plain,
         overhead_pct: 0.0,
         gated: false,
     });
     rows.push(Row {
         workload: "serve.tcp",
-        mode: "v5-no-ctx",
-        ns_per_op: gate,
-        overhead_pct: (gate - v4) / v4 * 100.0,
-        gated: true,
-    });
-    rows.push(Row {
-        workload: "serve.tcp",
-        mode: "v5-traced",
+        mode: "traced",
         ns_per_op: traced,
-        overhead_pct: (traced - v4) / v4 * 100.0,
+        overhead_pct: (traced - plain) / plain * 100.0,
         gated: false,
     });
 }
 
 fn main() {
-    banner("E23", "trace-context propagation overhead (protocol v5)");
+    banner("E23", "trace-context propagation overhead");
     let out_path = {
         let args: Vec<String> = std::env::args().collect();
         args.iter()

@@ -36,7 +36,7 @@ pub struct TraceLine {
     pub origin: String,
     /// 32-hex-digit trace id; empty for untraced events.
     pub trace: String,
-    /// The event's own span id (0 for pre-v5 streams).
+    /// The event's own span id (0 when the stream carries none).
     pub span: u64,
     /// Parent span id (0 = root).
     pub parent: u64,

@@ -127,7 +127,6 @@ fn router_answers_like_a_single_server() {
     assert_eq!(health.shards.len(), 3);
     let stats = client.stats().expect("stats");
     assert!(stats.adj_queries >= 2_000, "merged adj_queries: {stats}");
-    assert!(stats.shard_cache.is_empty(), "no cache slots: {stats}");
 
     client.goodbye().expect("goodbye");
     let snap = router.shutdown();
@@ -348,12 +347,12 @@ fn spin_dropper(tag: u8, n: u32) -> (SocketAddr, Arc<AtomicU64>, impl FnOnce()) 
                 let Ok(mut stream) = stream else { continue };
                 // A peer that never sends must not wedge the stopper.
                 let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-                let Ok(version) = read_frame(&mut stream).and_then(|hello| {
+                let Ok(()) = read_frame(&mut stream).and_then(|hello| {
                     parse_hello(&hello).map_err(|e| std::io::Error::other(e.to_string()))
                 }) else {
                     continue;
                 };
-                if write_frame(&mut stream, &encode_hello_ok(version, tag, n)).is_err() {
+                if write_frame(&mut stream, &encode_hello_ok(tag, n)).is_err() {
                     continue;
                 }
                 if read_frame(&mut stream).is_ok_and(|req| req.first() == Some(&opcode::BATCH)) {

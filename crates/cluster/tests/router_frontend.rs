@@ -2,7 +2,7 @@
 //!
 //! These tests pin the behaviours the router inherited from the
 //! refactor rather than implementing itself: byte-identical wire
-//! replies across every protocol version, connection shedding at
+//! replies, connection shedding at
 //! `max_conns`, and front-end fault injection — all of which the old
 //! private router transport lacked (shedding, faults) or duplicated
 //! (framing).
@@ -19,7 +19,7 @@ use pl_serve::{
     Client, LabelStore, Query, RetryPolicy, SchemeTag, ServerHandle, StoreConfig, TaggedLabeling,
 };
 use pl_wire::fault::FaultPlan;
-use pl_wire::protocol::{encode_batch, encode_hello_version, opcode, read_frame, write_frame};
+use pl_wire::protocol::{encode_batch, encode_hello, opcode, read_frame, write_frame};
 use pl_wire::FrontendOptions;
 
 const SEED: u64 = 0xF00D;
@@ -86,35 +86,34 @@ fn counter_sum(registry: &pl_obs::MetricsRegistry, name: &str) -> u64 {
 
 /// The router must put the same bytes on the wire as a single server:
 /// the identical golden frames `front_equivalence.rs` pins for
-/// `pl_serve`, here through the scatter-gather path, on every version.
+/// `pl_serve`, here through the scatter-gather path.
 #[test]
 fn router_replies_with_the_same_golden_bytes_as_a_server() {
     let (backends, router) = single_backend_cluster(&path_labeling(), FrontendOptions::default());
-    for version in 1..=4u8 {
-        let mut stream = TcpStream::connect(router.addr()).expect("connect");
-        write_frame(&mut stream, &encode_hello_version(version)).expect("hello");
-        let hello_ok = read_frame(&mut stream).expect("hello_ok");
-        assert_eq!(
-            hello_ok,
-            vec![0x80, version, 0x01, 0x08, 0x00, 0x00, 0x00],
-            "router HELLO_OK drifted on v{version}"
-        );
+    let mut stream = TcpStream::connect(router.addr()).expect("connect");
+    write_frame(&mut stream, &encode_hello()).expect("hello");
+    let hello_ok = read_frame(&mut stream).expect("hello_ok");
+    assert_eq!(
+        hello_ok,
+        vec![0x80, 0x07, 0x01, 0x08, 0x00, 0x00, 0x00],
+        "router HELLO_OK drifted"
+    );
 
-        let queries = [Query::adjacent(0, 1), Query::adjacent(0, 3)];
-        write_frame(&mut stream, &encode_batch(&queries).expect("encode")).expect("batch");
-        let reply = read_frame(&mut stream).expect("reply");
-        let mut golden = vec![0x81, 0x02, 0x00, 0x01, 0x00];
-        if version >= 3 {
-            golden.extend_from_slice(&[0x57, 0x9F, 0x20, 0x3E]); // FNV-1a-32 LE
-        }
-        assert_eq!(reply, golden, "router BATCH_REPLY drifted on v{version}");
+    let queries = [Query::adjacent(0, 1), Query::adjacent(0, 3)];
+    write_frame(&mut stream, &encode_batch(&queries).expect("encode")).expect("batch");
+    let reply = read_frame(&mut stream).expect("reply");
+    #[rustfmt::skip]
+    let golden = vec![
+        0x81, 0x02, 0x00, 0x01, 0x00,
+        0x57, 0x9F, 0x20, 0x3E, // FNV-1a-32 LE
+    ];
+    assert_eq!(reply, golden, "router BATCH_REPLY drifted");
 
-        write_frame(&mut stream, &[opcode::GOODBYE]).expect("goodbye");
-        assert_eq!(
-            read_frame(&mut stream).expect("bye"),
-            vec![opcode::GOODBYE_OK]
-        );
-    }
+    write_frame(&mut stream, &[opcode::GOODBYE]).expect("goodbye");
+    assert_eq!(
+        read_frame(&mut stream).expect("bye"),
+        vec![opcode::GOODBYE_OK]
+    );
     router.shutdown();
     for b in backends {
         b.shutdown();

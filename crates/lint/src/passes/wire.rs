@@ -6,7 +6,7 @@
 //! * `mod opcode` → the opcode namespace, split request/reply by the
 //!   high bit;
 //! * top-level `ANS_*` → the per-query status namespace;
-//! * top-level `VERSION` / `MIN_VERSION` → the version bounds;
+//! * top-level `VERSION` → the one protocol version;
 //! * `mod trace_dump_flags` → flag bits.
 //!
 //! Checks:
@@ -15,9 +15,10 @@
 //! 2. **high-bit discipline** — request names < `0x80`, replies ≥;
 //! 3. **pairing** — every request has a reply at `0x80 | op`, every
 //!    reply (by value) pairs a request, and the paired names agree on
-//!    their first `_`-token (`BATCH`/`BATCH_REPLY`); historical
-//!    off-convention pairs are `lint.allow` material, not code fixes —
-//!    renumbering shipped wire bytes would break every deployed peer;
+//!    their first `_`-token (`BATCH`/`BATCH_REPLY`); a reply that
+//!    answers no particular request (`ERROR`) is `lint.allow` material.
+//!    Renumbering an opcode changes the frames, so it comes with a
+//!    `VERSION` bump, which peers meet as a clean HELLO rejection;
 //! 4. **doc matrix** — every opcode and status appears, with the same
 //!    value and a sane `vN`, in RELIABILITY.md's "Opcode and status
 //!    matrix" table, and every matrix row names a real constant;
@@ -84,32 +85,20 @@ impl Pass for WireInvariants {
             .iter()
             .find(|c| c.module.is_empty() && c.name == "VERSION")
             .map(|c| c.value);
-        let min_version = consts
-            .iter()
-            .find(|c| c.module.is_empty() && c.name == "MIN_VERSION")
-            .map(|c| c.value);
 
         check_unique(ID, &opcodes, "opcode", out);
         check_unique(ID, &statuses, "status", out);
         check_unique(ID, &flags, "trace-dump flag", out);
         check_pairing(&opcodes, out);
 
-        match (version, min_version) {
-            (Some(v), Some(m)) if m > v => out.push(Diagnostic {
-                file: PROTOCOL.into(),
-                line: 0,
-                pass: ID,
-                key: "version:range".into(),
-                message: format!("MIN_VERSION {m} exceeds VERSION {v}"),
-            }),
-            (None, _) | (_, None) => out.push(Diagnostic {
+        if version.is_none() {
+            out.push(Diagnostic {
                 file: PROTOCOL.into(),
                 line: 0,
                 pass: ID,
                 key: "version:missing".into(),
-                message: "VERSION / MIN_VERSION constants not found".into(),
-            }),
-            _ => {}
+                message: "VERSION constant not found".into(),
+            });
         }
 
         check_doc_matrix(ws, &opcodes, &statuses, version.unwrap_or(u16::MAX), out);

@@ -1,7 +1,7 @@
 //! Known-bad protocol constants for the wire-invariants fixture.
 
 pub const VERSION: u8 = 2;
-pub const MIN_VERSION: u8 = 1;
+// One version only: there is no lower bound to check.
 
 pub mod opcode {
     pub const HELLO: u8 = 0x00;

@@ -140,7 +140,7 @@ pub fn next_id() -> u64 {
 /// A propagatable trace context: 128-bit trace id + parent span id.
 ///
 /// Created at the edge with [`TraceContext::root`], shipped across the
-/// wire (protocol v5 `TRACE_CTX`), and installed in a worker thread via
+/// wire (the `BATCH` frame's `TRACE_CTX` trailer), and installed in a worker thread via
 /// [`adopt`]. `parent_span` is the id of the span that *sent* the
 /// context; spans opened while it is adopted become its children.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -23,11 +23,11 @@ use rand::{Rng, SeedableRng};
 
 use pl_obs::TraceContext;
 use pl_wire::protocol::{
-    encode_batch_ctx, encode_hello_version, encode_labels, encode_map_get, encode_map_set,
+    encode_batch_ctx, encode_hello, encode_labels, encode_map_get, encode_map_set,
     encode_trace_dump, opcode, parse_batch_reply, parse_health_reply, parse_hello_ok,
     parse_labels_ok, parse_map_ok, parse_map_reply, parse_stats_reply, read_frame,
     trace_dump_flags, write_frame, Answer, HealthReport, LabelsStatus, MapSetMode, MapSetStatus,
-    Query, MIN_VERSION, VERSION,
+    Query, VERSION,
 };
 use pl_wire::stats::Snapshot;
 
@@ -39,15 +39,12 @@ fn bad_data(msg: impl Into<String>) -> io::Error {
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
-    version: u8,
     tag: u8,
     n: u32,
 }
 
 impl Client {
-    /// Connects and performs the HELLO handshake, falling back to older
-    /// protocol versions (down to [`MIN_VERSION`]) if the server
-    /// rejects the current one.
+    /// Connects and performs the HELLO handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         Self::connect_deadline(addr, None)
     }
@@ -61,50 +58,16 @@ impl Client {
         addr: impl ToSocketAddrs,
         deadline: Option<Duration>,
     ) -> io::Result<Self> {
-        // Resolve once so version-fallback reconnects hit the same host.
-        let addrs: Vec<_> = addr.to_socket_addrs()?.collect();
-        let mut last_err = bad_data("no addresses resolved");
-        for version in (MIN_VERSION..=VERSION).rev() {
-            match Self::connect_version_deadline(&addrs[..], version, deadline) {
-                Ok(client) => return Ok(client),
-                // Only an explicit rejection means "try an older
-                // version". A transport error (refused, reset, dropped
-                // mid-handshake) must NOT silently downgrade the
-                // session — under fault injection that would trade the
-                // v3 checksum away exactly when it is needed.
-                Err(e) if is_handshake_rejection(&e) => last_err = e,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err)
-    }
-
-    /// Connects with one specific protocol version, no fallback.
-    pub fn connect_version(addr: impl ToSocketAddrs, version: u8) -> io::Result<Self> {
-        Self::connect_version_deadline(addr, version, None)
-    }
-
-    fn connect_version_deadline(
-        addr: impl ToSocketAddrs,
-        version: u8,
-        deadline: Option<Duration>,
-    ) -> io::Result<Self> {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(deadline)?;
         stream.set_write_timeout(deadline)?;
-        write_frame(&mut stream, &encode_hello_version(version))?;
+        write_frame(&mut stream, &encode_hello())?;
         let reply = read_frame(&mut stream)?;
         match reply.first() {
             Some(&opcode::HELLO_OK) => {
-                let (version, tag, n) =
-                    parse_hello_ok(&reply).map_err(|e| bad_data(e.to_string()))?;
-                Ok(Self {
-                    stream,
-                    version,
-                    tag,
-                    n,
-                })
+                let (tag, n) = parse_hello_ok(&reply).map_err(|e| bad_data(e.to_string()))?;
+                Ok(Self { stream, tag, n })
             }
             Some(&opcode::ERROR) => Err(bad_data(format!(
                 "server rejected handshake: {}",
@@ -120,12 +83,6 @@ impl Client {
     pub fn set_io_deadline(&self, deadline: Option<Duration>) -> io::Result<()> {
         self.stream.set_read_timeout(deadline)?;
         self.stream.set_write_timeout(deadline)
-    }
-
-    /// Protocol version negotiated with the server.
-    #[must_use]
-    pub fn version(&self) -> u8 {
-        self.version
     }
 
     /// Scheme tag byte the server is serving.
@@ -146,10 +103,9 @@ impl Client {
         self.batch_ctx(queries, None)
     }
 
-    /// [`batch`](Self::batch) with an optional trace context. On a v5+
-    /// session the context rides the `TRACE_CTX` extension so the
-    /// server's spans parent to the caller; on an older session it is
-    /// silently dropped — downgrade loses tracing, never the batch.
+    /// [`batch`](Self::batch) with an optional trace context, which
+    /// rides the `TRACE_CTX` trailer so the server's spans parent to the
+    /// caller.
     pub fn batch_ctx(
         &mut self,
         queries: &[Query],
@@ -163,29 +119,37 @@ impl Client {
     /// put a batch on each of several connections before it reads any.
     /// Pair every call with one [`recv_batch`](Self::recv_batch).
     fn send_batch_ctx(&mut self, queries: &[Query], ctx: Option<&TraceContext>) -> io::Result<()> {
-        let body =
-            encode_batch_ctx(queries, ctx, self.version).map_err(|e| bad_data(e.to_string()))?;
+        let body = encode_batch_ctx(queries, ctx, VERSION).map_err(|e| bad_data(e.to_string()))?;
         write_frame(&mut self.stream, &body)
     }
 
     /// Reads the reply to the BATCH of `count` queries that
     /// [`send_batch_ctx`](Self::send_batch_ctx) wrote.
     fn recv_batch(&mut self, count: usize) -> io::Result<Vec<Answer>> {
+        let reply = self.read_reply(opcode::BATCH_REPLY, "batch reply")?;
+        let answers = parse_batch_reply(&reply, VERSION).map_err(|e| bad_data(e.to_string()))?;
+        if answers.len() != count {
+            return Err(bad_data("reply count mismatch"));
+        }
+        Ok(answers)
+    }
+
+    /// Writes `body`, then reads the reply frame, which must open with
+    /// `reply_op`; an ERROR reply becomes a "server error" I/O error.
+    fn round_trip(&mut self, body: &[u8], reply_op: u8, what: &str) -> io::Result<Vec<u8>> {
+        write_frame(&mut self.stream, body)?;
+        self.read_reply(reply_op, what)
+    }
+
+    fn read_reply(&mut self, reply_op: u8, what: &str) -> io::Result<Vec<u8>> {
         let reply = read_frame(&mut self.stream)?;
         match reply.first() {
-            Some(&opcode::BATCH_REPLY) => {
-                let answers =
-                    parse_batch_reply(&reply, self.version).map_err(|e| bad_data(e.to_string()))?;
-                if answers.len() != count {
-                    return Err(bad_data("reply count mismatch"));
-                }
-                Ok(answers)
-            }
+            Some(&op) if op == reply_op => Ok(reply),
             Some(&opcode::ERROR) => Err(bad_data(format!(
                 "server error: {}",
                 String::from_utf8_lossy(&reply[1..])
             ))),
-            _ => Err(bad_data("unexpected batch reply")),
+            _ => Err(bad_data(format!("unexpected {what}"))),
         }
     }
 
@@ -209,91 +173,51 @@ impl Client {
 
     /// Fetches the server's metrics snapshot.
     pub fn stats(&mut self) -> io::Result<Snapshot> {
-        write_frame(&mut self.stream, &[opcode::STATS])?;
-        let reply = read_frame(&mut self.stream)?;
+        let reply = self.round_trip(&[opcode::STATS], opcode::STATS_REPLY, "stats reply")?;
         parse_stats_reply(&reply).map_err(|e| bad_data(e.to_string()))
     }
 
-    /// Fetches the server's liveness report. Requires protocol
-    /// version ≥ 3.
+    /// Fetches the server's liveness report.
     pub fn health(&mut self) -> io::Result<HealthReport> {
-        if self.version < 3 {
-            return Err(bad_data("server too old for HEALTH (needs v3)"));
-        }
-        write_frame(&mut self.stream, &[opcode::HEALTH])?;
-        let reply = read_frame(&mut self.stream)?;
-        match reply.first() {
-            Some(&opcode::HEALTH_REPLY) => {
-                parse_health_reply(&reply).map_err(|e| bad_data(e.to_string()))
-            }
-            Some(&opcode::ERROR) => Err(bad_data(format!(
-                "server error: {}",
-                String::from_utf8_lossy(&reply[1..])
-            ))),
-            _ => Err(bad_data("unexpected health reply")),
-        }
+        let reply = self.round_trip(&[opcode::HEALTH], opcode::HEALTH_REPLY, "health reply")?;
+        parse_health_reply(&reply).map_err(|e| bad_data(e.to_string()))
     }
 
     /// Drains the server's trace ring buffers as JSONL (one event per
-    /// line, possibly empty). Requires protocol version ≥ 2.
+    /// line, possibly empty).
     pub fn trace_dump(&mut self) -> io::Result<String> {
         self.trace_dump_with(0)
     }
 
     /// Non-consuming [`trace_dump`](Self::trace_dump): the server's
     /// reader watermark stays put, so concurrent observers each see the
-    /// full stream. Requires protocol version ≥ 5.
+    /// full stream.
     pub fn trace_snapshot(&mut self) -> io::Result<String> {
         self.trace_dump_with(trace_dump_flags::SNAPSHOT)
     }
 
-    /// `TRACE_DUMP` with explicit flag bits (0 = the pre-v5 consuming
-    /// drain; flags require a v5 session).
+    /// `TRACE_DUMP` with explicit flag bits (0 = the consuming drain).
     pub fn trace_dump_with(&mut self, flags: u8) -> io::Result<String> {
-        if self.version < 2 {
-            return Err(bad_data("server too old for TRACE_DUMP (needs v2)"));
-        }
-        if flags != 0 && self.version < 5 {
-            return Err(bad_data("server too old for TRACE_DUMP flags (needs v5)"));
-        }
-        write_frame(&mut self.stream, &encode_trace_dump(flags))?;
-        let reply = read_frame(&mut self.stream)?;
-        match reply.first() {
-            Some(&opcode::TRACE_REPLY) => String::from_utf8(reply[1..].to_vec())
-                .map_err(|_| bad_data("trace reply is not UTF-8")),
-            Some(&opcode::ERROR) => Err(bad_data(format!(
-                "server error: {}",
-                String::from_utf8_lossy(&reply[1..])
-            ))),
-            _ => Err(bad_data("unexpected trace reply")),
-        }
+        let reply = self.round_trip(
+            &encode_trace_dump(flags),
+            opcode::TRACE_REPLY,
+            "trace reply",
+        )?;
+        String::from_utf8(reply[1..].to_vec()).map_err(|_| bad_data("trace reply is not UTF-8"))
     }
 
     /// Fetches the peer's current serialized cluster map (`None` when
-    /// it serves no map yet). Requires protocol version ≥ 6.
+    /// it serves no map yet).
     pub fn map_get(&mut self) -> io::Result<Option<Vec<u8>>> {
-        if self.version < 6 {
-            return Err(bad_data("server too old for MAP_GET (needs v6)"));
-        }
-        write_frame(&mut self.stream, &encode_map_get())?;
-        let reply = read_frame(&mut self.stream)?;
-        match reply.first() {
-            Some(&opcode::MAP_REPLY) => {
-                parse_map_reply(&reply).map_err(|e| bad_data(e.to_string()))
-            }
-            Some(&opcode::ERROR) => Err(bad_data(format!(
-                "server error: {}",
-                String::from_utf8_lossy(&reply[1..])
-            ))),
-            _ => Err(bad_data("unexpected map reply")),
-        }
+        let reply = self.round_trip(&encode_map_get(), opcode::MAP_REPLY, "map reply")?;
+        parse_map_reply(&reply).map_err(|e| bad_data(e.to_string()))
     }
 
     /// Pushes a map-state transition (`prepare`/`commit`/`abort`/
     /// `shrink`) and returns the peer's verdict plus its current epoch.
     /// `backend` is the receiver's index in the pushed map (or
     /// [`pl_wire::protocol::MAP_TARGET_ROUTER`]); `moved` is only
-    /// meaningful on a router commit. Requires protocol version ≥ 6.
+    /// meaningful on a router commit.
     pub fn map_set(
         &mut self,
         mode: MapSetMode,
@@ -301,58 +225,28 @@ impl Client {
         moved: u64,
         map: &[u8],
     ) -> io::Result<(MapSetStatus, u64)> {
-        if self.version < 6 {
-            return Err(bad_data("server too old for MAP_SET (needs v6)"));
-        }
         let body =
             encode_map_set(mode, backend, moved, map).map_err(|e| bad_data(e.to_string()))?;
-        write_frame(&mut self.stream, &body)?;
-        let reply = read_frame(&mut self.stream)?;
-        match reply.first() {
-            Some(&opcode::MAP_OK) => parse_map_ok(&reply).map_err(|e| bad_data(e.to_string())),
-            Some(&opcode::ERROR) => Err(bad_data(format!(
-                "server error: {}",
-                String::from_utf8_lossy(&reply[1..])
-            ))),
-            _ => Err(bad_data("unexpected map ok")),
-        }
+        let reply = self.round_trip(&body, opcode::MAP_OK, "map ok")?;
+        parse_map_ok(&reply).map_err(|e| bad_data(e.to_string()))
     }
 
     /// Streams one frame of migrating labels for the staged epoch and
     /// returns the peer's verdict plus its buffered-label count.
-    /// Requires protocol version ≥ 6.
     pub fn push_labels(
         &mut self,
         epoch: u64,
         entries: &[(u32, &[u8])],
     ) -> io::Result<(LabelsStatus, u32)> {
-        if self.version < 6 {
-            return Err(bad_data("server too old for LABELS (needs v6)"));
-        }
         let body = encode_labels(epoch, entries).map_err(|e| bad_data(e.to_string()))?;
-        write_frame(&mut self.stream, &body)?;
-        let reply = read_frame(&mut self.stream)?;
-        match reply.first() {
-            Some(&opcode::LABELS_OK) => {
-                parse_labels_ok(&reply).map_err(|e| bad_data(e.to_string()))
-            }
-            Some(&opcode::ERROR) => Err(bad_data(format!(
-                "server error: {}",
-                String::from_utf8_lossy(&reply[1..])
-            ))),
-            _ => Err(bad_data("unexpected labels ok")),
-        }
+        let reply = self.round_trip(&body, opcode::LABELS_OK, "labels ok")?;
+        parse_labels_ok(&reply).map_err(|e| bad_data(e.to_string()))
     }
 
     /// Orderly close: GOODBYE, await GOODBYE_OK.
     pub fn goodbye(mut self) -> io::Result<()> {
-        write_frame(&mut self.stream, &[opcode::GOODBYE])?;
-        let reply = read_frame(&mut self.stream)?;
-        if reply.first() == Some(&opcode::GOODBYE_OK) {
-            Ok(())
-        } else {
-            Err(bad_data("expected GOODBYE_OK"))
-        }
+        self.round_trip(&[opcode::GOODBYE], opcode::GOODBYE_OK, "goodbye reply")
+            .map(drop)
     }
 
     /// Low-level escape hatch for protocol tests: send raw body, read
@@ -361,13 +255,6 @@ impl Client {
         write_frame(&mut self.stream, body)?;
         read_frame(&mut self.stream)
     }
-}
-
-/// `true` when the error is the server explicitly refusing the offered
-/// protocol version — the only failure that justifies retrying the
-/// handshake at an older version.
-fn is_handshake_rejection(e: &io::Error) -> bool {
-    e.kind() == io::ErrorKind::InvalidData && e.to_string().contains("rejected handshake")
 }
 
 /// Why a retryable request failed — attached to
@@ -391,7 +278,7 @@ pub enum RetryKind {
 /// The client-side error taxonomy: every failure is either worth
 /// retrying (transient transport/overload conditions, given that BATCH
 /// requests are idempotent) or fatal (the request itself can never
-/// succeed, e.g. a protocol-version rejection).
+/// succeed, e.g. a handshake rejection).
 #[derive(Debug)]
 pub enum ClientError {
     /// Transient; [`ResilientClient`] reconnects and replays.
@@ -427,7 +314,9 @@ impl ClientError {
                         kind: RetryKind::Overloaded,
                         source: e,
                     }
-                } else if msg.contains("rejected handshake") || msg.contains("too old") {
+                } else if msg.contains("rejected handshake")
+                    || msg.contains("unsupported protocol version")
+                {
                     Self::Fatal(e)
                 } else {
                     // Checksum mismatches, short frames, garbled
@@ -571,11 +460,6 @@ impl ResilientClient {
         self.with_retries(|c| Ok(c.n()))
     }
 
-    /// Negotiated protocol version of the current connection.
-    pub fn version(&mut self) -> Result<u8, ClientError> {
-        self.with_retries(|c| Ok(c.version()))
-    }
-
     /// Sends one batch, replaying on transient failures. Transport
     /// errors replay the whole batch (inside [`with_retries`]); an
     /// [`Answer::Overloaded`] in an otherwise healthy reply re-asks
@@ -698,7 +582,7 @@ impl ResilientClient {
         self.with_retries(Client::stats)
     }
 
-    /// Fetches the liveness report with retries (needs v3).
+    /// Fetches the liveness report with retries.
     pub fn health(&mut self) -> Result<HealthReport, ClientError> {
         self.with_retries(Client::health)
     }

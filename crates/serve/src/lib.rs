@@ -25,7 +25,7 @@
 //!   taxonomy.
 //! * [`map`] / [`partition`] — the epoch-numbered, FNV-checksummed
 //!   [`ClusterMap`] and the deterministic HRW [`Partitioner`]. They
-//!   moved here from `pl-cluster` for protocol v6 live
+//!   moved here from `pl-cluster` for live
 //!   reconfiguration: a backend receiving a `MAP_SET` push validates
 //!   the map and computes its own ownership locally
 //!   (`pl_cluster::{map, partition}` re-export them unchanged).

@@ -2,7 +2,7 @@
 //! [`LabelStore`] engine.
 //!
 //! Since PR 6 the transport — accept loop, per-connection lifecycle,
-//! HELLO negotiation, `--max-conns` shedding, idle/stall deadlines,
+//! HELLO handshake, `--max-conns` shedding, idle/stall deadlines,
 //! drain-on-shutdown, and fault injection — lives in
 //! [`pl_wire::frontend`] and is shared with the `pl-cluster` router.
 //! This module supplies only the engine: [`StoreEngine`] implements
@@ -29,7 +29,7 @@
 //! - A [`FaultPlan`] ([`ServeOptions::fault_plan`]) turns on the
 //!   deterministic fault-injection harness of [`pl_wire::fault`] for
 //!   chaos testing: injected read/write delays, dropped and truncated
-//!   reply frames, flipped reply bytes (protocol v3 checksums catch
+//!   reply frames, flipped reply bytes (the reply checksum catches
 //!   them), and simulated store errors.
 //!
 //! ## Observability
@@ -92,16 +92,12 @@ pub struct ServeOptions {
     /// timeout for a peer that stops reading replies
     /// (`plserve_deadline_closes_total`). `None` disables both.
     pub stall_timeout: Option<Duration>,
-    /// Highest protocol version this server will negotiate; `None`
-    /// means the build's newest. Used by downgrade tests to stand in
-    /// for an older server binary.
-    pub max_version: Option<u8>,
 }
 
 /// [`LabelStore`] as a [`QueryEngine`]: answers batches query by query,
 /// records per-query latency and the slow-query log.
 ///
-/// Since protocol v6 the store is *swappable*: a `MAP_SET` push stages
+/// The store is *swappable*: a `MAP_SET` push stages
 /// an epoch-bumped [`ClusterMap`], `LABELS` pushes buffer re-owned
 /// vertices' full labels (verified byte-identical on arrival), and the
 /// commit rebuilds a replacement store off the serving path and swaps
@@ -113,7 +109,7 @@ pub struct StoreEngine {
     metrics: Metrics,
     /// Slow-query threshold; `u64::MAX` disables.
     slow_query_ns: u64,
-    /// The v6 map-install state machine.
+    /// The map-install state machine.
     reconfig: Mutex<ReconfigState>,
 }
 
@@ -575,7 +571,6 @@ pub fn serve_with(
             fault_plan: options.fault_plan,
             idle_timeout: options.idle_timeout,
             stall_timeout: options.stall_timeout,
-            max_version: options.max_version,
         },
     )?;
     Ok(ServerHandle { front, registry })

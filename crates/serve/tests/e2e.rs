@@ -1,7 +1,7 @@
 //! End-to-end acceptance tests: a real server on a real TCP socket,
 //! driven by the load generator and raw protocol clients.
 
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 use pl_graph::degree::vertices_by_degree_desc;
@@ -62,13 +62,11 @@ fn serves_chung_lu_over_tcp_with_verified_answers() {
         "skewed load over hubs should hit some edges"
     );
 
-    // STATS over the wire: nonzero throughput; the reserved cache
-    // words stay 0.
+    // STATS over the wire: nonzero throughput.
     let mut client = Client::connect(addr).expect("stats connection");
     let stats = client.stats().expect("stats fetch");
     assert_eq!(stats.adj_queries, 20_000);
     assert!(stats.qps() > 0.0, "qps should be nonzero: {stats}");
-    assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0), "{stats}");
     assert!(stats.batches >= 4 * (5_000 / 50));
     assert!(stats.bytes_in > 0 && stats.bytes_out > 0);
     assert_eq!(stats.protocol_errors, 0);
@@ -136,6 +134,55 @@ fn malformed_frames_get_error_replies() {
 
     let stats = handle.shutdown();
     assert!(stats.protocol_errors >= 2, "{stats}");
+}
+
+/// The requests that are their opcode alone must be exactly that one
+/// byte: a trailing byte is a protocol error, answered with ERROR, like
+/// any other malformed frame.
+#[test]
+fn one_byte_requests_with_trailing_bytes_get_error_replies() {
+    let g = chung_lu(500, 2);
+    let store = threshold_store(&g, 8, StoreConfig::default());
+    let handle = pl_serve::serve(store, "127.0.0.1:0").expect("bind");
+
+    for op in [opcode::STATS, opcode::HEALTH, opcode::GOODBYE] {
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        let reply = client.raw_round_trip(&[op, 0xFF]).expect("reply");
+        assert_eq!(
+            reply.first(),
+            Some(&opcode::ERROR),
+            "{op:#04x} with a trailing byte was answered"
+        );
+    }
+
+    let stats = handle.shutdown();
+    assert_eq!(stats.protocol_errors, 3, "{stats}");
+}
+
+/// The client checks the version byte a server claims in HELLO_OK: a
+/// frame that is well-formed in every other byte is refused, so the
+/// client never talks to a peer with another frame layout.
+#[test]
+fn client_refuses_a_hello_ok_claiming_another_version() {
+    for claimed in [2u8, 99] {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            read_frame(&mut stream).expect("hello");
+            write_frame(
+                &mut stream,
+                &[opcode::HELLO_OK, claimed, 0x01, 0x08, 0x00, 0x00, 0x00],
+            )
+            .expect("hello_ok");
+        });
+        let err = Client::connect(addr).expect_err("HELLO_OK claiming another version accepted");
+        assert!(
+            err.to_string().contains("unsupported protocol version"),
+            "{err}"
+        );
+        server.join().expect("fake server");
+    }
 }
 
 /// The server answers distance queries when serving a distance labeling,
@@ -315,13 +362,9 @@ fn observability_surface_end_to_end() {
     loadgen::run(handle.addr(), &config).expect("load run");
 
     let mut client = Client::connect(handle.addr()).expect("connect");
-    assert_eq!(client.version(), pl_wire::protocol::VERSION);
 
-    // v2 snapshot: extended quantiles; the reserved shard array is
-    // sent empty.
     let stats = client.stats().expect("stats");
     assert_eq!(stats.adj_queries, 2_000);
-    assert!(stats.shard_cache.is_empty(), "{stats}");
     assert!(stats.p50_ns <= stats.p90_ns && stats.p90_ns <= stats.p99_ns);
     assert!(stats.p99_ns <= stats.p999_ns && stats.min_ns <= stats.max_ns);
     assert!(stats.max_ns > 0, "latencies were recorded");
@@ -352,34 +395,6 @@ fn observability_surface_end_to_end() {
     }
     assert!(!prom.contains("plserve_cache"), "{prom}");
 
-    client.goodbye().expect("goodbye");
-    handle.shutdown();
-}
-
-/// A v1 client still interoperates with the v2 server: the handshake
-/// negotiates down and the STATS reply arrives in the legacy 12-field
-/// layout (no extended quantiles, no shard breakdown).
-#[test]
-fn v1_client_negotiates_and_parses_legacy_stats() {
-    let g = chung_lu(500, 21);
-    let store = threshold_store(&g, 8, StoreConfig::default());
-    let handle = pl_serve::serve(store, "127.0.0.1:0").expect("bind");
-
-    let mut client = Client::connect_version(handle.addr(), 1).expect("v1 connect");
-    assert_eq!(client.version(), 1);
-    let (u, v) = g.edges().next().expect("graph has edges");
-    assert!(client.adjacent(u, v).expect("query"));
-
-    let stats = client.stats().expect("v1 stats");
-    assert_eq!(stats.adj_queries, 1);
-    assert!(
-        stats.shard_cache.is_empty(),
-        "v1 layout carries no shard breakdown"
-    );
-    assert!(
-        client.trace_dump().is_err(),
-        "TRACE_DUMP must be refused client-side on a v1 session"
-    );
     client.goodbye().expect("goodbye");
     handle.shutdown();
 }

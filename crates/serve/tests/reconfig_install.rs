@@ -1,4 +1,4 @@
-//! Backend-side protocol v6 map-install state machine: epoch fencing
+//! Backend-side map-install state machine: epoch fencing
 //! (stale/equal pushes refused), label verification on arrival,
 //! commit-swap, abort, shrink, and wire-level rejection of a
 //! checksum-tampered map push.

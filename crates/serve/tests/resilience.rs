@@ -340,29 +340,18 @@ fn stalled_mid_frame_peer_is_deadline_closed() {
     assert_eq!(final_stats.open_conns, 0, "{final_stats}");
 }
 
-/// HEALTH over the wire: a v3 session gets the store's single
-/// always-live entry; a v2 session is refused (the opcode is
-/// version-gated).
+/// HEALTH over the wire: the store's single always-live entry.
 #[test]
-fn health_reports_shard_liveness_and_is_version_gated() {
+fn health_reports_shard_liveness() {
     let g = chung_lu(500, 13);
     let store = threshold_store(&g, 8, StoreConfig::default());
     let handle = pl_serve::serve(store, "127.0.0.1:0").expect("bind");
 
-    let mut v3 = Client::connect(handle.addr()).expect("v3 connect");
-    assert_eq!(v3.version(), pl_wire::protocol::VERSION);
-    assert!(v3.version() >= 3, "HEALTH needs a v3+ session");
-    let report = v3.health().expect("health");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let report = client.health().expect("health");
     assert!(report.healthy);
     assert_eq!(report.shards, vec![true]);
-    v3.goodbye().expect("goodbye");
-
-    // A v2 session asking for HEALTH gets an ERROR frame from the
-    // server; the client-side convenience method refuses even earlier.
-    let mut v2 = Client::connect_version(handle.addr(), 2).expect("v2 connect");
-    assert!(v2.health().is_err(), "client-side version gate");
-    let reply = v2.raw_round_trip(&[opcode::HEALTH]).expect("raw health");
-    assert_eq!(reply.first(), Some(&opcode::ERROR));
+    client.goodbye().expect("goodbye");
 
     handle.shutdown();
 }

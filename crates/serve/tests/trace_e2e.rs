@@ -1,7 +1,6 @@
-//! End-to-end tests for protocol v5 distributed tracing on a single
-//! server: context propagation into the server's rings, the
-//! non-consuming snapshot dump, and the v5-client-vs-v4-server
-//! downgrade.
+//! End-to-end tests for distributed tracing on a single server:
+//! context propagation into the server's rings and the non-consuming
+//! snapshot dump.
 //!
 //! Every test here touches the process-global trace rings and tracing
 //! flag, so they serialize on one mutex — tests within one integration
@@ -13,13 +12,13 @@ use std::sync::{Arc, Mutex};
 use pl_labeling::scheme::AdjacencyScheme;
 use pl_labeling::ThresholdScheme;
 use pl_obs::TraceContext;
-use pl_serve::{Client, LabelStore, Query, SchemeTag, ServeOptions, StoreConfig, TaggedLabeling};
+use pl_serve::{Client, LabelStore, Query, SchemeTag, StoreConfig, TaggedLabeling};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 static RING_LOCK: Mutex<()> = Mutex::new(());
 
-fn serve_small(max_version: Option<u8>) -> (pl_serve::ServerHandle, pl_graph::Graph) {
+fn serve_small() -> (pl_serve::ServerHandle, pl_graph::Graph) {
     let mut rng = StdRng::seed_from_u64(7);
     let g = pl_gen::chung_lu_power_law(500, 2.5, 5.0, &mut rng);
     let store = Arc::new(LabelStore::new(
@@ -29,15 +28,7 @@ fn serve_small(max_version: Option<u8>) -> (pl_serve::ServerHandle, pl_graph::Gr
         },
         StoreConfig::default(),
     ));
-    let handle = pl_serve::serve_with(
-        store,
-        "127.0.0.1:0",
-        ServeOptions {
-            max_version,
-            ..ServeOptions::default()
-        },
-    )
-    .expect("bind");
+    let handle = pl_serve::serve(store, "127.0.0.1:0").expect("bind");
     (handle, g)
 }
 
@@ -60,7 +51,7 @@ fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 #[test]
 fn trace_context_propagates_into_server_rings() {
     let _guard = RING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (handle, g) = serve_small(None);
+    let (handle, g) = serve_small();
     let _ = pl_obs::trace::drain_jsonl();
     pl_obs::set_tracing(true);
 
@@ -70,7 +61,6 @@ fn trace_context_propagates_into_server_rings() {
     };
     let (u, v) = g.edges().next().expect("graph has edges");
     let mut client = Client::connect(handle.addr()).expect("connect");
-    assert_eq!(client.version(), pl_wire::protocol::VERSION);
     let answers = client
         .batch_ctx(&[Query::adjacent(u, v)], Some(&ctx))
         .expect("traced batch");
@@ -103,13 +93,13 @@ fn trace_context_propagates_into_server_rings() {
     handle.shutdown();
 }
 
-/// The v5 `SNAPSHOT` flag reads without consuming: two drainers both
+/// The `SNAPSHOT` flag reads without consuming: two drainers both
 /// see the full stream, a consuming drain afterwards still gets it, and
 /// only then is the ring empty.
 #[test]
 fn snapshot_dump_is_non_consuming() {
     let _guard = RING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (handle, g) = serve_small(None);
+    let (handle, g) = serve_small();
     let _ = pl_obs::trace::drain_jsonl();
     pl_obs::set_tracing(true);
 
@@ -136,45 +126,6 @@ fn snapshot_dump_is_non_consuming() {
     assert!(
         !empty.contains(&hex),
         "consuming drain must advance the watermark"
-    );
-
-    client.goodbye().ok();
-    handle.shutdown();
-}
-
-/// A current client against a server capped at v4: the handshake
-/// negotiates down, traced batches still answer (the context is
-/// silently dropped on the wire), and the v5-only dump flags are
-/// refused client-side before any bytes move.
-#[test]
-fn v5_client_downgrades_against_v4_server() {
-    let _guard = RING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (handle, g) = serve_small(Some(4));
-    let _ = pl_obs::trace::drain_jsonl();
-    pl_obs::set_tracing(true);
-
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    assert_eq!(client.version(), 4, "handshake must settle on the cap");
-
-    let ctx = TraceContext::root();
-    let (u, v) = g.edges().next().expect("graph has edges");
-    let answers = client
-        .batch_ctx(&[Query::adjacent(u, v), Query::adjacent(v, u)], Some(&ctx))
-        .expect("batch with context on a v4 session must still answer");
-    assert_eq!(answers.len(), 2);
-    assert_eq!(answers[0], answers[1], "adjacency is symmetric");
-
-    // The context never crossed the wire: nothing in the rings carries
-    // this trace id.
-    let jsonl = client.trace_dump().expect("v4 trace dump still works");
-    pl_obs::set_tracing(false);
-    assert!(
-        !jsonl.contains(&ctx.trace_hex()),
-        "a v4 session must not propagate trace context"
-    );
-    assert!(
-        client.trace_snapshot().is_err(),
-        "TRACE_DUMP flags must be refused client-side on a v4 session"
     );
 
     client.goodbye().ok();

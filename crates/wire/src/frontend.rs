@@ -2,7 +2,7 @@
 //! [`QueryEngine`].
 //!
 //! One implementation of accept loop, per-connection lifecycle, HELLO
-//! negotiation, shedding, deadlines, drain-on-shutdown, and fault
+//! handshake, shedding, deadlines, drain-on-shutdown, and fault
 //! injection serves both the single-node server (`pl_serve::server`)
 //! and the cluster router (`pl_cluster::route`): each supplies only an
 //! engine answering batches and reporting stats/health. The front-end
@@ -22,9 +22,9 @@
 //!   window for bytes still in flight before closing.
 //! - **Fault injection**: a [`FaultPlan`] drives the deterministic
 //!   harness of [`crate::fault`] — read/write delays, dropped and
-//!   truncated reply frames, flipped `BATCH_REPLY` bytes (v3 checksums
-//!   catch them), and per-query simulated store errors rolled *ahead*
-//!   of engine dispatch.
+//!   truncated reply frames, flipped `BATCH_REPLY` bytes (the reply
+//!   checksum catches them), and per-query simulated store errors
+//!   rolled *ahead* of engine dispatch.
 //!
 //! Per-connection reply encoding and frame reassembly reuse scratch
 //! buffers, and frames go out through a vectored header+body write, so
@@ -41,10 +41,10 @@ use pl_obs::MetricsRegistry;
 use crate::fault::{FaultCounters, FaultInjector, FaultKind, FaultPlan};
 use crate::protocol::{
     encode_batch_reply_into, encode_health_reply_into, encode_hello_ok_into, encode_labels_ok,
-    encode_map_ok, encode_map_reply, encode_stats_reply_into, opcode, parse_batch_ctx, parse_hello,
-    parse_labels, parse_map_get, parse_map_set, parse_trace_dump, trace_dump_flags,
-    write_frame_vectored, Answer, FrameBuffer, LabelsStatus, MapSetRequest, MapSetStatus, Query,
-    MAX_FRAME, VERSION,
+    encode_map_ok, encode_map_reply, encode_stats_reply_into, opcode, parse_batch_ctx,
+    parse_goodbye, parse_health, parse_hello, parse_labels, parse_map_get, parse_map_set,
+    parse_stats, parse_trace_dump, trace_dump_flags, write_frame_vectored, Answer, FrameBuffer,
+    LabelsStatus, MapSetRequest, MapSetStatus, Query, MAX_FRAME, VERSION,
 };
 use crate::stats::{Metrics, Snapshot};
 
@@ -89,10 +89,9 @@ pub trait QueryEngine: Send + Sync + 'static {
 
     /// JSONL trace payload for TRACE_DUMP replies; the front-end
     /// truncates it to the frame cap at a line boundary, keeping the
-    /// newest lines. `snapshot`
-    /// selects the non-consuming read (v5 `TRACE_DUMP` flag). A router
-    /// merges downstream backend rings here, which may use the
-    /// session's pooled connections.
+    /// newest lines. `snapshot` selects the non-consuming read (the
+    /// `TRACE_DUMP` `SNAPSHOT` flag). A router merges downstream backend
+    /// rings here, which may use the session's pooled connections.
     fn trace_jsonl(&self, session: &mut Self::Session, snapshot: bool) -> String {
         let _ = session;
         if snapshot {
@@ -102,7 +101,7 @@ pub trait QueryEngine: Send + Sync + 'static {
         }
     }
 
-    /// The engine's current serialized cluster map, answering a v6
+    /// The engine's current serialized cluster map, answering a
     /// `MAP_GET`. Engines that serve no cluster map (a standalone
     /// backend before any map push, or a plain single-node server)
     /// return `None`, which the front-end encodes as an empty
@@ -112,7 +111,7 @@ pub trait QueryEngine: Send + Sync + 'static {
         None
     }
 
-    /// Applies a v6 `MAP_SET` push (prepare/commit/abort/shrink an
+    /// Applies a `MAP_SET` push (prepare/commit/abort/shrink an
     /// epoch-bumped cluster map) and returns the verdict plus the
     /// engine's current epoch afterwards. The blob arrives already
     /// structurally validated (magic + self-checksum); semantic
@@ -123,7 +122,7 @@ pub trait QueryEngine: Send + Sync + 'static {
         (MapSetStatus::Unsupported, 0)
     }
 
-    /// Buffers a v6 `LABELS` migration push for the staged epoch and
+    /// Buffers a `LABELS` migration push for the staged epoch and
     /// returns the verdict plus the labels accepted so far this epoch.
     /// The frame checksum has already been verified; per-label
     /// byte-identity verification is the engine's. The default refuses.
@@ -181,12 +180,6 @@ pub struct FrontendOptions {
     /// timeout for a peer that stops reading replies
     /// (`plserve_deadline_closes_total`). `None` disables both.
     pub stall_timeout: Option<Duration>,
-    /// Highest protocol version this front-end will negotiate; `None`
-    /// means the build's newest ([`VERSION`]). Capping below a client's
-    /// offer makes the handshake reject it, driving the client's
-    /// version-fallback loop — how the downgrade path is tested without
-    /// an old binary.
-    pub max_version: Option<u8>,
 }
 
 /// Everything a connection thread needs, behind one `Arc`.
@@ -196,8 +189,6 @@ struct FrontShared<E: QueryEngine> {
     registry: Arc<MetricsRegistry>,
     /// Connection cap; `usize::MAX` disables.
     max_conns: usize,
-    /// Highest negotiable protocol version.
-    max_version: u8,
     fault_plan: Option<FaultPlan>,
     idle_timeout: Option<Duration>,
     stall_timeout: Option<Duration>,
@@ -309,7 +300,6 @@ pub fn bind<E: QueryEngine>(
         },
         registry,
         max_conns: options.max_conns.unwrap_or(usize::MAX),
-        max_version: options.max_version.unwrap_or(VERSION).min(VERSION),
         fault_plan: options.fault_plan.filter(FaultPlan::is_active),
         idle_timeout: options.idle_timeout,
         stall_timeout: options.stall_timeout,
@@ -379,8 +369,8 @@ struct Conn<'a, E: QueryEngine> {
     shared: &'a FrontShared<E>,
     session: E::Session,
     injector: Option<FaultInjector>,
-    /// Negotiated protocol version; `None` until the handshake.
-    version: Option<u8>,
+    /// Whether HELLO has been accepted.
+    handshaken: bool,
     /// Reply-encoding scratch, reused across frames.
     reply: Vec<u8>,
     /// Answer scratch, reused across batches.
@@ -402,7 +392,7 @@ fn serve_connection<E: QueryEngine>(
             .fault_plan
             .as_ref()
             .map(|plan| FaultInjector::new(plan, conn_id)),
-        version: None,
+        handshaken: false,
         reply: Vec::new(),
         answers: Vec::new(),
     };
@@ -436,8 +426,7 @@ fn serve_connection<E: QueryEngine>(
                         }
                         Ok(false) => break,
                         Err(e) => {
-                            shared.stats.metrics.protocol_errors.inc();
-                            conn.send_error(&mut stream, &e.to_string())?;
+                            conn.reject(&mut stream, &e.to_string())?;
                             return stream.flush();
                         }
                     }
@@ -481,95 +470,61 @@ impl<E: QueryEngine> Conn<'_, E> {
     /// close.
     fn process_frame(&mut self, body: &[u8], stream: &mut TcpStream) -> std::io::Result<bool> {
         let op = body.first().copied();
-        let Some(version) = self.version else {
-            return match op {
-                Some(opcode::HELLO) => match parse_hello(body) {
-                    Ok(v) if v > self.shared.max_version => {
-                        // Version-capped front-end (downgrade testing):
-                        // reject so the client's fallback loop re-offers
-                        // an older version.
-                        self.shared.stats.metrics.protocol_errors.inc();
-                        self.send_error(stream, &format!("unsupported protocol version {v}"))?;
-                        Ok(false)
-                    }
-                    Ok(v) => {
-                        self.version = Some(v);
-                        encode_hello_ok_into(
-                            v,
-                            self.shared.engine.scheme_tag(),
-                            self.shared.engine.n(),
-                            &mut self.reply,
-                        );
-                        send(stream, &self.shared.stats, &mut self.injector, &self.reply)?;
-                        Ok(true)
-                    }
-                    Err(e) => {
-                        self.shared.stats.metrics.protocol_errors.inc();
-                        self.send_error(stream, &e.to_string())?;
-                        Ok(false)
-                    }
-                },
-                _ => {
-                    self.shared.stats.metrics.protocol_errors.inc();
-                    self.send_error(stream, "expected HELLO")?;
-                    Ok(false)
-                }
-            };
-        };
+        if !self.handshaken {
+            if op != Some(opcode::HELLO) {
+                return self.reject(stream, "expected HELLO");
+            }
+            if let Err(e) = parse_hello(body) {
+                return self.reject(stream, &e.to_string());
+            }
+            self.handshaken = true;
+            encode_hello_ok_into(
+                self.shared.engine.scheme_tag(),
+                self.shared.engine.n(),
+                &mut self.reply,
+            );
+            return self.send_reply(stream);
+        }
         match op {
-            Some(opcode::BATCH) => match parse_batch_ctx(body, version) {
-                Ok((queries, ctx)) => {
-                    // Adopt the propagated context *before* opening the
-                    // span so serve.batch (and everything the engine
-                    // records on this thread) parents to the remote
-                    // caller and carries its trace id.
-                    let _ctx_guard = ctx.map(pl_obs::trace::adopt);
-                    let _batch_span = pl_obs::span!("serve.batch", queries.len());
-                    self.answer_with_faults(&queries);
-                    self.shared.stats.metrics.batches.inc();
-                    encode_batch_reply_into(&self.answers, version, &mut self.reply);
-                    send(stream, &self.shared.stats, &mut self.injector, &self.reply)?;
-                    Ok(true)
-                }
-                Err(e) => {
-                    self.shared.stats.metrics.protocol_errors.inc();
-                    self.send_error(stream, &e.to_string())?;
-                    Ok(false)
-                }
-            },
+            Some(opcode::BATCH) => {
+                let (queries, ctx) = match parse_batch_ctx(body, VERSION) {
+                    Ok(parsed) => parsed,
+                    Err(e) => return self.reject(stream, &e.to_string()),
+                };
+                // Adopt the propagated context *before* opening the span
+                // so serve.batch (and everything the engine records on
+                // this thread) parents to the remote caller and carries
+                // its trace id.
+                let _ctx_guard = ctx.map(pl_obs::trace::adopt);
+                let _batch_span = pl_obs::span!("serve.batch", queries.len());
+                self.answer_with_faults(&queries);
+                self.shared.stats.metrics.batches.inc();
+                encode_batch_reply_into(&self.answers, VERSION, &mut self.reply);
+                self.send_reply(stream)
+            }
             Some(opcode::STATS) => {
+                if let Err(e) = parse_stats(body) {
+                    return self.reject(stream, &e.to_string());
+                }
                 let snap = self
                     .shared
                     .engine
                     .wire_stats(&mut self.session, &self.shared.stats);
-                encode_stats_reply_into(&snap, version, &mut self.reply);
-                send(stream, &self.shared.stats, &mut self.injector, &self.reply)?;
-                Ok(true)
+                encode_stats_reply_into(&snap, &mut self.reply);
+                self.send_reply(stream)
             }
             Some(opcode::HEALTH) => {
-                if version < 3 {
-                    self.shared.stats.metrics.protocol_errors.inc();
-                    self.send_error(stream, "HEALTH requires protocol version 3")?;
-                    return Ok(false);
+                if let Err(e) = parse_health(body) {
+                    return self.reject(stream, &e.to_string());
                 }
                 encode_health_reply_into(&self.shared.engine.health(), &mut self.reply);
-                send(stream, &self.shared.stats, &mut self.injector, &self.reply)?;
-                Ok(true)
+                self.send_reply(stream)
             }
             Some(opcode::TRACE_DUMP) => {
                 let flags = match parse_trace_dump(body) {
                     Ok(f) => f,
-                    Err(e) => {
-                        self.shared.stats.metrics.protocol_errors.inc();
-                        self.send_error(stream, &e.to_string())?;
-                        return Ok(false);
-                    }
+                    Err(e) => return self.reject(stream, &e.to_string()),
                 };
-                if flags != 0 && version < 5 {
-                    self.shared.stats.metrics.protocol_errors.inc();
-                    self.send_error(stream, "TRACE_DUMP flags require protocol version 5")?;
-                    return Ok(false);
-                }
                 let snapshot = flags & trace_dump_flags::SNAPSHOT != 0;
                 let jsonl = self.shared.engine.trace_jsonl(&mut self.session, snapshot);
                 self.reply.clear();
@@ -591,69 +546,43 @@ impl<E: QueryEngine> Conn<'_, E> {
                         .map_or(bytes.len(), |p| cut + p + 1)
                 };
                 self.reply.extend_from_slice(&bytes[from..]);
-                send(stream, &self.shared.stats, &mut self.injector, &self.reply)?;
-                Ok(true)
+                self.send_reply(stream)
             }
             Some(opcode::MAP_GET) => {
-                if version < 6 {
-                    self.shared.stats.metrics.protocol_errors.inc();
-                    self.send_error(stream, "MAP_GET requires protocol version 6")?;
-                    return Ok(false);
-                }
                 if let Err(e) = parse_map_get(body) {
-                    self.shared.stats.metrics.protocol_errors.inc();
-                    self.send_error(stream, &e.to_string())?;
-                    return Ok(false);
+                    return self.reject(stream, &e.to_string());
                 }
                 let map = self.shared.engine.map_payload(&mut self.session);
-                let reply = encode_map_reply(map.as_deref());
-                send(stream, &self.shared.stats, &mut self.injector, &reply)?;
-                Ok(true)
+                self.reply = encode_map_reply(map.as_deref());
+                self.send_reply(stream)
             }
             Some(opcode::MAP_SET) => {
-                if version < 6 {
-                    self.shared.stats.metrics.protocol_errors.inc();
-                    self.send_error(stream, "MAP_SET requires protocol version 6")?;
-                    return Ok(false);
-                }
                 // A checksum-tampered or truncated map push dies here,
                 // before the engine ever sees it.
                 let req = match parse_map_set(body) {
                     Ok(req) => req,
-                    Err(e) => {
-                        self.shared.stats.metrics.protocol_errors.inc();
-                        self.send_error(stream, &e.to_string())?;
-                        return Ok(false);
-                    }
+                    Err(e) => return self.reject(stream, &e.to_string()),
                 };
                 let (status, epoch) = self.shared.engine.map_install(&mut self.session, &req);
-                let reply = encode_map_ok(status, epoch);
-                send(stream, &self.shared.stats, &mut self.injector, &reply)?;
-                Ok(true)
+                self.reply = encode_map_ok(status, epoch);
+                self.send_reply(stream)
             }
             Some(opcode::LABELS) => {
-                if version < 6 {
-                    self.shared.stats.metrics.protocol_errors.inc();
-                    self.send_error(stream, "LABELS requires protocol version 6")?;
-                    return Ok(false);
-                }
                 let (epoch, entries) = match parse_labels(body) {
                     Ok(parsed) => parsed,
-                    Err(e) => {
-                        self.shared.stats.metrics.protocol_errors.inc();
-                        self.send_error(stream, &e.to_string())?;
-                        return Ok(false);
-                    }
+                    Err(e) => return self.reject(stream, &e.to_string()),
                 };
                 let (status, received) =
                     self.shared
                         .engine
                         .labels_install(&mut self.session, epoch, &entries);
-                let reply = encode_labels_ok(status, received);
-                send(stream, &self.shared.stats, &mut self.injector, &reply)?;
-                Ok(true)
+                self.reply = encode_labels_ok(status, received);
+                self.send_reply(stream)
             }
             Some(opcode::GOODBYE) => {
+                if let Err(e) = parse_goodbye(body) {
+                    return self.reject(stream, &e.to_string());
+                }
                 send(
                     stream,
                     &self.shared.stats,
@@ -662,12 +591,25 @@ impl<E: QueryEngine> Conn<'_, E> {
                 )?;
                 Ok(false)
             }
-            _ => {
-                self.shared.stats.metrics.protocol_errors.inc();
-                self.send_error(stream, "unknown opcode")?;
-                Ok(false)
-            }
+            _ => self.reject(stream, "unknown opcode"),
         }
+    }
+
+    /// Sends the encoded `self.reply`; the connection stays open.
+    fn send_reply(&mut self, stream: &mut TcpStream) -> std::io::Result<bool> {
+        send(stream, &self.shared.stats, &mut self.injector, &self.reply)?;
+        Ok(true)
+    }
+
+    /// Counts a protocol error and answers it with ERROR; the connection
+    /// then closes.
+    fn reject(&mut self, stream: &mut TcpStream, msg: &str) -> std::io::Result<bool> {
+        self.shared.stats.metrics.protocol_errors.inc();
+        self.reply.clear();
+        self.reply.push(opcode::ERROR);
+        self.reply.extend_from_slice(msg.as_bytes());
+        self.send_reply(stream)?;
+        Ok(false)
     }
 
     /// Fills `self.answers` for `queries`, rolling the per-query
@@ -715,13 +657,6 @@ impl<E: QueryEngine> Conn<'_, E> {
             });
         }
     }
-
-    fn send_error(&mut self, stream: &mut TcpStream, msg: &str) -> std::io::Result<()> {
-        self.reply.clear();
-        self.reply.push(opcode::ERROR);
-        self.reply.extend_from_slice(msg.as_bytes());
-        send(stream, &self.shared.stats, &mut self.injector, &self.reply)
-    }
 }
 
 /// Writes one reply frame, applying write-side faults when a plan is
@@ -729,7 +664,7 @@ impl<E: QueryEngine> Conn<'_, E> {
 /// flip) so a given `(seed, conn_id)` replays the same fault sequence.
 ///
 /// Byte flips are confined to `BATCH_REPLY` bodies: that is the surface
-/// protocol v3 checksums, so an injected flip is always *detectable*
+/// the reply checksum covers, so an injected flip is always *detectable*
 /// corruption (the client re-asks) rather than a silently wrong
 /// handshake parameter.
 fn send(
@@ -793,7 +728,7 @@ fn send(
 mod tests {
     use super::*;
     use crate::protocol::{
-        encode_batch, encode_hello_version, encode_map_get, parse_batch_reply, parse_hello_ok,
+        encode_batch, encode_hello, encode_map_get, parse_batch_reply, parse_hello_ok,
         parse_map_reply, read_frame, write_frame,
     };
 
@@ -836,15 +771,15 @@ mod tests {
         .expect("bind");
 
         let mut stream = TcpStream::connect(front.addr()).expect("connect");
-        write_frame(&mut stream, &encode_hello_version(4)).expect("hello");
+        write_frame(&mut stream, &encode_hello()).expect("hello");
         let ok = read_frame(&mut stream).expect("hello_ok");
-        assert_eq!(parse_hello_ok(&ok), Ok((4, 7, 100)));
+        assert_eq!(parse_hello_ok(&ok), Ok((7, 100)));
 
         let queries = vec![Query::adjacent(1, 2), Query::adjacent(3, 4)];
         write_frame(&mut stream, &encode_batch(&queries).unwrap()).expect("batch");
         let reply = read_frame(&mut stream).expect("reply");
         assert_eq!(
-            parse_batch_reply(&reply, 4).unwrap(),
+            parse_batch_reply(&reply, VERSION).unwrap(),
             vec![Answer::NotAdjacent; 2]
         );
 
@@ -861,7 +796,7 @@ mod tests {
     }
 
     #[test]
-    fn map_opcodes_are_gated_on_v6_and_default_to_unsupported() {
+    fn map_get_on_a_mapless_engine_answers_an_empty_reply() {
         let front = bind(
             Arc::new(EchoEngine),
             "127.0.0.1:0",
@@ -869,26 +804,15 @@ mod tests {
         )
         .expect("bind");
 
-        // On a v5 session the v6 opcodes are refused with ERROR.
-        let mut old = TcpStream::connect(front.addr()).expect("connect");
-        write_frame(&mut old, &encode_hello_version(5)).expect("hello");
-        let _ = read_frame(&mut old).expect("hello_ok");
-        write_frame(&mut old, &encode_map_get()).expect("map_get");
-        let err = read_frame(&mut old).expect("error frame");
-        assert_eq!(err.first(), Some(&opcode::ERROR));
-        assert!(String::from_utf8_lossy(&err[1..]).contains("version 6"));
-
-        // On a v6 session a map-less engine answers an empty MAP_REPLY.
-        let mut new = TcpStream::connect(front.addr()).expect("connect");
-        write_frame(&mut new, &encode_hello_version(6)).expect("hello");
-        let ok = read_frame(&mut new).expect("hello_ok");
-        assert_eq!(parse_hello_ok(&ok), Ok((6, 7, 100)));
-        write_frame(&mut new, &encode_map_get()).expect("map_get");
-        let reply = read_frame(&mut new).expect("map_reply");
+        let mut stream = TcpStream::connect(front.addr()).expect("connect");
+        write_frame(&mut stream, &encode_hello()).expect("hello");
+        let ok = read_frame(&mut stream).expect("hello_ok");
+        assert_eq!(parse_hello_ok(&ok), Ok((7, 100)));
+        write_frame(&mut stream, &encode_map_get()).expect("map_get");
+        let reply = read_frame(&mut stream).expect("map_reply");
         assert_eq!(parse_map_reply(&reply), Ok(None));
 
-        drop(old);
-        drop(new);
+        drop(stream);
         front.shutdown();
     }
 }

@@ -5,12 +5,12 @@
 //! (`pl-serve`) and the cluster scatter-gather router (`pl-cluster`):
 //!
 //! - [`protocol`] — the length-prefixed binary frame codec: opcodes,
-//!   HELLO version negotiation (v1–v4), FNV-1a reply checksums,
-//!   version-gated BATCH/STATS/HEALTH layouts, and the incremental
+//!   the single-version HELLO handshake, one layout per frame, FNV-1a
+//!   reply checksums, and the incremental
 //!   [`FrameBuffer`](protocol::FrameBuffer) reassembler.
 //! - [`stats`] — the wire-visible [`Metrics`]/[`Snapshot`] pair: the
-//!   instruments the front-end maintains and the version-gated STATS
-//!   payload they serialize into.
+//!   instruments the front-end maintains and the STATS payload they
+//!   serialize into.
 //! - [`fault`] — the deterministic fault-injection harness
 //!   ([`FaultPlan`](fault::FaultPlan)/[`FaultInjector`](fault::FaultInjector))
 //!   for chaos testing either front-end.

@@ -24,7 +24,7 @@
 //! plab loadgen <HOST:PORT> [--connections N] [--requests R] [--batch B]
 //!              [--skew uniform|zipf:S] [--seed X] [--retries N]
 //!              [--deadline-ms MS] [--backoff-ms MS] [--verify graph.el]
-//! plab health  <HOST:PORT>                    # liveness (v3)
+//! plab health  <HOST:PORT>                    # liveness
 //! plab stats   <HOST:PORT> [--prom]           # live server metrics
 //! plab trace   <HOST:PORT> [--snapshot] [--probe] [--out FILE]
 //! plab trace   --cluster <ROUTER> [--probe] [--explain ID|probe]
@@ -40,8 +40,8 @@
 //! endpoint, `serve --trace` turns on the in-process trace ring (drained
 //! remotely by `plab trace`), `encode --trace FILE` writes the encode
 //! pipeline's phase spans as JSONL, and `stats <HOST:PORT> --prom`
-//! renders a server's STATS snapshot in Prometheus text form. With
-//! protocol v5, `cluster launch --trace` enables tracing cluster-wide:
+//! renders a server's STATS snapshot in Prometheus text form.
+//! `cluster launch --trace` enables tracing cluster-wide:
 //! a traced batch (`plab trace --probe`) carries its trace context
 //! across the router to every backend, and `plab trace --cluster
 //! <router>` returns the causally merged, origin-tagged span stream
@@ -592,7 +592,6 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
         fault_plan,
         idle_timeout: (idle_ms > 0).then(|| std::time::Duration::from_millis(idle_ms)),
         stall_timeout: (stall_ms > 0).then(|| std::time::Duration::from_millis(stall_ms)),
-        max_version: None,
     };
     let handle =
         pl_serve::serve_with(store, addr, options).map_err(|e| format!("binding {addr}: {e}"))?;
@@ -848,7 +847,7 @@ fn cluster_stats(raw: &[String]) -> Result<(), String> {
 
 /// `plab trace <HOST:PORT>`: drain the server's trace ring buffers over
 /// the wire and print (or save) the JSONL. A plain dump consumes the
-/// drained events; `--snapshot` (protocol v5) reads without consuming.
+/// drained events; `--snapshot` reads without consuming.
 /// Against a router the dump is already cluster-wide: the router merges
 /// its own rings with every backend's, origin-tagged (`--cluster` is
 /// accepted for clarity but the merge happens server-side). `--probe`
@@ -880,12 +879,6 @@ fn cmd_trace(raw: &[String]) -> Result<(), String> {
             .map_err(|_| format!("bad server address {addr:?}"))?;
         let mut client = Client::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
         if probe {
-            if client.version() < 5 {
-                return Err(format!(
-                    "--probe needs protocol v5, server speaks v{}",
-                    client.version()
-                ));
-            }
             let ctx = pl_obs::TraceContext::root();
             let queries = [pl_serve::Query::adjacent(0, 0)];
             client
@@ -1029,7 +1022,7 @@ fn cmd_loadgen(raw: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `plab health <HOST:PORT>`: the liveness report (protocol v3) — one
+/// `plab health <HOST:PORT>`: the liveness report — one
 /// always-live entry from a server, one entry per backend from a
 /// router. Exit code is the health status, so scripts can gate on it
 /// directly.
