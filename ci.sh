@@ -10,7 +10,8 @@
 #   ci.sh full    quick tier + release build + workspace tests + the
 #                 encode/query, observability, chaos, cluster, router
 #                 front-end, distributed-tracing, and live-reconfiguration
-#                 smokes
+#                 smokes + one short verified run of each loadbench
+#                 workload
 #   ci.sh bench   release build + cut-down e17/e23 runs, gated
 #                 against the committed quick-mode baselines in
 #                 bench/baselines/ (fails on >20% qps regression or >5%
@@ -470,6 +471,21 @@ reconfig_smoke() {
     return 0
 }
 
+# Loadbench verified smoke: one short run of each benchmark workload
+# in BENCHMARK.json. loadbench checks every answer against
+# Graph::has_edge and exits 1 when any disagrees (or none was
+# answered), so the step fails on a wrong answer; it gates no timing.
+loadbench_smoke() {
+    local workload
+    for workload in serve-zipf-b64 serve-uniform-b1 cluster-zipf-b32; do
+        cargo run --release --offline --quiet --manifest-path loadbench/Cargo.toml -- \
+            --workload "$workload" --seconds 3 --trace 0 --seed 1 \
+            > "$smoke_dir/loadbench_$workload.json" \
+            || { echo "ci: loadbench $workload failed (see its JSON line):" >&2
+                 tail -n 1 "$smoke_dir/loadbench_$workload.json" >&2; return 1; }
+    done
+}
+
 # Chaos soak: verified load against a fault-injecting server, looped for
 # CI_SOAK_SECS seconds. Nightly CI runs this after the full tier; every
 # pass must exit 0 (retries absorb the faults) with zero mismatches.
@@ -550,6 +566,7 @@ quick|full)
         run_step "router front-end smoke" router_front_smoke
         run_step "tracing smoke"          tracing_smoke
         run_step "reconfiguration smoke"  reconfig_smoke
+        run_step "loadbench verified smoke" loadbench_smoke
     fi
     ;;
 bench)

@@ -19,9 +19,8 @@
 //! decoder reads the *other* endpoint's scheme id from the prelude
 //! alone. Other tags are refused rather than silently mis-served.
 
-use pl_labeling::bits::BitWriter;
-use pl_labeling::{Label, LabelingBuilder};
-use pl_serve::{SchemeTag, TaggedLabeling};
+use pl_labeling::LabelingBuilder;
+use pl_serve::{prelude_stub, SchemeTag, TaggedLabeling};
 
 use crate::partition::Partitioner;
 
@@ -66,47 +65,7 @@ pub fn split_one(
     part: &Partitioner,
     backend: u32,
 ) -> Result<(TaggedLabeling, SplitReport), SplitError> {
-    if tagged.tag != SchemeTag::Threshold {
-        return Err(SplitError::UnsupportedScheme(tagged.tag));
-    }
-    let mut builder = LabelingBuilder::new();
-    let mut report = SplitReport {
-        owned: 0,
-        stubbed: 0,
-        bits: 0,
-    };
-    for (v, label) in tagged.labeling.iter() {
-        if part.owns(backend, v) {
-            let full = label.to_label();
-            report.owned += 1;
-            report.bits += label.bit_len() as u64;
-            builder.push_label(&full);
-            continue;
-        }
-        // Prelude stub: id width, scheme id, fat flag — nothing after.
-        let mut r = label.reader();
-        let stub = (|| {
-            let w = r.try_read_bits(6)? as usize;
-            let id = r.try_read_bits(w)?;
-            let fat = r.try_read_bit()?;
-            let mut wr = BitWriter::new();
-            wr.write_bits(w as u64, 6);
-            wr.write_bits(id, w);
-            wr.write_bit(fat);
-            Some(Label::from(wr))
-        })()
-        .ok_or(SplitError::Malformed(v))?;
-        report.stubbed += 1;
-        report.bits += stub.bit_len() as u64;
-        builder.push_label(&stub);
-    }
-    Ok((
-        TaggedLabeling {
-            tag: tagged.tag,
-            labeling: builder.finish(),
-        },
-        report,
-    ))
+    cut(tagged, |v| part.owns(backend, v))
 }
 
 /// Reduces *every* vertex to a prelude stub — the sub-store of a
@@ -114,6 +73,16 @@ pub fn split_one(
 /// (answering `NotOwned` to everything, which the router fails over)
 /// until a reconfiguration streams its share of full labels in.
 pub fn stub_all(tagged: &TaggedLabeling) -> Result<(TaggedLabeling, SplitReport), SplitError> {
+    cut(tagged, |_| false)
+}
+
+/// The one cutting loop: each vertex's label is copied whole from the
+/// arena when `owns(v)`, and otherwise cut to its [`prelude_stub`] (id
+/// width, scheme id, fat flag — nothing after).
+fn cut(
+    tagged: &TaggedLabeling,
+    owns: impl Fn(u32) -> bool,
+) -> Result<(TaggedLabeling, SplitReport), SplitError> {
     if tagged.tag != SchemeTag::Threshold {
         return Err(SplitError::UnsupportedScheme(tagged.tag));
     }
@@ -124,21 +93,15 @@ pub fn stub_all(tagged: &TaggedLabeling) -> Result<(TaggedLabeling, SplitReport)
         bits: 0,
     };
     for (v, label) in tagged.labeling.iter() {
-        let mut r = label.reader();
-        let stub = (|| {
-            let w = r.try_read_bits(6)? as usize;
-            let id = r.try_read_bits(w)?;
-            let fat = r.try_read_bit()?;
-            let mut wr = BitWriter::new();
-            wr.write_bits(w as u64, 6);
-            wr.write_bits(id, w);
-            wr.write_bit(fat);
-            Some(Label::from(wr))
-        })()
-        .ok_or(SplitError::Malformed(v))?;
-        report.stubbed += 1;
-        report.bits += stub.bit_len() as u64;
-        builder.push_label(&stub);
+        let kept = if owns(v) {
+            report.owned += 1;
+            label
+        } else {
+            report.stubbed += 1;
+            prelude_stub(label).ok_or(SplitError::Malformed(v))?
+        };
+        report.bits += kept.bit_len() as u64;
+        builder.push_ref(kept);
     }
     Ok((
         TaggedLabeling {

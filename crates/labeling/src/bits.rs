@@ -10,6 +10,33 @@
 //! A [`BitReader`] is a *window* over a word slice — any `(start, len)`
 //! bit range of any `&[u64]` — so a label stored inside a shared arena
 //! (see [`crate::Labeling`]) can be read in place without copying.
+//!
+//! ## Word layout
+//!
+//! Bit `i` of a string is bit `63 − i % 64` of word `i / 64`: the first
+//! bit is the most significant bit of the first word, so a field of
+//! `width ≤ 64` bits starting at bit `i` occupies the low `64 − i % 64`
+//! bits of word `i / 64` and, when it crosses a word boundary, the high
+//! bits of the next word. Every read and write moves a whole field at
+//! once with a shift and a mask over those (at most two) words; no
+//! operation loops over single bits. The Elias-gamma unary prefix is
+//! found with one `leading_zeros` over the next (up to) 64 bits.
+//!
+//! ## Guards
+//!
+//! Each read checks the field against the window once, up front:
+//!
+//! - the unchecked reads (`read_bit`, `read_bits`, `read_gamma`, `skip`)
+//!   panic when the field would extend past the window — they are for
+//!   labels this process encoded itself;
+//! - the checked `try_*` reads return `None` instead and leave the cursor
+//!   where it was, so an untrusted label surfaces as an error. A gamma
+//!   code whose unary prefix exceeds 63 zeros (no `u64` has one) is
+//!   `None` as well, and `read_gamma` panics on it.
+//!
+//! A read only touches the word after the field's first word when the
+//! field actually crosses into it, so a field ending in the last word of
+//! the slice never indexes past the slice.
 
 /// A packed, growable string of bits.
 ///
@@ -76,37 +103,47 @@ impl BitString {
         (word >> (63 - (i % 64))) & 1 == 1
     }
 
-    fn push_bit(&mut self, b: bool) {
-        if self.len.is_multiple_of(64) {
-            self.words.push(0);
+    /// Appends the low `width ≤ 64` bits of `value` (which has no bits
+    /// above them), MSB first, by OR-ing into at most two words.
+    fn push_bits(&mut self, value: u64, width: usize) {
+        if width == 0 {
+            return;
         }
-        if b {
-            let w = self.words.last_mut().expect("just ensured capacity");
-            *w |= 1u64 << (63 - (self.len % 64));
+        let aligned = value << (64 - width);
+        let off = self.len % 64;
+        if off == 0 {
+            self.words.push(aligned);
+        } else {
+            let last = self.words.last_mut().expect("off != 0 implies a word");
+            *last |= aligned >> off;
+            if off + width > 64 {
+                self.words.push(aligned << (64 - off));
+            }
         }
-        self.len += 1;
+        self.len += width;
     }
 
-    /// Appends every bit of `other`, preserving order. Word-aligned
-    /// appends are a plain `memcpy`; unaligned ones shift word-at-a-time,
-    /// so stitching per-chunk encodings into one arena stays cheap.
+    /// Appends every bit of `other`, preserving order.
     pub fn extend_from(&mut self, other: &BitString) {
-        if other.len == 0 {
-            return;
+        self.extend_from_window(&other.words, 0, other.len);
+    }
+
+    /// Appends the `len`-bit window starting at absolute bit `start` of
+    /// `words`, 64 bits per step: each step is one two-word read and one
+    /// two-word write, whatever the alignment of either side.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window extends past `words.len() * 64` bits.
+    pub(crate) fn extend_from_window(&mut self, words: &[u64], start: usize, len: usize) {
+        let mut r = BitReader::over(words, start, len);
+        self.words
+            .reserve((self.len + len).div_ceil(64) - self.words.len());
+        while r.remaining() >= 64 {
+            self.push_bits(r.take(64), 64);
         }
-        let shift = self.len % 64;
-        if shift == 0 {
-            self.words.extend_from_slice(&other.words);
-            self.len += other.len;
-            return;
-        }
-        for &w in &other.words {
-            let last = self.words.last_mut().expect("shift != 0 implies a word");
-            *last |= w >> shift;
-            self.words.push(w << (64 - shift));
-        }
-        self.len += other.len;
-        self.words.truncate(self.len.div_ceil(64));
+        let tail = r.remaining();
+        self.push_bits(r.take(tail), tail);
     }
 }
 
@@ -117,6 +154,11 @@ pub struct BitWriter {
 }
 
 impl BitWriter {
+    /// A writer that appends after the existing bits of `bits`.
+    pub(crate) fn from_bits(bits: BitString) -> Self {
+        Self { bits }
+    }
+
     /// A writer over a fresh empty string.
     #[must_use]
     pub fn new() -> Self {
@@ -137,7 +179,7 @@ impl BitWriter {
 
     /// Appends one bit.
     pub fn write_bit(&mut self, b: bool) {
-        self.bits.push_bit(b);
+        self.bits.push_bits(u64::from(b), 1);
     }
 
     /// Appends the low `width` bits of `value`, MSB first.
@@ -151,9 +193,7 @@ impl BitWriter {
             width == 64 || value < (1u64 << width),
             "value {value} does not fit in {width} bits"
         );
-        for i in (0..width).rev() {
-            self.bits.push_bit((value >> i) & 1 == 1);
-        }
+        self.bits.push_bits(value, width);
     }
 
     /// Appends `x ≥ 1` in Elias gamma: `⌊log₂ x⌋` zeros, then `x` in binary.
@@ -166,10 +206,8 @@ impl BitWriter {
     pub fn write_gamma(&mut self, x: u64) {
         assert!(x >= 1, "gamma code is defined for x >= 1");
         let bits = 64 - x.leading_zeros() as usize; // ⌊log₂ x⌋ + 1
-        for _ in 0..bits - 1 {
-            self.bits.push_bit(false);
-        }
-        self.write_bits(x, bits);
+        self.bits.push_bits(0, bits - 1);
+        self.bits.push_bits(x, bits);
     }
 
     /// Finishes writing, yielding the bit string.
@@ -229,14 +267,50 @@ impl<'a> BitReader<'a> {
 
     /// Current position in bits, relative to the window start.
     #[must_use]
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }
 
     /// Bits remaining.
     #[must_use]
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.len - self.pos
+    }
+
+    /// The next `width` bits, MSB-first, without advancing. The caller
+    /// has checked `width <= 64` and `width <= remaining()`, so the field
+    /// lies inside the window and therefore inside `words`.
+    #[inline]
+    fn peek(&self, width: usize) -> u64 {
+        if width == 0 {
+            return 0;
+        }
+        let i = self.start + self.pos;
+        let off = i % 64;
+        let mut v = self.words[i / 64] << off;
+        if off + width > 64 {
+            v |= self.words[i / 64 + 1] >> (64 - off);
+        }
+        v >> (64 - width)
+    }
+
+    /// [`peek`](Self::peek), then advance past the field.
+    #[inline]
+    fn take(&mut self, width: usize) -> u64 {
+        let v = self.peek(width);
+        self.pos += width;
+        v
+    }
+
+    /// Zeros before the next one-bit, counted over the next
+    /// `min(64, remaining())` bits — all of them if that span is all
+    /// zeros.
+    #[inline]
+    fn leading_zeros_ahead(&self) -> usize {
+        let span = self.remaining().min(64);
+        self.peek(span).leading_zeros() as usize - (64 - span)
     }
 
     /// Reads one bit.
@@ -244,87 +318,83 @@ impl<'a> BitReader<'a> {
     /// # Panics
     ///
     /// Panics on reading past the end.
+    #[inline]
     pub fn read_bit(&mut self) -> bool {
-        assert!(self.pos < self.len, "bit index out of range");
-        let i = self.start + self.pos;
-        self.pos += 1;
-        (self.words[i / 64] >> (63 - (i % 64))) & 1 == 1
+        self.read_bits(1) == 1
     }
 
     /// Reads `width` bits as an MSB-first unsigned integer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width > 64` or fewer than `width` bits remain.
+    #[inline]
     pub fn read_bits(&mut self, width: usize) -> u64 {
         assert!(width <= 64, "width {width} exceeds 64");
-        let mut v = 0u64;
-        for _ in 0..width {
-            v = (v << 1) | u64::from(self.read_bit());
-        }
-        v
+        assert!(width <= self.remaining(), "bit index out of range");
+        self.take(width)
     }
 
     /// Reads an Elias-gamma integer (`>= 1`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the code runs past the end or its unary prefix exceeds
+    /// 63 zeros.
+    #[inline]
     pub fn read_gamma(&mut self) -> u64 {
-        let mut zeros = 0usize;
-        while !self.read_bit() {
-            zeros += 1;
-        }
-        let mut v = 1u64;
-        for _ in 0..zeros {
-            v = (v << 1) | u64::from(self.read_bit());
-        }
-        v
+        let zeros = self.leading_zeros_ahead();
+        assert!(zeros < 64, "gamma prefix exceeds 63 zeros");
+        self.skip(zeros);
+        self.read_bits(zeros + 1)
     }
 
     /// Skips `count` bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `count` bits remain.
+    #[inline]
     pub fn skip(&mut self, count: usize) {
-        assert!(self.pos + count <= self.len, "skip past end of bit string");
+        assert!(count <= self.remaining(), "skip past end of bit string");
         self.pos += count;
     }
 
     /// Reads one bit, or `None` at end of window — for untrusted labels
     /// where a truncated field must surface as an error, not a panic.
+    #[inline]
     pub fn try_read_bit(&mut self) -> Option<bool> {
-        if self.pos < self.len {
-            Some(self.read_bit())
-        } else {
-            None
-        }
+        self.try_read_bits(1).map(|b| b == 1)
     }
 
     /// Reads `width` bits as an MSB-first unsigned integer, or `None` if
-    /// fewer than `width` bits remain.
+    /// `width > 64` or fewer than `width` bits remain.
+    #[inline]
     pub fn try_read_bits(&mut self, width: usize) -> Option<u64> {
-        if width > 64 || self.remaining() < width {
+        if width > 64 || width > self.remaining() {
             return None;
         }
-        Some(self.read_bits(width))
+        Some(self.take(width))
     }
 
     /// Reads an Elias-gamma integer, or `None` if the code is truncated
     /// or its unary prefix exceeds 63 zeros (no valid `u64` gamma code).
+    #[inline]
     pub fn try_read_gamma(&mut self) -> Option<u64> {
-        let mut zeros = 0usize;
-        loop {
-            match self.try_read_bit()? {
-                true => break,
-                false => {
-                    zeros += 1;
-                    if zeros > 63 {
-                        return None;
-                    }
-                }
-            }
+        let zeros = self.leading_zeros_ahead();
+        if zeros >= 64 || 2 * zeros + 1 > self.remaining() {
+            return None;
         }
-        let mut v = 1u64;
-        for _ in 0..zeros {
-            v = (v << 1) | u64::from(self.try_read_bit()?);
-        }
-        Some(v)
+        self.pos += zeros;
+        Some(self.take(zeros + 1))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn empty_string() {
@@ -529,5 +599,279 @@ mod tests {
         assert_eq!(r2.try_read_bits(4), None);
         assert_eq!(r2.try_read_bits(3), Some(0));
         assert_eq!(r2.try_read_bit(), None);
+    }
+
+    /// The bit-at-a-time implementation the word-level code replaced,
+    /// kept as the reference every word-level read and write is checked
+    /// against.
+    mod bitwise {
+        pub struct Writer {
+            pub words: Vec<u64>,
+            pub len: usize,
+        }
+
+        impl Writer {
+            pub fn new() -> Self {
+                Self {
+                    words: Vec::new(),
+                    len: 0,
+                }
+            }
+
+            pub fn push_bit(&mut self, b: bool) {
+                if self.len.is_multiple_of(64) {
+                    self.words.push(0);
+                }
+                if b {
+                    let w = self.words.last_mut().expect("just ensured capacity");
+                    *w |= 1u64 << (63 - (self.len % 64));
+                }
+                self.len += 1;
+            }
+
+            pub fn write_bits(&mut self, value: u64, width: usize) {
+                for i in (0..width).rev() {
+                    self.push_bit((value >> i) & 1 == 1);
+                }
+            }
+
+            pub fn write_gamma(&mut self, x: u64) {
+                let bits = 64 - x.leading_zeros() as usize;
+                for _ in 0..bits - 1 {
+                    self.push_bit(false);
+                }
+                self.write_bits(x, bits);
+            }
+        }
+
+        pub struct Reader<'a> {
+            pub words: &'a [u64],
+            pub start: usize,
+            pub len: usize,
+            pub pos: usize,
+        }
+
+        impl Reader<'_> {
+            pub fn try_read_bit(&mut self) -> Option<bool> {
+                if self.pos >= self.len {
+                    return None;
+                }
+                let i = self.start + self.pos;
+                self.pos += 1;
+                Some((self.words[i / 64] >> (63 - (i % 64))) & 1 == 1)
+            }
+
+            pub fn try_read_bits(&mut self, width: usize) -> Option<u64> {
+                if width > 64 || self.len - self.pos < width {
+                    return None;
+                }
+                let mut v = 0u64;
+                for _ in 0..width {
+                    v = (v << 1) | u64::from(self.try_read_bit()?);
+                }
+                Some(v)
+            }
+
+            pub fn try_read_gamma(&mut self) -> Option<u64> {
+                let mut zeros = 0usize;
+                while !self.try_read_bit()? {
+                    zeros += 1;
+                    if zeros > 63 {
+                        return None;
+                    }
+                }
+                let mut v = 1u64;
+                for _ in 0..zeros {
+                    v = (v << 1) | u64::from(self.try_read_bit()?);
+                }
+                Some(v)
+            }
+        }
+    }
+
+    fn reference(words: &[u64], start: usize, len: usize) -> bitwise::Reader<'_> {
+        bitwise::Reader {
+            words,
+            start,
+            len,
+            pos: 0,
+        }
+    }
+
+    fn random_words(rng: &mut StdRng, n: usize) -> Vec<u64> {
+        (0..n).map(|_| rng.gen()).collect()
+    }
+
+    /// A random value of exactly `bits` significant bits (`1..=64`).
+    fn value_of_bit_len(rng: &mut StdRng, bits: usize) -> u64 {
+        let top = 1u64 << (bits - 1);
+        top | (rng.gen::<u64>() & (top - 1))
+    }
+
+    #[test]
+    fn read_bits_matches_bitwise_at_every_width_and_offset() {
+        let mut rng = StdRng::seed_from_u64(0xB175);
+        for _ in 0..4 {
+            let words = random_words(&mut rng, 4);
+            for start in 0..128usize {
+                for width in 0..=64usize {
+                    // A window running to the end of the slice, and one
+                    // whose slice ends in the word the field ends in.
+                    let tight = (start + width).div_ceil(64).max(1);
+                    for slice in [&words[..], &words[..tight]] {
+                        let len = slice.len() * 64 - start;
+                        let want = reference(slice, start, len).try_read_bits(width);
+                        assert!(want.is_some());
+                        let mut r = BitReader::over(slice, start, len);
+                        assert_eq!(r.try_read_bits(width), want, "start {start} width {width}");
+                        assert_eq!(r.position(), width);
+                        let mut r = BitReader::over(slice, start, len);
+                        assert_eq!(Some(r.read_bits(width)), want);
+                        // A window exactly one field long: the field is
+                        // readable, one more bit is not.
+                        let mut r = BitReader::over(slice, start, width);
+                        assert_eq!(r.try_read_bits(width + 1), None);
+                        assert_eq!(r.position(), 0);
+                        assert_eq!(r.try_read_bits(width), want);
+                        assert_eq!(r.try_read_bit(), None);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn read_gamma_matches_bitwise_at_every_bit_length() {
+        let mut rng = StdRng::seed_from_u64(0x6A);
+        for bits in 1..=64usize {
+            for lead in [0usize, 1, 31, 63, 64, 65, 100] {
+                let x = value_of_bit_len(&mut rng, bits);
+                let mut w = bitwise::Writer::new();
+                for _ in 0..lead {
+                    w.push_bit(false);
+                }
+                w.write_gamma(x);
+                let mut r = BitReader::over(&w.words, lead, w.len - lead);
+                assert_eq!(r.read_gamma(), x, "bits {bits} lead {lead}");
+                assert_eq!(r.remaining(), 0);
+                let mut r = BitReader::over(&w.words, lead, w.len - lead);
+                assert_eq!(r.try_read_gamma(), Some(x));
+                assert_eq!(
+                    reference(&w.words, lead, w.len - lead).try_read_gamma(),
+                    Some(x)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn try_read_gamma_matches_bitwise_at_every_cut() {
+        let mut rng = StdRng::seed_from_u64(0xC07);
+        for bits in 1..=64usize {
+            let x = value_of_bit_len(&mut rng, bits);
+            let lead = rng.gen_range(0..64usize);
+            let mut w = bitwise::Writer::new();
+            for _ in 0..lead {
+                w.push_bit(rng.gen_bool(0.5));
+            }
+            w.write_gamma(x);
+            let code = w.len - lead;
+            for cut in 0..=code {
+                let want = reference(&w.words, lead, cut).try_read_gamma();
+                assert_eq!(want.is_some(), cut == code);
+                let mut r = BitReader::over(&w.words, lead, cut);
+                assert_eq!(r.try_read_gamma(), want, "bits {bits} cut {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn try_read_gamma_prefix_of_63_zeros_is_the_last_valid_code() {
+        // 63 zeros, then a one and 63 value bits: the largest gamma code.
+        let x = (1u64 << 63) | 0x1234_5678_9ABC_DEF0;
+        let mut w = bitwise::Writer::new();
+        w.write_bits(0, 5);
+        w.write_gamma(x);
+        let mut r = BitReader::over(&w.words, 5, w.len - 5);
+        assert_eq!(r.try_read_gamma(), Some(x));
+        assert_eq!(reference(&w.words, 5, w.len - 5).try_read_gamma(), Some(x));
+
+        // 64 zeros, then a one: no u64 has this code.
+        let mut w = bitwise::Writer::new();
+        w.write_bits(0, 64);
+        w.write_bits(1, 1);
+        w.write_bits(u64::MAX, 64);
+        assert_eq!(reference(&w.words, 0, w.len).try_read_gamma(), None);
+        let mut r = BitReader::over(&w.words, 0, w.len);
+        assert_eq!(r.try_read_gamma(), None);
+        assert_eq!(r.position(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "63 zeros")]
+    fn read_gamma_rejects_a_64_zero_prefix() {
+        let words = [0u64, 1 << 63];
+        let _ = BitReader::over(&words, 0, 128).read_gamma();
+    }
+
+    #[test]
+    fn writes_match_bitwise_on_random_field_sequences() {
+        let mut rng = StdRng::seed_from_u64(0x3717E);
+        for _ in 0..300 {
+            let mut want = bitwise::Writer::new();
+            let mut got = BitWriter::new();
+            for _ in 0..rng.gen_range(0..40) {
+                if rng.gen_bool(0.3) {
+                    let bits = rng.gen_range(1..=64);
+                    let x = value_of_bit_len(&mut rng, bits);
+                    want.write_gamma(x);
+                    got.write_gamma(x);
+                } else {
+                    let width = rng.gen_range(0..=64usize);
+                    let v = rng.gen::<u64>().checked_shr(64 - width as u32).unwrap_or(0);
+                    want.write_bits(v, width);
+                    got.write_bits(v, width);
+                }
+            }
+            let got = got.finish();
+            assert_eq!(got.words(), &want.words[..]);
+            assert_eq!(got.len(), want.len);
+            // Canonical form: the tail past `len` is zero.
+            let _ = BitString::from_raw_parts(got.words().to_vec(), got.len());
+        }
+    }
+
+    #[test]
+    fn extend_from_window_matches_bitwise_copy() {
+        let mut rng = StdRng::seed_from_u64(0xE7);
+        let words = random_words(&mut rng, 6);
+        for _ in 0..500 {
+            let mut head = BitWriter::new();
+            let head_bits = rng.gen_range(0..130usize);
+            let mut want = bitwise::Writer::new();
+            for _ in 0..head_bits {
+                let b = rng.gen_bool(0.5);
+                head.write_bit(b);
+                want.push_bit(b);
+            }
+            let start = rng.gen_range(0..6 * 64);
+            let len = rng.gen_range(0..=6 * 64 - start);
+            let mut r = reference(&words, start, len);
+            for _ in 0..len {
+                want.push_bit(r.try_read_bit().expect("inside the window"));
+            }
+            let mut got = head.finish();
+            got.extend_from_window(&words, start, len);
+            assert_eq!(got.words(), &want.words[..], "{head_bits}+{start}..{len}");
+            assert_eq!(got.len(), want.len);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn unchecked_read_past_window_panics() {
+        let words = [u64::MAX, u64::MAX];
+        let mut r = BitReader::over(&words, 60, 10);
+        let _ = r.read_bits(11);
     }
 }

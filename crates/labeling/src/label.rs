@@ -10,6 +10,23 @@
 
 use crate::bits::{BitReader, BitString, BitWriter};
 
+/// Packs `bytes` MSB-first into words, zero-filling the last word.
+fn words_from_be_bytes(bytes: &[u8]) -> Vec<u64> {
+    bytes
+        .chunks(8)
+        .map(|chunk| {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            u64::from_be_bytes(w)
+        })
+        .collect()
+}
+
+/// Appends the first `nbytes` bytes of `words`, MSB-first.
+fn extend_be_bytes(out: &mut Vec<u8>, words: &[u64], nbytes: usize) {
+    out.extend(words.iter().flat_map(|w| w.to_be_bytes()).take(nbytes));
+}
+
 /// Magic prefix of the v1 (per-label records) wire format.
 const LABELING_MAGIC_V1: &[u8; 4] = b"PLL1";
 
@@ -91,23 +108,11 @@ impl Label {
     /// per-label record of the v1 container format).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.bit_len().div_ceil(8));
+        let nbytes = self.bit_len().div_ceil(8);
+        let mut out = Vec::with_capacity(8 + nbytes);
         out.extend_from_slice(&(self.bit_len() as u64).to_le_bytes());
-        let mut r = self.reader();
-        let mut acc = 0u8;
-        let mut filled = 0u8;
-        for _ in 0..self.bit_len() {
-            acc = (acc << 1) | u8::from(r.read_bit());
-            filled += 1;
-            if filled == 8 {
-                out.push(acc);
-                acc = 0;
-                filled = 0;
-            }
-        }
-        if filled > 0 {
-            out.push(acc << (8 - filled));
-        }
+        // The bit string's tail past `bit_len` is zero, so the padding is.
+        extend_be_bytes(&mut out, self.0.words(), nbytes);
         out
     }
 
@@ -130,19 +135,16 @@ impl Label {
         let bit_len = declared as usize;
         let nbytes = bit_len.div_ceil(8);
         let body = buf.get(8..8 + nbytes).ok_or(WireError::Truncated)?;
-        let mut w = BitWriter::new();
-        for i in 0..bit_len {
-            let byte = body[i / 8];
-            w.write_bit((byte >> (7 - i % 8)) & 1 == 1);
-        }
-        // Reject dirty padding so the encoding is canonical.
+        // Reject dirty padding so the encoding is canonical (and the
+        // words below keep a zero tail).
         if !bit_len.is_multiple_of(8) {
             let pad = body[nbytes - 1] & ((1u8 << (8 - bit_len % 8)) - 1);
             if pad != 0 {
                 return Err(WireError::DirtyPadding);
             }
         }
-        Ok((Self(w.finish()), 8 + nbytes))
+        let bits = BitString::from_raw_parts(words_from_be_bytes(body), bit_len);
+        Ok((Self(bits), 8 + nbytes))
     }
 }
 
@@ -183,20 +185,23 @@ impl<'a> LabelRef<'a> {
         BitReader::over(self.words, self.start, self.len)
     }
 
-    /// Copies the viewed bits into an owned [`Label`].
+    /// The view of this label's first `len` bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > bit_len()`.
+    #[must_use]
+    pub fn prefix(self, len: usize) -> Self {
+        assert!(len <= self.len, "prefix longer than the label");
+        Self { len, ..self }
+    }
+
+    /// Copies the viewed bits into an owned [`Label`], a word at a time.
     #[must_use]
     pub fn to_label(self) -> Label {
-        let mut w = BitWriter::new();
-        let mut r = self.reader();
-        let mut left = self.len;
-        while left >= 64 {
-            w.write_bits(r.read_bits(64), 64);
-            left -= 64;
-        }
-        if left > 0 {
-            w.write_bits(r.read_bits(left), left);
-        }
-        w.into()
+        let mut bits = BitString::new();
+        bits.extend_from_window(self.words, self.start, self.len);
+        Label(bits)
     }
 }
 
@@ -254,15 +259,26 @@ impl LabelingBuilder {
         self.offsets.len() == 1
     }
 
-    /// Appends the next vertex's label bits.
-    pub fn push_bits(&mut self, bits: &BitString) {
-        self.arena.extend_from(bits);
+    /// Appends the next vertex's label, written by `write` straight into
+    /// the arena.
+    pub(crate) fn push_with(&mut self, write: impl FnOnce(&mut BitWriter)) {
+        let mut w = BitWriter::from_bits(std::mem::take(&mut self.arena));
+        write(&mut w);
+        self.arena = w.finish();
+        self.offsets.push(self.arena.len() as u64);
+    }
+
+    /// Appends the next vertex's label, copied a word at a time from a
+    /// view (of another labeling's arena, say).
+    pub fn push_ref(&mut self, label: LabelRef<'_>) {
+        self.arena
+            .extend_from_window(label.words, label.start, label.len);
         self.offsets.push(self.arena.len() as u64);
     }
 
     /// Appends the next vertex's label.
     pub fn push_label(&mut self, label: &Label) {
-        self.push_bits(&label.0);
+        self.push_ref(label.view());
     }
 
     /// Appends every label of `other` after this builder's labels,
@@ -374,12 +390,7 @@ impl Labeling {
         for &o in &self.offsets {
             out.extend_from_slice(&o.to_le_bytes());
         }
-        let mut remaining = nbytes;
-        for w in self.arena.words() {
-            let take = remaining.min(8);
-            out.extend_from_slice(&w.to_be_bytes()[..take]);
-            remaining -= take;
-        }
+        extend_be_bytes(&mut out, self.arena.words(), nbytes);
         out
     }
 
@@ -473,12 +484,7 @@ impl Labeling {
             return Err(WireError::TrailingBytes);
         }
         let total = total as usize;
-        let mut words = Vec::with_capacity(total.div_ceil(64));
-        for chunk in body.chunks(8) {
-            let mut w = [0u8; 8];
-            w[..chunk.len()].copy_from_slice(chunk);
-            words.push(u64::from_be_bytes(w));
-        }
+        let words = words_from_be_bytes(body);
         if !total.is_multiple_of(64) {
             if let Some(&last) = words.last() {
                 if last & (u64::MAX >> (total % 64)) != 0 {

@@ -25,7 +25,7 @@
 use pl_graph::degree::vertices_by_degree_desc;
 use pl_graph::{Graph, VertexId};
 
-use crate::bits::{BitString, BitWriter};
+use crate::bits::BitWriter;
 use crate::label::{LabelRef, Labeling, LabelingBuilder};
 use crate::scheme::{id_width, read_prelude, write_prelude, AdjacencyDecoder, AdjacencyScheme};
 
@@ -126,32 +126,39 @@ fn record_label_size_metrics(stats: &ThresholdStats) {
         .set(stats.fat_count as i64);
 }
 
-/// One vertex's label bits under a fixed fat/thin assignment — the unit of
-/// work both the sequential and the parallel encoder share, so chunked
-/// encoding is bit-identical to a single pass by construction.
+/// Writes one vertex's label bits under a fixed fat/thin assignment — the
+/// unit of work both the sequential and the parallel encoder share, so
+/// chunked encoding is bit-identical to a single pass by construction.
+/// `bitmap` is scratch space for a fat label's bitmap words, reused
+/// across calls.
 fn encode_vertex(
+    bw: &mut BitWriter,
     g: &Graph,
     v: VertexId,
     w: usize,
     fat_count: usize,
     scheme_id: &[u64],
-) -> BitString {
+    bitmap: &mut Vec<u64>,
+) {
     let sid = scheme_id[v as usize];
     let fat = (sid as usize) < fat_count;
-    let mut bw = BitWriter::new();
-    write_prelude(&mut bw, w, sid);
+    write_prelude(bw, w, sid);
     bw.write_bit(fat);
     if fat {
         bw.write_gamma(fat_count as u64 + 1);
-        let mut bitmap = vec![false; fat_count];
+        // Fat id `i` is bit `63 − i % 64` of word `i / 64`: the label's
+        // own MSB-first layout, so each word is written whole.
+        bitmap.clear();
+        bitmap.resize(fat_count.div_ceil(64), 0);
         for &u in g.neighbors(v) {
             let uid = scheme_id[u as usize] as usize;
             if uid < fat_count {
-                bitmap[uid] = true;
+                bitmap[uid / 64] |= 1 << (63 - uid % 64);
             }
         }
-        for b in bitmap {
-            bw.write_bit(b);
+        for (i, &word) in bitmap.iter().enumerate() {
+            let width = (fat_count - 64 * i).min(64);
+            bw.write_bits(word >> (64 - width), width);
         }
     } else {
         bw.write_gamma(g.degree(v) as u64 + 1);
@@ -159,7 +166,6 @@ fn encode_vertex(
             bw.write_bits(scheme_id[u as usize], w);
         }
     }
-    bw.finish()
 }
 
 /// Encodes `g` with threshold `tau` on `threads` worker threads.
@@ -203,8 +209,11 @@ pub fn encode_with_stats_threads(
     let encode_chunk = |lo: usize, hi: usize, t: usize| {
         let start = pl_obs::trace::now_ns();
         let mut b = LabelingBuilder::new();
+        let mut bitmap = Vec::new();
         for v in lo..hi {
-            b.push_bits(&encode_vertex(g, v as VertexId, w, fat_count, scheme_id));
+            b.push_with(|bw| {
+                encode_vertex(bw, g, v as VertexId, w, fat_count, scheme_id, &mut bitmap);
+            });
         }
         let dur = pl_obs::trace::now_ns().saturating_sub(start);
         pl_obs::global()

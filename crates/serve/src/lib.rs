@@ -50,4 +50,4 @@ pub use pl_wire::fault::{FaultKind, FaultPlan};
 pub use pl_wire::protocol::{Answer, HealthReport, Query, QueryKind};
 pub use pl_wire::stats::Snapshot;
 pub use server::{serve, serve_with, ServeOptions, ServerHandle, StoreEngine};
-pub use store::{BatchOutcome, LabelStore, QueryPath, StoreConfig, StoreError};
+pub use store::{prelude_stub, BatchOutcome, LabelStore, QueryPath, StoreConfig, StoreError};

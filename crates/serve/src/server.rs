@@ -54,7 +54,6 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use pl_labeling::bits::BitWriter;
 use pl_labeling::codec::{SchemeTag, TaggedLabeling};
 use pl_labeling::{Label, LabelingBuilder};
 use pl_obs::MetricsRegistry;
@@ -66,7 +65,7 @@ use pl_wire::protocol::{
 use pl_wire::stats::{Metrics, Snapshot};
 
 use crate::map::ClusterMap;
-use crate::store::{BatchOutcome, LabelStore, StoreConfig, StoreError};
+use crate::store::{prelude_stub, BatchOutcome, LabelStore, StoreConfig, StoreError};
 
 /// Server tuning knobs beyond the store itself.
 #[derive(Debug, Clone, Default)]
@@ -135,20 +134,6 @@ struct PendingMap {
     index: u32,
     /// Labels streamed in for the pending epoch, keyed by vertex.
     labels: HashMap<u32, Vec<u8>>,
-}
-
-/// Reduces a label to its prelude stub (id width, scheme id, fat flag —
-/// nothing after). Total: a stub of a stub is the same stub.
-fn stub_label(label: pl_labeling::LabelRef<'_>) -> Option<Label> {
-    let mut r = label.reader();
-    let w = r.try_read_bits(6)? as usize;
-    let id = r.try_read_bits(w)?;
-    let fat = r.try_read_bit()?;
-    let mut wr = BitWriter::new();
-    wr.write_bits(w as u64, 6);
-    wr.write_bits(id, w);
-    wr.write_bit(fat);
-    Some(Label::from(wr))
 }
 
 /// Per-connection scratch for [`StoreEngine`]: reused across batches so
@@ -245,7 +230,7 @@ impl StoreEngine {
                 builder.push_label(&label);
             } else {
                 let current = old.label(v).expect("v < n"); // lint: panic-ok(v iterates 0..old.n(), the store's own bound)
-                builder.push_label(&current.to_label());
+                builder.push_ref(current);
             }
         }
         let rebuilt = Arc::new(
@@ -289,15 +274,15 @@ impl StoreEngine {
         for v in 0..old.n() {
             let current = old.label(v).expect("v < n"); // lint: panic-ok(v iterates 0..old.n(), the store's own bound)
             if part.owns(index, v) {
-                builder.push_label(&current.to_label());
+                builder.push_ref(current);
             } else {
-                let Some(stub) = stub_label(current) else {
+                let Some(stub) = prelude_stub(current) else {
                     return (
                         MapSetStatus::Failed,
                         pl_wire::sync::lock_recover(&self.reconfig).epoch,
                     );
                 };
-                builder.push_label(&stub);
+                builder.push_ref(stub);
             }
         }
         let rebuilt = Arc::new(

@@ -75,10 +75,15 @@ struct Prelude<'a> {
 
 impl<'a> Prelude<'a> {
     /// Checked read of `l`'s prelude; `None` if the label is too short
-    /// to carry it.
+    /// to carry it or declares id width 0. Encoders write `w ≥ 1`; a
+    /// zero width would let a thin list declare any length at all in
+    /// zero bits and pass the scan's bounds check.
     fn read(l: LabelRef<'a>) -> Option<Self> {
         let mut reader = l.reader();
         let width = reader.try_read_bits(6)? as usize;
+        if width == 0 {
+            return None;
+        }
         let id = reader.try_read_bits(width)?;
         let fat = reader.try_read_bit()?;
         Some(Self {
@@ -88,6 +93,15 @@ impl<'a> Prelude<'a> {
             fat,
         })
     }
+}
+
+/// The prelude stub of a threshold label — id width, scheme id and fat
+/// flag, nothing after — viewed in place as the label's first bits;
+/// `None` if the label carries no valid prelude. A stub of a stub is the
+/// same stub.
+#[must_use]
+pub fn prelude_stub(l: LabelRef<'_>) -> Option<LabelRef<'_>> {
+    Prelude::read(l).map(|p| l.prefix(p.reader.position()))
 }
 
 /// Checked scan of a thin threshold label's neighbour list for scheme id
