@@ -18,12 +18,10 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use pl_serve::TaggedLabeling;
+use pl_serve::{ClusterMap, Partitioner, TaggedLabeling};
 use pl_wire::fault::FaultPlan;
 use pl_wire::FrontendOptions;
 
-use crate::map::ClusterMap;
-use crate::partition::Partitioner;
 use crate::router::{route_with, RouterConfig, RouterHandle};
 use crate::split::{split_all, SplitReport};
 

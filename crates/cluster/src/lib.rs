@@ -2,21 +2,21 @@
 //!
 //! The labels of Theorems 3/4 are tiny and self-contained — adjacency is
 //! answered from two labels alone, no graph in sight — which makes a
-//! labeling a natural unit to partition and replicate. This crate turns
-//! one `.plab` file into a serving *cluster*:
+//! labeling a natural unit to partition and replicate.
 //!
-//! * [`partition`] — a deterministic rendezvous (HRW) vertex
-//!   partitioner over a seeded universal hash family: every vertex
-//!   ranks all backends by a seeded score and is *owned* by the top `R`
-//!   (the replication factor). No directory service, no state — any
-//!   party with the seed computes the same assignment. Since the
-//!   reconfiguration work it lives in [`pl_serve::partition`] (backends
-//!   validate pushed maps themselves) and is re-exported here.
-//! * [`map`] — the serializable [`ClusterMap`]: epoch-numbered,
-//!   FNV-checksummed description of the partitioning plus the
-//!   backend-address list, small enough to hand to every router (and
-//!   to push to every backend over `MAP_SET`).
-//!   Likewise re-exported from [`pl_serve::map`].
+//! The crate builds on two `pl-serve` modules, since backends validate pushed
+//! maps and compute their own ownership during reconfiguration:
+//! [`pl_serve::partition`], a deterministic rendezvous (HRW) vertex
+//! partitioner over a seeded universal hash family (every vertex is
+//! *owned* by the top `R` backends of a seeded ranking; any party with
+//! the seed computes the same assignment), and [`pl_serve::map`], the
+//! epoch-numbered, FNV-checksummed [`ClusterMap`] handed to every
+//! router and pushed to every backend over `MAP_SET`. The crate root
+//! re-exports [`ClusterMap`], [`MapError`] and [`Partitioner`].
+//!
+//! On top of them, this crate turns one `.plab` file into a serving
+//! *cluster*:
+//!
 //! * [`reconfig`] — the live-rebalance coordinator: takes the cluster
 //!   from epoch `E` to `E+1` without dropping a query by preparing the
 //!   new map everywhere, streaming re-owned labels into the gaining
@@ -61,14 +61,8 @@ pub mod router;
 pub mod split;
 pub mod trace_merge;
 
-// The map and partitioner moved down into pl-serve so backends can
-// validate pushed maps and compute ownership during reconfiguration;
-// the historical pl_cluster paths keep working through these shims.
-pub use pl_serve::{map, partition};
-
 pub use launch::{launch, ClusterHandle, LaunchOptions};
-pub use map::{ClusterMap, MapError};
-pub use partition::Partitioner;
+pub use pl_serve::{ClusterMap, MapError, Partitioner};
 pub use reconfig::{rebalance, RebalanceAction, RebalanceOptions, ReconfigError, ReconfigReport};
 pub use router::{route, route_with, RouterConfig, RouterEngine, RouterHandle};
 pub use split::{split_all, split_one, stub_all, SplitError, SplitReport};

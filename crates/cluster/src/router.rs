@@ -55,15 +55,13 @@ use pl_obs::hist::Histogram;
 use pl_obs::registry::Counter;
 use pl_obs::trace::{self, SpanGuard, TraceContext};
 use pl_obs::MetricsRegistry;
-use pl_serve::{ClientError, ResilientClient, RetryPolicy};
+use pl_serve::{ClientError, ClusterMap, Partitioner, ResilientClient, RetryPolicy};
 use pl_wire::frontend::{self, FrontStats, FrontendHandle, FrontendOptions, QueryEngine};
 use pl_wire::protocol::{trace_dump_flags, MapSetMode, MapSetRequest, MapSetStatus};
 use pl_wire::{Answer, Query, Snapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::map::ClusterMap;
-use crate::partition::Partitioner;
 use crate::trace_merge;
 
 /// Prober pacing floor (the front-end has its own accept-loop poll).
@@ -860,6 +858,3 @@ fn merged_stats(shared: &Shared, down: &mut Downstream) -> Snapshot {
     }
     merged
 }
-
-// Re-exported for the `plab cluster stats` pretty-printer.
-pub use pl_wire::protocol::HealthReport;

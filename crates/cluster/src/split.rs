@@ -7,9 +7,14 @@
 //! stub** — the 6-bit id width, the `w`-bit scheme id, and the fat
 //! flag, with nothing after. A stub is distinguishable from any real
 //! label (even a degree-0 thin label carries a γ-coded list length
-//! after the flag), satisfies the partial store's checked prelude peek,
-//! and fails every checked content read — which is exactly the
-//! `NotOwned` signal the router keys failover on.
+//! after the flag), parses as a
+//! [`ThresholdLabel`](pl_labeling::threshold::ThresholdLabel), and
+//! gives no one-sided answer — which is exactly the `NotOwned` signal
+//! the router keys failover on.
+//!
+//! The cut itself is [`pl_labeling::threshold::cut`], the same loop a
+//! backend runs to shrink after a rebalance; this module adds the
+//! scheme check and the size report.
 //!
 //! The payoff: a stub costs `7 + ⌈log₂ n⌉` bits regardless of degree,
 //! so a partition's store shrinks toward `(R/B)·|labels| + n·O(log n)`
@@ -19,10 +24,8 @@
 //! decoder reads the *other* endpoint's scheme id from the prelude
 //! alone. Other tags are refused rather than silently mis-served.
 
-use pl_labeling::LabelingBuilder;
-use pl_serve::{prelude_stub, SchemeTag, TaggedLabeling};
-
-use crate::partition::Partitioner;
+use pl_labeling::threshold::cut;
+use pl_serve::{Partitioner, SchemeTag, TaggedLabeling};
 
 /// Why a labeling could not be split.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,7 +68,7 @@ pub fn split_one(
     part: &Partitioner,
     backend: u32,
 ) -> Result<(TaggedLabeling, SplitReport), SplitError> {
-    cut(tagged, |v| part.owns(backend, v))
+    cut_tagged(tagged, |v| part.owns(backend, v))
 }
 
 /// Reduces *every* vertex to a prelude stub — the sub-store of a
@@ -73,40 +76,33 @@ pub fn split_one(
 /// (answering `NotOwned` to everything, which the router fails over)
 /// until a reconfiguration streams its share of full labels in.
 pub fn stub_all(tagged: &TaggedLabeling) -> Result<(TaggedLabeling, SplitReport), SplitError> {
-    cut(tagged, |_| false)
+    cut_tagged(tagged, |_| false)
 }
 
-/// The one cutting loop: each vertex's label is copied whole from the
-/// arena when `owns(v)`, and otherwise cut to its [`prelude_stub`] (id
-/// width, scheme id, fat flag — nothing after).
-fn cut(
+/// [`cut`]s `tagged` with `owns` and accounts for the result.
+fn cut_tagged(
     tagged: &TaggedLabeling,
-    owns: impl Fn(u32) -> bool,
+    mut owns: impl FnMut(u32) -> bool,
 ) -> Result<(TaggedLabeling, SplitReport), SplitError> {
     if tagged.tag != SchemeTag::Threshold {
         return Err(SplitError::UnsupportedScheme(tagged.tag));
     }
-    let mut builder = LabelingBuilder::new();
-    let mut report = SplitReport {
-        owned: 0,
-        stubbed: 0,
-        bits: 0,
+    let mut owned = 0u32;
+    let labeling = cut(&tagged.labeling, |v| {
+        let o = owns(v);
+        owned += u32::from(o);
+        o
+    })
+    .map_err(SplitError::Malformed)?;
+    let report = SplitReport {
+        owned,
+        stubbed: labeling.len() as u32 - owned,
+        bits: labeling.total_bits() as u64,
     };
-    for (v, label) in tagged.labeling.iter() {
-        let kept = if owns(v) {
-            report.owned += 1;
-            label
-        } else {
-            report.stubbed += 1;
-            prelude_stub(label).ok_or(SplitError::Malformed(v))?
-        };
-        report.bits += kept.bit_len() as u64;
-        builder.push_ref(kept);
-    }
     Ok((
         TaggedLabeling {
             tag: tagged.tag,
-            labeling: builder.finish(),
+            labeling,
         },
         report,
     ))

@@ -13,6 +13,13 @@
 //! Decoding a pair: if either label is thin, scan its neighbour list for
 //! the other identifier; if both are fat, test one bit of the bitmap.
 //!
+//! This module owns the format: the encoder, and the one checked view
+//! of a label ([`ThresholdLabel`]) that every reader goes through — the
+//! decode rule ([`try_adjacent`]), the one-sided answers a partition's
+//! store gives from the endpoint it owns, the prelude stub, and the
+//! partition [`cut`]. A label that declares more than it carries
+//! decodes to `None`, never a panic.
+//!
 //! ## Label format
 //!
 //! ```text
@@ -25,9 +32,9 @@
 use pl_graph::degree::vertices_by_degree_desc;
 use pl_graph::{Graph, VertexId};
 
-use crate::bits::BitWriter;
+use crate::bits::{BitReader, BitWriter};
 use crate::label::{LabelRef, Labeling, LabelingBuilder};
-use crate::scheme::{id_width, read_prelude, write_prelude, AdjacencyDecoder, AdjacencyScheme};
+use crate::scheme::{id_width, write_prelude, AdjacencyDecoder, AdjacencyScheme};
 
 /// The fat/thin scheme with an explicitly chosen degree threshold.
 ///
@@ -236,11 +243,12 @@ pub fn encode_with_stats_threads(
                     .collect();
                 handles
                     .into_iter()
+                    // lint: panic-ok(a worker panics only on an encoder bug; re-raise it rather than return a partial labeling)
                     .map(|h| h.join().expect("encoder worker panicked"))
                     .collect::<Vec<_>>()
             });
             let mut it = chunks.into_iter();
-            let mut b = it.next().expect("at least one chunk");
+            let mut b = it.next().expect("at least one chunk"); // lint: panic-ok(threads ≥ 1, so one chunk was spawned per thread)
             for c in it {
                 b.merge(&c);
             }
@@ -290,46 +298,160 @@ impl AdjacencyScheme for ThresholdScheme {
 }
 
 /// Decoder for the fat/thin label format. Stateless.
+///
+/// Answers [`try_adjacent`]`(a, b) == Some(true)`: a corrupt label
+/// decodes as "not adjacent" instead of panicking.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ThresholdDecoder;
 
 impl AdjacencyDecoder for ThresholdDecoder {
+    #[inline]
     fn adjacent(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> bool {
-        let mut ra = a.reader();
-        let mut rb = b.reader();
-        let (wa, ida) = read_prelude(&mut ra);
-        let (wb, idb) = read_prelude(&mut rb);
-        debug_assert_eq!(wa, wb, "labels from different labelings");
-        if ida == idb {
-            return false;
-        }
-        let fat_a = ra.read_bit();
-        let fat_b = rb.read_bit();
-        match (fat_a, fat_b) {
-            (false, _) => thin_list_contains(&mut ra, wa, idb),
-            (_, false) => thin_list_contains(&mut rb, wb, ida),
-            (true, true) => {
-                // Read b's bit in a's fat bitmap. Within one labeling every
-                // fat id is below k; an out-of-range id can only arise when
-                // mixing labels across labelings (e.g. in the KNR universal-
-                // graph construction), where any total answer is valid — we
-                // answer "not adjacent".
-                let k = ra.read_gamma() - 1;
-                if idb >= k {
-                    return false;
-                }
-                ra.skip(idb as usize);
-                ra.read_bit()
-            }
-        }
+        try_adjacent(a, b) == Some(true)
     }
 }
 
-/// Scans a thin label's neighbour list (positioned at the gamma count) for
-/// `target`.
-fn thin_list_contains(r: &mut crate::bits::BitReader<'_>, w: usize, target: u64) -> bool {
-    let deg = r.read_gamma() - 1;
-    (0..deg).any(|_| r.read_bits(w) == target)
+/// The decode rule on two raw labels: [`ThresholdLabel::try_adjacent`],
+/// and `None` also when either label has no valid prelude.
+#[must_use]
+#[inline]
+pub fn try_adjacent(a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
+    ThresholdLabel::parse(a)?.try_adjacent(&ThresholdLabel::parse(b)?)
+}
+
+/// A threshold label with its prelude read: id width, scheme id and
+/// fat flag. Every read behind it is checked, because labels are
+/// untrusted once a `.plab` leaves the encoder.
+#[derive(Debug, Clone)]
+pub struct ThresholdLabel<'a> {
+    label: LabelRef<'a>,
+    /// Positioned just past the fat flag.
+    body: BitReader<'a>,
+    width: usize,
+    id: u64,
+    fat: bool,
+}
+
+impl<'a> ThresholdLabel<'a> {
+    /// Reads `label`'s prelude; `None` if the label is too short to
+    /// carry it or declares id width 0. Encoders write `w ≥ 1`; a zero
+    /// width would let a thin list declare any length at all in zero
+    /// bits and pass the scan's bounds check.
+    #[must_use]
+    #[inline]
+    pub fn parse(label: LabelRef<'a>) -> Option<Self> {
+        let mut body = label.reader();
+        let width = body.try_read_bits(6)? as usize;
+        if width == 0 {
+            return None;
+        }
+        let id = body.try_read_bits(width)?;
+        let fat = body.try_read_bit()?;
+        Some(Self {
+            label,
+            body,
+            width,
+            id,
+            fat,
+        })
+    }
+
+    /// The scheme id.
+    #[must_use]
+    #[inline]
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Is this a fat label (a bitmap over the fat ids)?
+    #[must_use]
+    #[inline]
+    pub fn is_fat(&self) -> bool {
+        self.fat
+    }
+
+    /// The prelude stub: id width, scheme id and fat flag, nothing
+    /// after, viewed in place as the label's first bits. A stub parses
+    /// to the same id and flag, and gives no one-sided answer but the
+    /// same-id one. A stub of a stub is the same stub.
+    #[must_use]
+    pub fn stub(&self) -> LabelRef<'a> {
+        self.label.prefix(self.body.position())
+    }
+
+    /// What this label alone says about its pair with `other`. A thin
+    /// label scans its neighbour list for `other`'s id; a fat label
+    /// reads `other`'s bit in its bitmap when `other` is fat too, and
+    /// ids at or past its `k` are never adjacent. The same id is never
+    /// adjacent. `None` when this label cannot tell: a fat label facing
+    /// a thin one (fat labels store no thin neighbours, Fig. 1b), a
+    /// prelude stub, or a label declaring more than it carries.
+    #[must_use]
+    #[inline]
+    pub fn one_sided(&self, other: &ThresholdLabel<'_>) -> Option<bool> {
+        if self.id == other.id {
+            return Some(false);
+        }
+        let mut r = self.body.clone();
+        if !self.fat {
+            let deg = r.try_read_gamma()? - 1;
+            // One bounds check for the whole list, so the scan cannot
+            // run off the label's end.
+            if deg.checked_mul(self.width as u64)? > r.remaining() as u64 {
+                return None;
+            }
+            return Some((0..deg).any(|_| r.read_bits(self.width) == other.id));
+        }
+        if !other.fat {
+            return None;
+        }
+        let k = r.try_read_gamma()? - 1;
+        if k > r.remaining() as u64 {
+            return None;
+        }
+        if other.id >= k {
+            return Some(false);
+        }
+        // `other.id < k ≤ remaining`, so the skip stays inside the label.
+        r.skip(other.id as usize);
+        r.try_read_bit()
+    }
+
+    /// The decode rule of Theorems 3 and 4: the first thin endpoint's
+    /// list decides, and a fat–fat pair is one bit of `self`'s bitmap.
+    /// `None` when that label cannot answer (see
+    /// [`one_sided`](Self::one_sided)).
+    #[must_use]
+    #[inline]
+    pub fn try_adjacent(&self, other: &ThresholdLabel<'_>) -> Option<bool> {
+        // One call site, so callers inline a single copy of the decode;
+        // two copies measured slower in the store.
+        let (decider, asked) = if self.fat && !other.fat {
+            (other, self)
+        } else {
+            (self, other)
+        };
+        decider.one_sided(asked)
+    }
+}
+
+/// Cuts `labeling` to one partition's share: the label of each vertex
+/// `v` with `owns(v)` is copied whole from the arena, bit for bit, and
+/// every other label is cut to its [stub](ThresholdLabel::stub).
+///
+/// # Errors
+///
+/// The first vertex whose label has no valid prelude to cut.
+pub fn cut(labeling: &Labeling, mut owns: impl FnMut(u32) -> bool) -> Result<Labeling, u32> {
+    let mut builder = LabelingBuilder::new();
+    for (v, label) in labeling.iter() {
+        if owns(v) {
+            builder.push_ref(label);
+        } else {
+            builder.push_ref(ThresholdLabel::parse(label).ok_or(v)?.stub());
+        }
+    }
+    Ok(builder.finish())
 }
 
 #[cfg(test)]
@@ -460,6 +582,90 @@ mod tests {
         for v in 0..3u32 {
             assert!(!dec.adjacent(labeling.label(v), labeling.label(v)));
         }
+    }
+
+    fn parsed(l: LabelRef<'_>) -> ThresholdLabel<'_> {
+        ThresholdLabel::parse(l).expect("valid prelude")
+    }
+
+    #[test]
+    fn fat_contains_covers_all_fat_vertices() {
+        // Every vertex of star+cycle(25) has degree ≥ 3, so all 25 are fat.
+        let n = 25u32;
+        let spokes = (1..n).map(|i| (0, i));
+        let cycle = (1..n).map(|i| (i, if i + 1 == n { 1 } else { i + 1 }));
+        let g = from_edges(n as usize, spokes.chain(cycle));
+        let labeling = ThresholdScheme::with_tau(3).encode(&g);
+        let hub = parsed(labeling.label(0));
+        assert!(hub.is_fat());
+        // The hub (scheme id 0, highest degree) is adjacent to every other
+        // fat vertex and never to itself.
+        assert_eq!(hub.id(), 0);
+        assert_eq!(hub.one_sided(&hub), Some(false));
+        for v in 1..n {
+            let other = parsed(labeling.label(v));
+            assert!(other.is_fat());
+            assert_eq!(
+                hub.one_sided(&other),
+                Some(true),
+                "hub should see vertex {v}"
+            );
+        }
+        // A fat id at or past k = 25 is never adjacent.
+        let mut w = BitWriter::new();
+        write_prelude(&mut w, 5, 25);
+        w.write_bit(true);
+        let beyond = crate::label::Label::from(w);
+        assert_eq!(
+            hub.one_sided(&parsed(beyond.view())),
+            Some(false),
+            "out-of-range id is never adjacent"
+        );
+    }
+
+    #[test]
+    fn thin_label_is_not_read_as_fat() {
+        let g = from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]);
+        let labeling = ThresholdScheme::with_tau(2).encode(&g);
+        let hub = parsed(labeling.label(0));
+        // Vertex 1 has degree 1 < 2: thin, and it answers from its list.
+        let thin = parsed(labeling.label(1));
+        assert!(!thin.is_fat());
+        assert_eq!(thin.one_sided(&hub), Some(true));
+        assert_eq!(thin.one_sided(&parsed(labeling.label(2))), Some(false));
+        // A fat bitmap holds no thin neighbours, so the hub cannot tell.
+        assert_eq!(hub.one_sided(&thin), None);
+        assert_eq!(
+            try_adjacent(labeling.label(0), labeling.label(1)),
+            Some(true)
+        );
+    }
+
+    #[test]
+    fn stubs_parse_but_answer_nothing_and_cut_keeps_owned_bits() {
+        let g = from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 2), (4, 5)]);
+        let labeling = ThresholdScheme::with_tau(2).encode(&g);
+        let cut_l = cut(&labeling, |v| v % 2 == 0).expect("valid labels");
+        for (v, full) in labeling.iter() {
+            let kept = cut_l.label(v);
+            let (f, k) = (parsed(full), parsed(kept));
+            assert_eq!((k.id(), k.is_fat()), (f.id(), f.is_fat()));
+            if v % 2 == 0 {
+                assert_eq!(kept, full);
+            } else {
+                assert_eq!(kept, f.stub());
+                assert_eq!(k.stub(), kept, "a stub of a stub is the same stub");
+                for (_, other) in labeling.iter() {
+                    let o = parsed(other);
+                    let want = (o.id() == k.id()).then_some(false);
+                    assert_eq!(k.one_sided(&o), want);
+                }
+            }
+        }
+        // An empty label has no prelude to cut.
+        let bad = Labeling::new(vec![crate::label::Label::from(BitWriter::new())]);
+        assert_eq!(cut(&bad, |_| false), Err(0));
+        assert_eq!(cut(&bad, |_| true).map(|l| l.len()), Ok(1));
     }
 
     #[test]

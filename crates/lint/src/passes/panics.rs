@@ -4,7 +4,9 @@
 //! a lock poisons it for everyone. Server paths must propagate errors
 //! (`StoreError`, `ClientError`, `ProtocolError`) instead. The pass
 //! flags `.unwrap()`, `.expect(`, `panic!(`, `unreachable!(`, `todo!(`
-//! and `unimplemented!(` in non-test lines of the three serving crates.
+//! and `unimplemented!(` in non-test lines of the three serving crates
+//! and of `pl_labeling::threshold`, whose checked decoder reads every
+//! label a server answers from.
 //!
 //! A site that is *provably* unreachable (an invariant the surrounding
 //! code establishes, like a `try_into` on a length-checked slice) may
@@ -16,11 +18,13 @@ use crate::{Diagnostic, Pass, Workspace};
 
 const ID: &str = "panic-path";
 
-/// Crates whose `src/` is a server path.
-const SERVER_CRATES: [&str; 3] = [
+/// Path prefixes of server code: the serving crates' `src/`, and the
+/// label decoder they serve through.
+pub const SERVER_PATHS: [&str; 4] = [
     "crates/wire/src/",
     "crates/serve/src/",
     "crates/cluster/src/",
+    "crates/labeling/src/threshold.rs",
 ];
 
 /// `(needle, what)` pairs; needles are matched against the blanked code
@@ -46,7 +50,7 @@ impl Pass for PanicPath {
     }
 
     fn run(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
-        for prefix in SERVER_CRATES {
+        for prefix in SERVER_PATHS {
             for file in ws.files_under(prefix) {
                 for (idx, line) in file.lines.iter().enumerate() {
                     if line.in_test {

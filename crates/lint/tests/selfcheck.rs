@@ -47,3 +47,16 @@ fn workspace_is_clean_modulo_allowlist() {
         rendered.join("\n")
     );
 }
+
+/// A `panic-path` scan path that matches no file would shrink the
+/// pass's coverage silently, for example after a file is moved.
+#[test]
+fn every_panic_path_scan_path_matches_a_file() {
+    let ws = Workspace::load(&workspace_root()).expect("workspace loads");
+    for prefix in pl_lint::passes::panics::SERVER_PATHS {
+        assert!(
+            ws.files_under(prefix).next().is_some(),
+            "panic-path scans `{prefix}`, which matches no file"
+        );
+    }
+}

@@ -7,8 +7,8 @@
 //!
 //! * [`store`] — the labeling as one immutable bit arena queried in
 //!   place: no locks and no side caches, so any number of connection
-//!   threads read concurrently. A fat–fat query is one bit read at a
-//!   known offset of a fat label's bitmap.
+//!   threads read concurrently. Labels are decoded by
+//!   [`pl_labeling::threshold`]; the store adds only serving policy.
 //! * [`server`] — the shared hardened [`pl_wire::frontend`] TCP
 //!   front-end (thread-per-connection, shedding, deadlines, graceful
 //!   drain) over a [`server::StoreEngine`] answering batches query by
@@ -24,11 +24,9 @@
 //!   reconnect-and-replay over the [`ClientError`] retryable/fatal
 //!   taxonomy.
 //! * [`map`] / [`partition`] — the epoch-numbered, FNV-checksummed
-//!   [`ClusterMap`] and the deterministic HRW [`Partitioner`]. They
-//!   moved here from `pl-cluster` for live
-//!   reconfiguration: a backend receiving a `MAP_SET` push validates
-//!   the map and computes its own ownership locally
-//!   (`pl_cluster::{map, partition}` re-export them unchanged).
+//!   [`ClusterMap`] and the deterministic HRW [`Partitioner`], here so
+//!   that a backend receiving a `MAP_SET` push validates the map and
+//!   computes its own ownership locally.
 //!
 //! The scheme tag and tagged container come from
 //! [`pl_labeling::codec`]; they are re-exported at the crate root.
@@ -50,4 +48,4 @@ pub use pl_wire::fault::{FaultKind, FaultPlan};
 pub use pl_wire::protocol::{Answer, HealthReport, Query, QueryKind};
 pub use pl_wire::stats::Snapshot;
 pub use server::{serve, serve_with, ServeOptions, ServerHandle, StoreEngine};
-pub use store::{prelude_stub, BatchOutcome, LabelStore, QueryPath, StoreConfig, StoreError};
+pub use store::{BatchOutcome, LabelStore, QueryPath, StoreConfig, StoreError};

@@ -54,7 +54,8 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use pl_labeling::codec::{SchemeTag, TaggedLabeling};
+use pl_labeling::codec::SchemeTag;
+use pl_labeling::threshold::cut;
 use pl_labeling::{Label, LabelingBuilder};
 use pl_obs::MetricsRegistry;
 use pl_wire::fault::FaultPlan;
@@ -65,7 +66,7 @@ use pl_wire::protocol::{
 use pl_wire::stats::{Metrics, Snapshot};
 
 use crate::map::ClusterMap;
-use crate::store::{prelude_stub, BatchOutcome, LabelStore, StoreConfig, StoreError};
+use crate::store::{BatchOutcome, LabelStore, StoreError};
 
 /// Server tuning knobs beyond the store itself.
 #[derive(Debug, Clone, Default)]
@@ -223,26 +224,16 @@ impl StoreEngine {
             }
         };
         let mut builder = LabelingBuilder::new();
-        for v in 0..old.n() {
+        for (v, current) in old.labeling().iter() {
             if let Some(bytes) = pending.labels.get(&v) {
                 // Verified byte-identical on arrival; decode cannot fail.
                 let (label, _) = Label::from_bytes(bytes).expect("verified label"); // lint: panic-ok(bytes round-tripped Label::to_bytes on arrival in map_set; decode of our own encoding cannot fail)
                 builder.push_label(&label);
             } else {
-                let current = old.label(v).expect("v < n"); // lint: panic-ok(v iterates 0..old.n(), the store's own bound)
                 builder.push_ref(current);
             }
         }
-        let rebuilt = Arc::new(
-            LabelStore::new(
-                TaggedLabeling {
-                    tag: old.tag(),
-                    labeling: builder.finish(),
-                },
-                StoreConfig::default(),
-            )
-            .with_partial(old.is_partial()),
-        );
+        let rebuilt = Arc::new(old.relabeled(builder.finish()));
         let mut state = pl_wire::sync::lock_recover(&self.reconfig);
         *pl_wire::sync::write_recover(&self.store) = rebuilt;
         state.epoch = pending.epoch;
@@ -270,31 +261,13 @@ impl StoreEngine {
             }
             (state.epoch, map.partitioner(), req.backend)
         };
-        let mut builder = LabelingBuilder::new();
-        for v in 0..old.n() {
-            let current = old.label(v).expect("v < n"); // lint: panic-ok(v iterates 0..old.n(), the store's own bound)
-            if part.owns(index, v) {
-                builder.push_ref(current);
-            } else {
-                let Some(stub) = prelude_stub(current) else {
-                    return (
-                        MapSetStatus::Failed,
-                        pl_wire::sync::lock_recover(&self.reconfig).epoch,
-                    );
-                };
-                builder.push_ref(stub);
-            }
-        }
-        let rebuilt = Arc::new(
-            LabelStore::new(
-                TaggedLabeling {
-                    tag: old.tag(),
-                    labeling: builder.finish(),
-                },
-                StoreConfig::default(),
-            )
-            .with_partial(true),
-        );
+        let Ok(labeling) = cut(old.labeling(), |v| part.owns(index, v)) else {
+            return (
+                MapSetStatus::Failed,
+                pl_wire::sync::lock_recover(&self.reconfig).epoch,
+            );
+        };
+        let rebuilt = Arc::new(old.relabeled(labeling).with_partial(true));
         *pl_wire::sync::write_recover(&self.store) = rebuilt;
         (MapSetStatus::Shrunk, epoch)
     }

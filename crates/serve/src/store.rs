@@ -8,15 +8,17 @@
 //! connection threads query concurrently, and there is no lock to
 //! contend on or poison.
 //!
-//! A fat vertex's label is a `k`-bit adjacency bitmap over the fat
-//! vertices, prefixed by a gamma-coded `k` (Theorem 4 picks τ so that
-//! `k ≈ (C'n/log n)^{1/α}`). A fat–fat query is therefore one gamma read
-//! plus one bit read at a known offset of the arena — there is nothing
-//! to decode ahead of time or to cache.
+//! The store decodes nothing itself: a threshold label is read through
+//! [`pl_labeling::threshold::ThresholdLabel`], the format's one checked
+//! decoder, and every other scheme through its codec decoder. What is
+//! left here is serving policy: range checks, scheme dispatch, the
+//! [`QueryPath`] provenance, and which error an unanswerable pair gets.
+//! A fat–fat query is one gamma read plus one bit read at a known
+//! offset of the arena; there is nothing to decode ahead of time or to
+//! cache.
 //!
-//! Labels are untrusted once a `.plab` leaves the encoder: the threshold
-//! fast path reads them with checked (non-panicking) bit reads, and a
-//! label that declares more content than it carries answers
+//! Labels are untrusted once a `.plab` leaves the encoder: a label that
+//! declares more content than it carries answers
 //! [`StoreError::Malformed`] for that query instead of killing the
 //! connection thread.
 //!
@@ -29,17 +31,18 @@
 //! after). A stub is enough to answer from the *other* endpoint's side —
 //! a thin owned label scans its own neighbour list for the stub's scheme
 //! id, and a fat owned bitmap is tested against it — so the partial
-//! query path tries both sides with checked reads and only reports
-//! [`StoreError::NotOwned`] when neither endpoint's content is present
-//! (fat–fat with both bitmaps missing, or a thin endpoint stubbed with
-//! the other endpoint fat). The router turns `NotOwned` into a re-ask at
-//! a replica owning the other endpoint.
+//! query path takes either endpoint's
+//! [one-sided answer](pl_labeling::threshold::ThresholdLabel::one_sided)
+//! and only reports [`StoreError::NotOwned`] when neither endpoint's
+//! content is present (fat–fat with both bitmaps missing, or a thin
+//! endpoint stubbed with the other endpoint fat). The router turns
+//! `NotOwned` into a re-ask at a replica owning the other endpoint.
 
 use std::time::Instant;
 
-use pl_labeling::bits::BitReader;
 use pl_labeling::codec::{decode_adjacent, decode_distance, SchemeTag, TaggedLabeling};
-use pl_labeling::LabelRef;
+use pl_labeling::threshold::ThresholdLabel;
+use pl_labeling::{LabelRef, Labeling};
 use pl_obs::MetricsRegistry;
 
 /// Store construction options; there are none. Kept only because the
@@ -61,80 +64,6 @@ pub enum StoreError {
     /// stubs for the queried pair's decodable sides; the query must be
     /// re-asked at a backend owning one of the endpoints.
     NotOwned,
-}
-
-/// A threshold label with its prelude read — id width, scheme id, fat
-/// flag — and a reader positioned just past the flag, so the query path
-/// parses each label once.
-struct Prelude<'a> {
-    reader: BitReader<'a>,
-    width: usize,
-    id: u64,
-    fat: bool,
-}
-
-impl<'a> Prelude<'a> {
-    /// Checked read of `l`'s prelude; `None` if the label is too short
-    /// to carry it or declares id width 0. Encoders write `w ≥ 1`; a
-    /// zero width would let a thin list declare any length at all in
-    /// zero bits and pass the scan's bounds check.
-    fn read(l: LabelRef<'a>) -> Option<Self> {
-        let mut reader = l.reader();
-        let width = reader.try_read_bits(6)? as usize;
-        if width == 0 {
-            return None;
-        }
-        let id = reader.try_read_bits(width)?;
-        let fat = reader.try_read_bit()?;
-        Some(Self {
-            reader,
-            width,
-            id,
-            fat,
-        })
-    }
-}
-
-/// The prelude stub of a threshold label — id width, scheme id and fat
-/// flag, nothing after — viewed in place as the label's first bits;
-/// `None` if the label carries no valid prelude. A stub of a stub is the
-/// same stub.
-#[must_use]
-pub fn prelude_stub(l: LabelRef<'_>) -> Option<LabelRef<'_>> {
-    Prelude::read(l).map(|p| l.prefix(p.reader.position()))
-}
-
-/// Checked scan of a thin threshold label's neighbour list for scheme id
-/// `target`; `None` if the label is a prelude stub or declares more
-/// neighbours than it carries.
-fn thin_contains(mut l: Prelude<'_>, target: u64) -> Option<bool> {
-    let deg = l.reader.try_read_gamma()? - 1;
-    // One bounds check for the whole list, so the scan cannot run off
-    // the label's end.
-    if deg.checked_mul(l.width as u64)? > l.reader.remaining() as u64 {
-        return None;
-    }
-    Some((0..deg).any(|_| l.reader.read_bits(l.width) == target))
-}
-
-/// Checked read of bit `id` in a fat threshold label's adjacency bitmap,
-/// in place in the arena; `None` if the label is thin, a prelude stub,
-/// or declares a `k` beyond the bits it carries. Ids at or past `k` are
-/// never adjacent.
-fn fat_contains(mut l: Prelude<'_>, id: u64) -> Option<bool> {
-    if !l.fat {
-        return None;
-    }
-    let k = l.reader.try_read_gamma()? - 1;
-    if k > l.reader.remaining() as u64 {
-        return None;
-    }
-    if id >= k {
-        return Some(false);
-    }
-    // `id < k ≤ remaining`, so the skip stays inside the label.
-    l.reader.skip(id as usize);
-    l.reader.try_read_bit()
 }
 
 /// How one adjacency query was answered — the provenance attached to
@@ -176,7 +105,7 @@ pub struct BatchOutcome {
 
 /// The immutable, concurrently readable label store.
 pub struct LabelStore {
-    labeling: pl_labeling::Labeling,
+    labeling: Labeling,
     tag: SchemeTag,
     n: u32,
     /// Cluster-partition sub-store: non-owned vertices are prelude
@@ -260,6 +189,18 @@ impl LabelStore {
         0
     }
 
+    /// The whole arena, as a rebalance rebuilds the store from it.
+    pub(crate) fn labeling(&self) -> &Labeling {
+        &self.labeling
+    }
+
+    /// This store's scheme and partial flag over another `labeling`.
+    pub(crate) fn relabeled(&self, labeling: Labeling) -> Self {
+        let tag = self.tag;
+        Self::new(TaggedLabeling { tag, labeling }, StoreConfig::default())
+            .with_partial(self.partial)
+    }
+
     /// The label of `v`, viewed in place, if in range.
     #[must_use]
     pub fn label(&self, v: u32) -> Option<LabelRef<'_>> {
@@ -287,52 +228,23 @@ impl LabelStore {
         if self.tag != SchemeTag::Threshold {
             return Ok((decode_adjacent(self.tag, la, lb), QueryPath::Generic));
         }
-        // Threshold fast path: read both preludes once; a fat–fat pair
-        // is one checked bit read in a fat bitmap, any other pair a
-        // checked scan of a thin neighbour list.
-        let pa = Prelude::read(la).ok_or(StoreError::Malformed)?;
-        let pb = Prelude::read(lb).ok_or(StoreError::Malformed)?;
-        let (ida, idb) = (pa.id, pb.id);
-        if ida == idb {
-            return Ok((false, QueryPath::ThinScan));
-        }
-        if pa.fat && pb.fat {
-            if !self.partial {
-                let edge = fat_contains(pa, idb).ok_or(StoreError::Malformed)?;
-                return Ok((edge, QueryPath::FatFat));
-            }
-            // Partial store: either owned bitmap answers a fat–fat pair.
-            return fat_contains(pa, idb)
-                .or_else(|| fat_contains(pb, ida))
-                .map(|edge| (edge, QueryPath::FatFat))
-                .ok_or(StoreError::NotOwned);
-        }
-        if !self.partial {
-            // The first thin endpoint's list decides, as in the decoder.
-            let edge = if pa.fat {
-                thin_contains(pb, ida)
-            } else {
-                thin_contains(pa, idb)
-            };
-            return edge
-                .map(|edge| (edge, QueryPath::ThinScan))
-                .ok_or(StoreError::Malformed);
-        }
-        // Partial store: a thin endpoint whose list is present answers
-        // one-sidedly (the other endpoint's stub carries the scheme id
-        // the scan looks for).
-        let (fat_a, fat_b) = (pa.fat, pb.fat);
-        if !fat_a {
-            if let Some(edge) = thin_contains(pa, idb) {
-                return Ok((edge, QueryPath::ThinScan));
-            }
-        }
-        if !fat_b {
-            if let Some(edge) = thin_contains(pb, ida) {
-                return Ok((edge, QueryPath::ThinScan));
-            }
-        }
-        Err(StoreError::NotOwned)
+        let a = ThresholdLabel::parse(la).ok_or(StoreError::Malformed)?;
+        let b = ThresholdLabel::parse(lb).ok_or(StoreError::Malformed)?;
+        let path = if a.is_fat() && b.is_fat() && a.id() != b.id() {
+            QueryPath::FatFat
+        } else {
+            QueryPath::ThinScan
+        };
+        let edge = if self.partial {
+            // Either owned side answers; a pair neither side can answer
+            // is re-asked at a backend owning the other endpoint.
+            a.one_sided(&b)
+                .or_else(|| b.one_sided(&a))
+                .ok_or(StoreError::NotOwned)?
+        } else {
+            a.try_adjacent(&b).ok_or(StoreError::Malformed)?
+        };
+        Ok((edge, path))
     }
 
     /// Answers "what is dist(u, v)?"; `Ok(None)` means beyond the
@@ -432,38 +344,6 @@ mod tests {
         assert_eq!(QueryPath::Generic.as_u64(), 0);
         assert_eq!(QueryPath::ThinScan.as_u64(), 1);
         assert_eq!(QueryPath::FatFat.as_u64(), 2);
-    }
-
-    /// [`fat_contains`] on a raw label.
-    fn fat_bit(l: LabelRef<'_>, id: u64) -> Option<bool> {
-        fat_contains(Prelude::read(l)?, id)
-    }
-
-    #[test]
-    fn fat_contains_covers_all_fat_vertices() {
-        // Every vertex of star+cycle(25) has degree ≥ 3, so all 25 are fat.
-        let g = star_plus_cycle(25);
-        let labeling = ThresholdScheme::with_tau(3).encode(&g);
-        let hub = labeling.label(0);
-        // The hub (scheme id 0, highest degree) is adjacent to every other
-        // fat vertex and never to itself.
-        assert_eq!(fat_bit(hub, 0), Some(false));
-        for id in 1..25 {
-            assert_eq!(fat_bit(hub, id), Some(true), "hub should see fat id {id}");
-        }
-        assert_eq!(
-            fat_bit(hub, 25),
-            Some(false),
-            "out-of-range id is never adjacent"
-        );
-    }
-
-    #[test]
-    fn thin_label_is_not_read_as_fat() {
-        let g = pl_graph::builder::from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let labeling = ThresholdScheme::with_tau(2).encode(&g);
-        // Vertex 1 has degree 1 < 2: thin.
-        assert_eq!(fat_bit(labeling.label(1), 0), None);
     }
 
     /// A fat-looking label whose bitmap is cut short: prelude and fat

@@ -7,9 +7,16 @@
 //! or past 63 zeros, thin lists declaring more ids than they carry. Every
 //! pair is queried through a full and a partial store; every answer must
 //! be `Ok`, `Malformed` or `NotOwned`, and nothing may panic. This is
-//! what the store's checked reads, and the one up-front bounds check in
-//! front of its unchecked thin-list scan, are for.
+//! what the checked reads of `pl_labeling::threshold`, and the one
+//! up-front bounds check in front of its thin-list scan, are for.
+//!
+//! There is one decoder: on every pair, `try_adjacent` must give the
+//! full store's answer (`Some(b)` for `Ok(b)`, `None` for `Malformed`),
+//! and `ThresholdDecoder` must answer `Some(true)` as adjacent and all
+//! else as not, without panicking.
 
+use pl_labeling::scheme::AdjacencyDecoder;
+use pl_labeling::threshold::{try_adjacent, ThresholdDecoder};
 use pl_labeling::Labeling;
 use pl_serve::{LabelStore, SchemeTag, StoreConfig, StoreError, TaggedLabeling};
 use rand::rngs::StdRng;
@@ -68,6 +75,13 @@ fn hostile_arenas_answer_or_refuse_but_never_panic() {
             labeling,
         };
         let full = LabelStore::new(tagged.clone(), StoreConfig::default());
+        for (u, a) in tagged.labeling.iter() {
+            for (v, b) in tagged.labeling.iter() {
+                let rule = try_adjacent(a, b).ok_or(StoreError::Malformed);
+                assert_eq!(full.adjacent(u, v), rule, "({u}, {v}) of {n}");
+                assert_eq!(ThresholdDecoder.adjacent(a, b), rule == Ok(true));
+            }
+        }
         let partial = LabelStore::new(tagged, StoreConfig::default()).with_partial(true);
         for store in [&full, &partial] {
             for u in 0..n {

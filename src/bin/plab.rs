@@ -63,14 +63,16 @@ use pl_cluster::{
 };
 use pl_graph::Graph;
 use pl_labeling::baseline::{AdjListScheme, MoonScheme};
-use pl_labeling::codec::{decode_adjacent, SchemeTag, TaggedLabeling};
+use pl_labeling::codec::{SchemeTag, TaggedLabeling};
 use pl_labeling::distance::DistanceScheme;
 use pl_labeling::forest::OrientationScheme;
 use pl_labeling::scheme::AdjacencyScheme;
 use pl_labeling::threshold::encode_with_stats_threads;
 use pl_labeling::{Labeling, PowerLawScheme, SparseScheme};
 use pl_serve::client::loadgen::{self, LoadgenConfig, Skew};
-use pl_serve::{Client, FaultPlan, LabelStore, ResilientClient, RetryPolicy, StoreConfig};
+use pl_serve::{
+    Client, FaultPlan, LabelStore, ResilientClient, RetryPolicy, StoreConfig, StoreError,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -504,24 +506,27 @@ fn cmd_query(raw: &[String]) -> Result<(), String> {
     let [path, u, v] = args.positional.as_slice() else {
         return Err("usage: plab query <labels.plab> <u> <v>  (or --stdin)".into());
     };
-    let tagged = load_labeling(path)?;
+    let store = LabelStore::new(load_labeling(path)?, StoreConfig::default());
     let u: u32 = u.parse().map_err(|_| format!("bad vertex id {u:?}"))?;
     let v: u32 = v.parse().map_err(|_| format!("bad vertex id {v:?}"))?;
-    let n = tagged.labeling.len();
-    if (u as usize) >= n || (v as usize) >= n {
-        return Err(format!("vertex out of range (n = {n})"));
-    }
-    let (a, b) = (tagged.labeling.label(u), tagged.labeling.label(v));
-    println!("{}", decode_adjacent(tagged.tag, a, b));
+    println!("{}", query_pair(&store, u, v)?);
     Ok(())
+}
+
+/// Answers one pair as a server would, so a corrupt label is an error
+/// message, not a panic.
+fn query_pair(store: &LabelStore, u: u32, v: u32) -> Result<bool, String> {
+    store.adjacent(u, v).map_err(|e| match e {
+        StoreError::OutOfRange => format!("vertex out of range (n = {})", store.n()),
+        e => format!("cannot answer ({u}, {v}): {e:?}"),
+    })
 }
 
 /// Batch mode: the labeling is loaded once, then one `u v` pair per stdin
 /// line is answered per output line. Any malformed or out-of-range pair
 /// aborts with a non-zero exit so pipelines fail loudly.
 fn query_stdin(path: &str) -> Result<(), String> {
-    let tagged = load_labeling(path)?;
-    let n = tagged.labeling.len();
+    let store = LabelStore::new(load_labeling(path)?, StoreConfig::default());
     let stdin = std::io::stdin();
     for (line_no, line) in stdin.lock().lines().enumerate() {
         let line = line.map_err(|e| format!("reading stdin: {e}"))?;
@@ -540,15 +545,9 @@ fn query_stdin(path: &str) -> Result<(), String> {
             s.parse()
                 .map_err(|_| format!("line {}: bad vertex id {s:?}", line_no + 1))
         };
-        let (u, v) = (parse(u)?, parse(v)?);
-        if (u as usize) >= n || (v as usize) >= n {
-            return Err(format!(
-                "line {}: vertex out of range (n = {n})",
-                line_no + 1
-            ));
-        }
-        let (a, b) = (tagged.labeling.label(u), tagged.labeling.label(v));
-        println!("{}", decode_adjacent(tagged.tag, a, b));
+        let edge = query_pair(&store, parse(u)?, parse(v)?)
+            .map_err(|e| format!("line {}: {e}", line_no + 1))?;
+        println!("{edge}");
     }
     Ok(())
 }

@@ -264,6 +264,49 @@ fn query_stdin_answers_batches_and_rejects_garbage() {
 }
 
 #[test]
+fn query_answers_corrupt_labels_without_panicking() {
+    use pl_labeling::bits::BitWriter;
+    use pl_labeling::{Label, Labeling, SchemeTag, TaggedLabeling};
+    // Vertex 0: a thin label declaring 5 neighbour ids but carrying 1.
+    let mut short_thin = BitWriter::new();
+    short_thin.write_bits(6, 6);
+    short_thin.write_bits(0, 6);
+    short_thin.write_bit(false);
+    short_thin.write_gamma(6);
+    short_thin.write_bits(7, 6);
+    // Vertex 1: a thin label with an empty list.
+    let mut empty_thin = BitWriter::new();
+    empty_thin.write_bits(6, 6);
+    empty_thin.write_bits(1, 6);
+    empty_thin.write_bit(false);
+    empty_thin.write_gamma(1);
+    let tagged = TaggedLabeling {
+        tag: SchemeTag::Threshold,
+        labeling: Labeling::new(vec![Label::from(short_thin), Label::from(empty_thin)]),
+    };
+    let labels = tmp("corrupt.plab");
+    tagged.save(&labels).unwrap();
+    assert_eq!(std::fs::metadata(&labels).unwrap().len(), 42);
+    let path = labels.to_str().unwrap();
+
+    // Vertex 0's list decides (0, 1), and it is cut short.
+    let out = plab(&["query", path, "0", "1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    let out = plab_with_stdin(&["query", path, "--stdin"], "0 1\n");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("line 1") && !stderr.contains("panicked"));
+    // Vertex 1's empty list decides (1, 0).
+    let out = plab(&["query", path, "1", "0"]);
+    assert!(out.status.success());
+    assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "false");
+
+    let _ = std::fs::remove_file(labels);
+}
+
+#[test]
 fn encode_distance_scheme_and_query_adjacency() {
     let graph = tmp("dist.el");
     let labels = tmp("dist.plab");
