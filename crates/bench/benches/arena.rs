@@ -8,9 +8,8 @@
 //! touches two bit windows of the shared arena and never allocates.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use pl_labeling::codec::{AnyDecoder, SchemeTag};
 use pl_labeling::scheme::AdjacencyDecoder;
-use pl_labeling::threshold::encode_with_stats_threads;
+use pl_labeling::threshold::{encode_with_stats_threads, ThresholdDecoder};
 use pl_labeling::PowerLawScheme;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,7 +32,7 @@ fn bench_arena_encode(c: &mut Criterion) {
 
 fn bench_arena_decode(c: &mut Criterion) {
     let mut group = c.benchmark_group("arena_decode");
-    let dec = AnyDecoder::for_tag(SchemeTag::Threshold);
+    let dec = ThresholdDecoder;
     for n in [5_000usize, 20_000, 80_000] {
         let mut rng = StdRng::seed_from_u64(0xA2E7A ^ n as u64);
         let g = pl_gen::chung_lu_power_law(n, 2.5, 5.0, &mut rng);

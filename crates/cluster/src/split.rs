@@ -176,10 +176,10 @@ mod tests {
                     );
                     // Prelude parses; the first content read fails.
                     let mut r = cut.reader();
-                    let w = r.try_read_bits(6).expect("stub id width") as usize;
-                    r.try_read_bits(w).expect("stub scheme id");
-                    r.try_read_bit().expect("stub fat flag");
-                    assert_eq!(r.try_read_gamma(), None, "stub of {v} carries content");
+                    let w = r.read_bits(6).expect("stub id width") as usize;
+                    r.read_bits(w).expect("stub scheme id");
+                    r.read_bit().expect("stub fat flag");
+                    assert_eq!(r.read_gamma(), None, "stub of {v} carries content");
                 }
             }
             assert_eq!(report.owned, owned);

@@ -5,7 +5,9 @@ use pl_graph::{Graph, VertexId};
 
 use crate::bits::BitWriter;
 use crate::label::{Label, LabelRef, Labeling};
-use crate::scheme::{id_width, read_prelude, write_prelude, AdjacencyDecoder, AdjacencyScheme};
+use crate::scheme::{
+    id_width, list_contains, read_prelude, write_prelude, AdjacencyDecoder, AdjacencyScheme,
+};
 
 /// The naive adjacency-list labeling: every vertex stores all of its
 /// neighbours' identifiers. Maximum label `≈ Δ·log n` bits — tiny on
@@ -51,16 +53,14 @@ impl AdjacencyScheme for AdjListScheme {
 pub struct AdjListDecoder;
 
 impl AdjacencyDecoder for AdjListDecoder {
-    fn adjacent(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> bool {
+    fn try_adjacent(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
         let mut ra = a.reader();
-        let (w, ida) = read_prelude(&mut ra);
-        let mut rb = b.reader();
-        let (_, idb) = read_prelude(&mut rb);
+        let (w, ida) = read_prelude(&mut ra)?;
+        let (_, idb) = read_prelude(&mut b.reader())?;
         if ida == idb {
-            return false;
+            return Some(false);
         }
-        let deg = ra.read_gamma() - 1;
-        (0..deg).any(|_| ra.read_bits(w) == idb)
+        list_contains(&mut ra, w, idb)
     }
 }
 
@@ -114,16 +114,16 @@ impl AdjacencyScheme for MoonScheme {
 pub struct MoonDecoder;
 
 impl AdjacencyDecoder for MoonDecoder {
-    fn adjacent(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> bool {
+    fn try_adjacent(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
         let mut ra = a.reader();
-        let (_, ida) = read_prelude(&mut ra);
+        let (_, ida) = read_prelude(&mut ra)?;
         let mut rb = b.reader();
-        let (_, idb) = read_prelude(&mut rb);
+        let (_, idb) = read_prelude(&mut rb)?;
         if ida == idb {
-            return false;
+            return Some(false);
         }
         let (mut hi, lo) = if ida > idb { (ra, idb) } else { (rb, ida) };
-        hi.skip(lo as usize);
+        hi.skip(lo as usize)?;
         hi.read_bit()
     }
 }

@@ -24,15 +24,12 @@
 //!
 //! ## Guards
 //!
-//! Each read checks the field against the window once, up front:
-//!
-//! - the unchecked reads (`read_bit`, `read_bits`, `read_gamma`, `skip`)
-//!   panic when the field would extend past the window — they are for
-//!   labels this process encoded itself;
-//! - the checked `try_*` reads return `None` instead and leave the cursor
-//!   where it was, so an untrusted label surfaces as an error. A gamma
-//!   code whose unary prefix exceeds 63 zeros (no `u64` has one) is
-//!   `None` as well, and `read_gamma` panics on it.
+//! Every read is checked: it tests the field against the window once, up
+//! front, and returns `None` — leaving the cursor where it was — when the
+//! field would extend past the window. A gamma code whose unary prefix
+//! exceeds 63 zeros (no `u64` has one) is `None` as well. Labels are
+//! untrusted once a `.plab` leaves the encoder, so a short or garbled
+//! label surfaces as `None` in the decoder, never as a panic.
 //!
 //! A read only touches the word after the field's first word when the
 //! field actually crosses into it, so a field ending in the last word of
@@ -114,6 +111,7 @@ impl BitString {
         if off == 0 {
             self.words.push(aligned);
         } else {
+            // lint: panic-ok(a nonzero bit offset means a word was pushed)
             let last = self.words.last_mut().expect("off != 0 implies a word");
             *last |= aligned >> off;
             if off + width > 64 {
@@ -313,80 +311,43 @@ impl<'a> BitReader<'a> {
         self.peek(span).leading_zeros() as usize - (64 - span)
     }
 
-    /// Reads one bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics on reading past the end.
+    /// Reads one bit, or `None` at the end of the window.
     #[inline]
-    pub fn read_bit(&mut self) -> bool {
-        self.read_bits(1) == 1
-    }
-
-    /// Reads `width` bits as an MSB-first unsigned integer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width > 64` or fewer than `width` bits remain.
-    #[inline]
-    pub fn read_bits(&mut self, width: usize) -> u64 {
-        assert!(width <= 64, "width {width} exceeds 64");
-        assert!(width <= self.remaining(), "bit index out of range");
-        self.take(width)
-    }
-
-    /// Reads an Elias-gamma integer (`>= 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the code runs past the end or its unary prefix exceeds
-    /// 63 zeros.
-    #[inline]
-    pub fn read_gamma(&mut self) -> u64 {
-        let zeros = self.leading_zeros_ahead();
-        assert!(zeros < 64, "gamma prefix exceeds 63 zeros");
-        self.skip(zeros);
-        self.read_bits(zeros + 1)
-    }
-
-    /// Skips `count` bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `count` bits remain.
-    #[inline]
-    pub fn skip(&mut self, count: usize) {
-        assert!(count <= self.remaining(), "skip past end of bit string");
-        self.pos += count;
-    }
-
-    /// Reads one bit, or `None` at end of window — for untrusted labels
-    /// where a truncated field must surface as an error, not a panic.
-    #[inline]
-    pub fn try_read_bit(&mut self) -> Option<bool> {
-        self.try_read_bits(1).map(|b| b == 1)
+    pub fn read_bit(&mut self) -> Option<bool> {
+        self.read_bits(1).map(|b| b == 1)
     }
 
     /// Reads `width` bits as an MSB-first unsigned integer, or `None` if
     /// `width > 64` or fewer than `width` bits remain.
     #[inline]
-    pub fn try_read_bits(&mut self, width: usize) -> Option<u64> {
+    pub fn read_bits(&mut self, width: usize) -> Option<u64> {
         if width > 64 || width > self.remaining() {
             return None;
         }
         Some(self.take(width))
     }
 
-    /// Reads an Elias-gamma integer, or `None` if the code is truncated
-    /// or its unary prefix exceeds 63 zeros (no valid `u64` gamma code).
+    /// Reads an Elias-gamma integer (`>= 1`), or `None` if the code is
+    /// truncated or its unary prefix exceeds 63 zeros (no valid `u64`
+    /// gamma code).
     #[inline]
-    pub fn try_read_gamma(&mut self) -> Option<u64> {
+    pub fn read_gamma(&mut self) -> Option<u64> {
         let zeros = self.leading_zeros_ahead();
         if zeros >= 64 || 2 * zeros + 1 > self.remaining() {
             return None;
         }
         self.pos += zeros;
         Some(self.take(zeros + 1))
+    }
+
+    /// Skips `count` bits, or `None` if fewer than `count` remain.
+    #[inline]
+    pub fn skip(&mut self, count: usize) -> Option<()> {
+        if count > self.remaining() {
+            return None;
+        }
+        self.pos += count;
+        Some(())
     }
 }
 
@@ -414,7 +375,7 @@ mod tests {
         assert_eq!(s.len(), 7);
         let mut r = BitReader::new(&s);
         for &b in &pattern {
-            assert_eq!(r.read_bit(), b);
+            assert_eq!(r.read_bit(), Some(b));
         }
         assert_eq!(r.remaining(), 0);
     }
@@ -428,10 +389,10 @@ mod tests {
         w.write_bits(12345, 17);
         let s = w.finish();
         let mut r = BitReader::new(&s);
-        assert_eq!(r.read_bits(4), 0b1011);
-        assert_eq!(r.read_bits(1), 0);
-        assert_eq!(r.read_bits(64), u64::MAX);
-        assert_eq!(r.read_bits(17), 12345);
+        assert_eq!(r.read_bits(4), Some(0b1011));
+        assert_eq!(r.read_bits(1), Some(0));
+        assert_eq!(r.read_bits(64), Some(u64::MAX));
+        assert_eq!(r.read_bits(17), Some(12345));
     }
 
     #[test]
@@ -443,9 +404,9 @@ mod tests {
         let s = w.finish();
         assert_eq!(s.len(), 82);
         let mut r = BitReader::new(&s);
-        assert_eq!(r.read_bits(16), 0x5555);
-        assert_eq!(r.read_bits(64), 0xDEAD_BEEF_CAFE_F00D);
-        assert_eq!(r.read_bits(2), 0x3);
+        assert_eq!(r.read_bits(16), Some(0x5555));
+        assert_eq!(r.read_bits(64), Some(0xDEAD_BEEF_CAFE_F00D));
+        assert_eq!(r.read_bits(2), Some(0x3));
     }
 
     #[test]
@@ -458,7 +419,7 @@ mod tests {
         let s = w.finish();
         let mut r = BitReader::new(&s);
         for &v in &values {
-            assert_eq!(r.read_gamma(), v);
+            assert_eq!(r.read_gamma(), Some(v));
         }
     }
 
@@ -479,9 +440,12 @@ mod tests {
         w.write_bits(0b101, 3);
         let s = w.finish();
         let mut r = BitReader::new(&s);
-        r.skip(8);
+        assert_eq!(r.skip(8), Some(()));
         assert_eq!(r.position(), 8);
-        assert_eq!(r.read_bits(3), 0b101);
+        assert_eq!(r.skip(4), None);
+        assert_eq!(r.position(), 8);
+        assert_eq!(r.read_bits(3), Some(0b101));
+        assert_eq!(r.skip(0), Some(()));
     }
 
     #[test]
@@ -499,11 +463,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn read_past_end_panics() {
+    fn read_past_end_is_none() {
         let s = BitString::new();
         let mut r = BitReader::new(&s);
-        let _ = r.read_bit();
+        assert_eq!(r.read_bit(), None);
+        assert_eq!(r.read_gamma(), None);
+        assert_eq!(r.skip(1), None);
     }
 
     #[test]
@@ -516,11 +481,11 @@ mod tests {
         w.write_bits(0, 13);
         let s = w.finish();
         let mut r = BitReader::new(&s);
-        assert_eq!(r.read_gamma(), 42);
-        assert!(r.read_bit());
-        assert_eq!(r.read_bits(3), 7);
-        assert_eq!(r.read_gamma(), 1);
-        assert_eq!(r.read_bits(13), 0);
+        assert_eq!(r.read_gamma(), Some(42));
+        assert_eq!(r.read_bit(), Some(true));
+        assert_eq!(r.read_bits(3), Some(7));
+        assert_eq!(r.read_gamma(), Some(1));
+        assert_eq!(r.read_bits(13), Some(0));
         assert_eq!(r.remaining(), 0);
     }
 
@@ -533,8 +498,8 @@ mod tests {
         let s = w.finish();
         // Window over the gamma + trailing field only.
         let mut r = BitReader::over(s.words(), 16, s.len() - 16);
-        assert_eq!(r.read_gamma(), 99);
-        assert_eq!(r.read_bits(5), 0x1F);
+        assert_eq!(r.read_gamma(), Some(99));
+        assert_eq!(r.read_bits(5), Some(0x1F));
         assert_eq!(r.remaining(), 0);
     }
 
@@ -544,8 +509,8 @@ mod tests {
         w.write_bits(u64::MAX, 64);
         let s = w.finish();
         let mut r = BitReader::over(s.words(), 3, 10);
-        assert_eq!(r.read_bits(10), 0x3FF);
-        assert_eq!(r.try_read_bit(), None);
+        assert_eq!(r.read_bits(10), Some(0x3FF));
+        assert_eq!(r.read_bit(), None);
     }
 
     #[test]
@@ -589,16 +554,16 @@ mod tests {
     }
 
     #[test]
-    fn try_reads_report_truncation() {
+    fn reads_report_truncation() {
         let mut w = BitWriter::new();
         w.write_bits(0, 3); // looks like the start of a gamma unary prefix
         let s = w.finish();
         let mut r = BitReader::new(&s);
-        assert_eq!(r.try_read_gamma(), None);
+        assert_eq!(r.read_gamma(), None);
         let mut r2 = BitReader::new(&s);
-        assert_eq!(r2.try_read_bits(4), None);
-        assert_eq!(r2.try_read_bits(3), Some(0));
-        assert_eq!(r2.try_read_bit(), None);
+        assert_eq!(r2.read_bits(4), None);
+        assert_eq!(r2.read_bits(3), Some(0));
+        assert_eq!(r2.read_bit(), None);
     }
 
     /// The bit-at-a-time implementation the word-level code replaced,
@@ -723,17 +688,15 @@ mod tests {
                         let want = reference(slice, start, len).try_read_bits(width);
                         assert!(want.is_some());
                         let mut r = BitReader::over(slice, start, len);
-                        assert_eq!(r.try_read_bits(width), want, "start {start} width {width}");
+                        assert_eq!(r.read_bits(width), want, "start {start} width {width}");
                         assert_eq!(r.position(), width);
-                        let mut r = BitReader::over(slice, start, len);
-                        assert_eq!(Some(r.read_bits(width)), want);
                         // A window exactly one field long: the field is
                         // readable, one more bit is not.
                         let mut r = BitReader::over(slice, start, width);
-                        assert_eq!(r.try_read_bits(width + 1), None);
+                        assert_eq!(r.read_bits(width + 1), None);
                         assert_eq!(r.position(), 0);
-                        assert_eq!(r.try_read_bits(width), want);
-                        assert_eq!(r.try_read_bit(), None);
+                        assert_eq!(r.read_bits(width), want);
+                        assert_eq!(r.read_bit(), None);
                     }
                 }
             }
@@ -752,10 +715,8 @@ mod tests {
                 }
                 w.write_gamma(x);
                 let mut r = BitReader::over(&w.words, lead, w.len - lead);
-                assert_eq!(r.read_gamma(), x, "bits {bits} lead {lead}");
+                assert_eq!(r.read_gamma(), Some(x), "bits {bits} lead {lead}");
                 assert_eq!(r.remaining(), 0);
-                let mut r = BitReader::over(&w.words, lead, w.len - lead);
-                assert_eq!(r.try_read_gamma(), Some(x));
                 assert_eq!(
                     reference(&w.words, lead, w.len - lead).try_read_gamma(),
                     Some(x)
@@ -765,7 +726,7 @@ mod tests {
     }
 
     #[test]
-    fn try_read_gamma_matches_bitwise_at_every_cut() {
+    fn read_gamma_matches_bitwise_at_every_cut() {
         let mut rng = StdRng::seed_from_u64(0xC07);
         for bits in 1..=64usize {
             let x = value_of_bit_len(&mut rng, bits);
@@ -780,20 +741,20 @@ mod tests {
                 let want = reference(&w.words, lead, cut).try_read_gamma();
                 assert_eq!(want.is_some(), cut == code);
                 let mut r = BitReader::over(&w.words, lead, cut);
-                assert_eq!(r.try_read_gamma(), want, "bits {bits} cut {cut}");
+                assert_eq!(r.read_gamma(), want, "bits {bits} cut {cut}");
             }
         }
     }
 
     #[test]
-    fn try_read_gamma_prefix_of_63_zeros_is_the_last_valid_code() {
+    fn read_gamma_prefix_of_63_zeros_is_the_last_valid_code() {
         // 63 zeros, then a one and 63 value bits: the largest gamma code.
         let x = (1u64 << 63) | 0x1234_5678_9ABC_DEF0;
         let mut w = bitwise::Writer::new();
         w.write_bits(0, 5);
         w.write_gamma(x);
         let mut r = BitReader::over(&w.words, 5, w.len - 5);
-        assert_eq!(r.try_read_gamma(), Some(x));
+        assert_eq!(r.read_gamma(), Some(x));
         assert_eq!(reference(&w.words, 5, w.len - 5).try_read_gamma(), Some(x));
 
         // 64 zeros, then a one: no u64 has this code.
@@ -803,15 +764,8 @@ mod tests {
         w.write_bits(u64::MAX, 64);
         assert_eq!(reference(&w.words, 0, w.len).try_read_gamma(), None);
         let mut r = BitReader::over(&w.words, 0, w.len);
-        assert_eq!(r.try_read_gamma(), None);
+        assert_eq!(r.read_gamma(), None);
         assert_eq!(r.position(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "63 zeros")]
-    fn read_gamma_rejects_a_64_zero_prefix() {
-        let words = [0u64, 1 << 63];
-        let _ = BitReader::over(&words, 0, 128).read_gamma();
     }
 
     #[test]
@@ -865,13 +819,5 @@ mod tests {
             assert_eq!(got.words(), &want.words[..], "{head_bits}+{start}..{len}");
             assert_eq!(got.len(), want.len);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn unchecked_read_past_window_panics() {
-        let words = [u64::MAX, u64::MAX];
-        let mut r = BitReader::over(&words, 60, 10);
-        let _ = r.read_bits(11);
     }
 }

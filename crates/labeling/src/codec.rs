@@ -6,9 +6,10 @@
 //! `crates/labeling/FORMAT.md`). The tag picks the decoder, keeping the
 //! decoder itself graph-independent: any process holding the file — the
 //! CLI, the serving engine, a remote peer — can answer queries without
-//! the graph. [`AnyDecoder`] is the closed dispatch enum over the
-//! decoders a tag can name, so consumers (serve, bench, CLI) depend on
-//! this crate and never the reverse.
+//! the graph. [`SchemeTag::try_adjacent`] and [`SchemeTag::try_distance`]
+//! dispatch to the concrete decoder a tag names, so consumers (serve,
+//! bench, CLI) depend on this crate and never the reverse. Both decode
+//! with checked reads: a malformed label answers `None`, never a panic.
 
 use std::fs;
 use std::path::Path;
@@ -85,73 +86,29 @@ impl SchemeTag {
     pub fn supports_distance(self) -> bool {
         matches!(self, Self::Distance)
     }
-}
 
-/// Runtime-dispatched decoder: one variant per [`SchemeTag`], each
-/// wrapping the concrete stateless decoder. Lets a process pick the
-/// decoder from a tag byte at load time while staying a plain value —
-/// no trait objects, no allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnyDecoder {
-    /// Fat/thin threshold decoder.
-    Threshold(ThresholdDecoder),
-    /// Adjacency-list decoder.
-    AdjList(AdjListDecoder),
-    /// Degeneracy-orientation decoder.
-    Orientation(OrientationDecoder),
-    /// Moon half-bitmap decoder.
-    Moon(MoonDecoder),
-    /// Bounded-distance decoder.
-    Distance(DistanceDecoder),
-}
-
-impl AnyDecoder {
-    /// The decoder `tag` names.
+    /// Adjacency by the decoder this tag names; `None` when a label is
+    /// malformed. For [`SchemeTag::Distance`], adjacency is
+    /// `distance == 1`.
     #[must_use]
-    pub fn for_tag(tag: SchemeTag) -> Self {
-        match tag {
-            SchemeTag::Threshold => Self::Threshold(ThresholdDecoder),
-            SchemeTag::AdjList => Self::AdjList(AdjListDecoder),
-            SchemeTag::Orientation => Self::Orientation(OrientationDecoder),
-            SchemeTag::Moon => Self::Moon(MoonDecoder),
-            SchemeTag::Distance => Self::Distance(DistanceDecoder),
+    pub fn try_adjacent(self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
+        match self {
+            Self::Threshold => ThresholdDecoder.try_adjacent(a, b),
+            Self::AdjList => AdjListDecoder.try_adjacent(a, b),
+            Self::Orientation => OrientationDecoder.try_adjacent(a, b),
+            Self::Moon => MoonDecoder.try_adjacent(a, b),
+            Self::Distance => Some(DistanceDecoder.try_distance(a, b)? == Some(1)),
         }
     }
 
-    /// The tag this decoder answers for.
+    /// Bounded distance by the decoder this tag names: `Some(None)` when
+    /// the scheme cannot bound it (or, for [`SchemeTag::Distance`], when
+    /// it exceeds `f`), and `None` when a label is malformed.
     #[must_use]
-    pub fn tag(self) -> SchemeTag {
+    pub fn try_distance(self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<Option<u32>> {
         match self {
-            Self::Threshold(_) => SchemeTag::Threshold,
-            Self::AdjList(_) => SchemeTag::AdjList,
-            Self::Orientation(_) => SchemeTag::Orientation,
-            Self::Moon(_) => SchemeTag::Moon,
-            Self::Distance(_) => SchemeTag::Distance,
-        }
-    }
-
-    /// Bounded distance between the two labeled vertices; `None` when
-    /// the scheme cannot bound it (or, for [`SchemeTag::Distance`],
-    /// when it exceeds `f`).
-    #[must_use]
-    pub fn distance(self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<u32> {
-        match self {
-            Self::Distance(d) => d.distance(a, b),
-            _ => None,
-        }
-    }
-}
-
-impl AdjacencyDecoder for AnyDecoder {
-    /// Dispatches to the wrapped decoder. For [`SchemeTag::Distance`],
-    /// adjacency is `distance == 1`.
-    fn adjacent(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> bool {
-        match self {
-            Self::Threshold(d) => d.adjacent(a, b),
-            Self::AdjList(d) => d.adjacent(a, b),
-            Self::Orientation(d) => d.adjacent(a, b),
-            Self::Moon(d) => d.adjacent(a, b),
-            Self::Distance(d) => d.distance(a, b) == Some(1),
+            Self::Distance => DistanceDecoder.try_distance(a, b),
+            _ => Some(None),
         }
     }
 }
@@ -231,26 +188,6 @@ impl TaggedLabeling {
     pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
         fs::write(path, self.to_bytes())
     }
-
-    /// The decoder this labeling requires.
-    #[must_use]
-    pub fn decoder(&self) -> AnyDecoder {
-        AnyDecoder::for_tag(self.tag)
-    }
-}
-
-/// Dispatches an adjacency query to the decoder `tag` names. For
-/// [`SchemeTag::Distance`], adjacency is `distance == 1`.
-#[must_use]
-pub fn decode_adjacent(tag: SchemeTag, a: LabelRef<'_>, b: LabelRef<'_>) -> bool {
-    AnyDecoder::for_tag(tag).adjacent(a, b)
-}
-
-/// Dispatches a distance query; `None` when the scheme cannot bound the
-/// distance (or, for [`SchemeTag::Distance`], when it exceeds `f`).
-#[must_use]
-pub fn decode_distance(tag: SchemeTag, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<u32> {
-    AnyDecoder::for_tag(tag).distance(a, b)
 }
 
 #[cfg(test)]
@@ -263,7 +200,6 @@ mod tests {
     fn tag_round_trip() {
         for tag in SchemeTag::ALL {
             assert_eq!(SchemeTag::from_u8(tag.as_u8()), Some(tag));
-            assert_eq!(AnyDecoder::for_tag(tag).tag(), tag);
         }
         assert_eq!(SchemeTag::from_u8(0), None);
         assert_eq!(SchemeTag::from_u8(200), None);
@@ -281,8 +217,9 @@ mod tests {
         for u in g.vertices() {
             for v in g.vertices() {
                 assert_eq!(
-                    decode_adjacent(back.tag, back.labeling.label(u), back.labeling.label(v)),
-                    g.has_edge(u, v)
+                    back.tag
+                        .try_adjacent(back.labeling.label(u), back.labeling.label(v)),
+                    Some(g.has_edge(u, v))
                 );
             }
         }

@@ -33,7 +33,9 @@ use pl_graph::{Graph, VertexId};
 
 use crate::bits::BitWriter;
 use crate::label::{Label, LabelRef, Labeling};
-use crate::scheme::{id_width, read_prelude, write_prelude, AdjacencyDecoder, AdjacencyScheme};
+use crate::scheme::{
+    id_width, list_contains, read_prelude, write_prelude, AdjacencyDecoder, AdjacencyScheme,
+};
 
 /// The threshold scheme with per-vertex choice of fat-payload encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,47 +150,40 @@ impl AdjacencyScheme for CompressedThresholdScheme {
 pub struct CompressedDecoder;
 
 impl AdjacencyDecoder for CompressedDecoder {
-    fn adjacent(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> bool {
+    fn try_adjacent(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
         let mut ra = a.reader();
         let mut rb = b.reader();
-        let (wa, ida) = read_prelude(&mut ra);
-        let (_, idb) = read_prelude(&mut rb);
+        let (wa, ida) = read_prelude(&mut ra)?;
+        let (_, idb) = read_prelude(&mut rb)?;
         if ida == idb {
-            return false;
+            return Some(false);
         }
-        let fat_a = ra.read_bit();
-        let fat_b = rb.read_bit();
-        match (fat_a, fat_b) {
-            (false, _) => {
-                let deg = ra.read_gamma() - 1;
-                (0..deg).any(|_| ra.read_bits(wa) == idb)
-            }
-            (_, false) => {
-                let deg = rb.read_gamma() - 1;
-                (0..deg).any(|_| rb.read_bits(wa) == ida)
-            }
+        match (ra.read_bit()?, rb.read_bit()?) {
+            (false, _) => list_contains(&mut ra, wa, idb),
+            (_, false) => list_contains(&mut rb, wa, ida),
             (true, true) => {
-                let k = ra.read_gamma() - 1;
+                let k = ra.read_gamma()? - 1;
                 if idb >= k {
-                    return false; // cross-labeling query (see threshold.rs)
+                    return Some(false); // cross-labeling query (see threshold.rs)
                 }
-                if ra.read_bit() {
+                if ra.read_bit()? {
                     // mode 1: scan the gap list.
-                    let ones = ra.read_gamma() - 1;
+                    let ones = ra.read_gamma()? - 1;
                     let mut pos = 0u64;
                     for i in 0..ones {
-                        let delta = ra.read_gamma();
-                        pos = if i == 0 { delta - 1 } else { pos + delta };
-                        if pos == idb {
-                            return true;
-                        }
-                        if pos > idb {
-                            return false;
+                        let delta = ra.read_gamma()?;
+                        pos = if i == 0 {
+                            delta - 1
+                        } else {
+                            pos.checked_add(delta)?
+                        };
+                        if pos >= idb {
+                            return Some(pos == idb);
                         }
                     }
-                    false
+                    Some(false)
                 } else {
-                    ra.skip(idb as usize);
+                    ra.skip(idb as usize)?;
                     ra.read_bit()
                 }
             }

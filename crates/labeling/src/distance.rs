@@ -173,29 +173,40 @@ struct Parsed {
     thin: Vec<(u64, u32)>,
 }
 
-fn parse(l: LabelRef<'_>) -> Parsed {
+/// Parses a distance label; `None` if it is malformed. The declared
+/// table lengths are checked against the bits the label carries before
+/// any table is sized from them.
+fn parse(l: LabelRef<'_>) -> Option<Parsed> {
     let mut r = l.reader();
-    let (w, id) = read_prelude(&mut r);
-    let f = (r.read_gamma() - 1) as u32;
+    let (w, id) = read_prelude(&mut r)?;
+    let f = u32::try_from(r.read_gamma()? - 1).ok()?;
     let dw = bit_width(u64::from(f) + 1);
-    let fat_index = r.read_bit().then(|| r.read_bits(w) as usize);
-    let k = (r.read_gamma() - 1) as usize;
-    let fat_table = (0..k).map(|_| r.read_bits(dw) as u32).collect();
-    let t = (r.read_gamma() - 1) as usize;
+    let fat_index = if r.read_bit()? {
+        Some(r.read_bits(w)? as usize)
+    } else {
+        None
+    };
+    let k = r.read_gamma()? - 1;
+    if k.checked_mul(dw as u64)? > r.remaining() as u64 {
+        return None;
+    }
+    let fat_table = (0..k)
+        .map(|_| r.read_bits(dw).map(|d| d as u32))
+        .collect::<Option<_>>()?;
+    let t = r.read_gamma()? - 1;
+    if t.checked_mul((w + dw) as u64)? > r.remaining() as u64 {
+        return None;
+    }
     let thin = (0..t)
-        .map(|_| {
-            let u = r.read_bits(w);
-            let d = r.read_bits(dw) as u32;
-            (u, d)
-        })
-        .collect();
-    Parsed {
+        .map(|_| Some((r.read_bits(w)?, r.read_bits(dw)? as u32)))
+        .collect::<Option<_>>()?;
+    Some(Parsed {
         id,
         f,
         fat_index,
         fat_table,
         thin,
-    }
+    })
 }
 
 /// Stateless decoder for [`DistanceScheme`].
@@ -207,23 +218,34 @@ fn parse(l: LabelRef<'_>) -> Parsed {
 pub struct DistanceDecoder;
 
 impl DistanceDecoder {
-    /// Exact bounded distance between the two labeled vertices.
+    /// Exact bounded distance between the two labeled vertices; `None`
+    /// also when a label is malformed.
     #[must_use]
     pub fn distance(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<u32> {
-        let pa = parse(a);
-        let pb = parse(b);
-        debug_assert_eq!(pa.f, pb.f, "labels from different schemes");
+        self.try_distance(a, b).flatten()
+    }
+
+    /// [`distance`](Self::distance), or `None` when a label is malformed:
+    /// it declares more than it carries, the two labels disagree on `f`,
+    /// or a fat index points past the other label's fat table.
+    #[must_use]
+    pub fn try_distance(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<Option<u32>> {
+        let pa = parse(a)?;
+        let pb = parse(b)?;
+        if pa.f != pb.f {
+            return None;
+        }
         if pa.id == pb.id {
-            return Some(0);
+            return Some(Some(0));
         }
         let f = pa.f;
         let mut best = u32::MAX;
         // Fat endpoints: read the other side's part (i) directly.
         if let Some(j) = pb.fat_index {
-            best = best.min(pa.fat_table[j]);
+            best = best.min(*pa.fat_table.get(j)?);
         }
         if let Some(i) = pa.fat_index {
-            best = best.min(pb.fat_table[i]);
+            best = best.min(*pb.fat_table.get(i)?);
         }
         if pa.fat_index.is_none() && pb.fat_index.is_none() {
             // Thin–thin: part (ii) lookups plus the best fat relay.
@@ -235,11 +257,11 @@ impl DistanceDecoder {
             }
             for (da, db) in pa.fat_table.iter().zip(&pb.fat_table) {
                 if *da <= f && *db <= f {
-                    best = best.min(da + db);
+                    best = best.min(da.saturating_add(*db));
                 }
             }
         }
-        (best <= f).then_some(best)
+        Some((best <= f).then_some(best))
     }
 }
 

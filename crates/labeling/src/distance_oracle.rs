@@ -99,20 +99,20 @@ impl FullDistanceScheme {
 pub struct FullDistanceDecoder;
 
 impl FullDistanceDecoder {
-    /// The exact distance, or `None` if unreachable.
+    /// The exact distance, or `None` if unreachable or a label is
+    /// malformed.
     #[must_use]
     pub fn distance(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<u32> {
         let mut ra = a.reader();
-        let (_, ida) = read_prelude(&mut ra);
-        let mut rb = b.reader();
-        let (_, idb) = read_prelude(&mut rb);
+        let (_, ida) = read_prelude(&mut ra)?;
+        let (_, idb) = read_prelude(&mut b.reader())?;
         if ida == idb {
             return Some(0);
         }
-        let dw = ra.read_bits(6) as usize;
-        let _n = ra.read_gamma() - 1;
-        ra.skip(idb as usize * dw);
-        let val = ra.read_bits(dw);
+        let dw = ra.read_bits(6)? as usize;
+        let _n = ra.read_gamma()?;
+        ra.skip((idb as usize).checked_mul(dw)?)?;
+        let val = ra.read_bits(dw)?;
         (val != (1u64 << dw) - 1).then_some(val as u32)
     }
 }
@@ -219,25 +219,25 @@ pub struct LandmarkDecoder;
 impl LandmarkDecoder {
     /// Certified `[lower, upper]` bounds on the distance, or `None` when no
     /// landmark reaches both endpoints (distinct components, as far as the
-    /// oracle can tell).
+    /// oracle can tell) or a label is malformed.
     #[must_use]
     pub fn estimate(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<DistanceEstimate> {
         let parse = |l: LabelRef<'_>| {
             let mut r = l.reader();
-            let (_, id) = read_prelude(&mut r);
-            let dw = r.read_bits(6) as usize;
-            let k = (r.read_gamma() - 1) as usize;
+            let (_, id) = read_prelude(&mut r)?;
+            let dw = r.read_bits(6)? as usize;
+            let k = r.read_gamma()? - 1;
+            if dw == 0 || k.checked_mul(dw as u64)? > r.remaining() as u64 {
+                return None;
+            }
             let sentinel = (1u64 << dw) - 1;
             let row: Vec<Option<u32>> = (0..k)
-                .map(|_| {
-                    let v = r.read_bits(dw);
-                    (v != sentinel).then_some(v as u32)
-                })
-                .collect();
-            (id, row)
+                .map(|_| r.read_bits(dw).map(|v| (v != sentinel).then_some(v as u32)))
+                .collect::<Option<_>>()?;
+            Some((id, row))
         };
-        let (ida, ra) = parse(a);
-        let (idb, rb) = parse(b);
+        let (ida, ra) = parse(a)?;
+        let (idb, rb) = parse(b)?;
         if ida == idb {
             return Some(DistanceEstimate { lower: 0, upper: 0 });
         }
@@ -246,7 +246,7 @@ impl LandmarkDecoder {
         for (da, db) in ra.iter().zip(&rb) {
             if let (Some(x), Some(y)) = (da, db) {
                 lower = lower.max(x.abs_diff(*y));
-                upper = upper.min(x + y);
+                upper = upper.min(x.saturating_add(*y));
             }
         }
         (upper != u32::MAX).then_some(DistanceEstimate { lower, upper })

@@ -42,7 +42,7 @@ use pl_graph::VertexId;
 
 use crate::bits::BitWriter;
 use crate::label::{Label, LabelRef};
-use crate::scheme::{id_width, read_prelude, write_prelude, AdjacencyDecoder};
+use crate::scheme::{id_width, list_contains, read_prelude, write_prelude, AdjacencyDecoder};
 
 /// An incrementally maintained fat/thin labeling.
 #[derive(Debug, Clone)]
@@ -258,32 +258,23 @@ impl DynamicScheme {
 pub struct DynamicDecoder;
 
 impl AdjacencyDecoder for DynamicDecoder {
-    fn adjacent(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> bool {
+    fn try_adjacent(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
         let mut ra = a.reader();
-        let (wa, ida) = read_prelude(&mut ra);
+        let (wa, ida) = read_prelude(&mut ra)?;
         let mut rb = b.reader();
-        let (_, idb) = read_prelude(&mut rb);
+        let (_, idb) = read_prelude(&mut rb)?;
         if ida == idb {
-            return false;
+            return Some(false);
         }
-        let fat_a = ra.read_bit();
-        let fat_b = rb.read_bit();
-        match (fat_a, fat_b) {
-            (false, _) => {
-                let deg = ra.read_gamma() - 1;
-                (0..deg).any(|_| ra.read_bits(wa) == idb)
-            }
-            (_, false) => {
-                let deg = rb.read_gamma() - 1;
-                (0..deg).any(|_| rb.read_bits(wa) == ida)
-            }
+        match (ra.read_bit()?, rb.read_bit()?) {
+            (false, _) => list_contains(&mut ra, wa, idb),
+            (_, false) => list_contains(&mut rb, wa, ida),
             (true, true) => {
-                let ja = ra.read_bits(wa);
-                let jb = rb.read_bits(wa);
-                debug_assert_ne!(ja, jb);
+                let ja = ra.read_bits(wa)?;
+                let jb = rb.read_bits(wa)?;
                 // The younger (larger-index) bitmap covers the older index.
                 let (mut younger, older) = if ja > jb { (ra, jb) } else { (rb, ja) };
-                younger.skip(older as usize);
+                younger.skip(older as usize)?;
                 younger.read_bit()
             }
         }

@@ -21,7 +21,9 @@ use pl_graph::{Graph, VertexId, UNREACHABLE};
 
 use crate::bits::BitWriter;
 use crate::label::{Label, LabelRef, Labeling};
-use crate::scheme::{id_width, read_prelude, write_prelude, AdjacencyDecoder, AdjacencyScheme};
+use crate::scheme::{
+    id_width, list_contains, read_prelude, write_prelude, AdjacencyDecoder, AdjacencyScheme,
+};
 
 /// Parent-pointer adjacency labeling for forests.
 ///
@@ -106,16 +108,20 @@ impl AdjacencyScheme for ForestScheme {
 pub struct ForestDecoder;
 
 impl AdjacencyDecoder for ForestDecoder {
-    fn adjacent(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> bool {
+    fn try_adjacent(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
         let parse = |l: LabelRef<'_>| {
             let mut r = l.reader();
-            let (w, id) = read_prelude(&mut r);
-            let parent = r.read_bit().then(|| r.read_bits(w));
-            (id, parent)
+            let (w, id) = read_prelude(&mut r)?;
+            let parent = if r.read_bit()? {
+                Some(r.read_bits(w)?)
+            } else {
+                None
+            };
+            Some((id, parent))
         };
-        let (ida, pa) = parse(a);
-        let (idb, pb) = parse(b);
-        ida != idb && (pa == Some(idb) || pb == Some(ida))
+        let (ida, pa) = parse(a)?;
+        let (idb, pb) = parse(b)?;
+        Some(ida != idb && (pa == Some(idb) || pb == Some(ida)))
     }
 }
 
@@ -167,23 +173,15 @@ impl AdjacencyScheme for OrientationScheme {
 pub struct OrientationDecoder;
 
 impl AdjacencyDecoder for OrientationDecoder {
-    fn adjacent(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> bool {
-        let contains = |l: LabelRef<'_>, target: u64| {
-            let mut r = l.reader();
-            let (w, id) = read_prelude(&mut r);
-            if id == target {
-                return (false, id);
-            }
-            let count = r.read_gamma() - 1;
-            ((0..count).any(|_| r.read_bits(w) == target), id)
-        };
+    fn try_adjacent(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
+        let mut ra = a.reader();
+        let (wa, ida) = read_prelude(&mut ra)?;
         let mut rb = b.reader();
-        let (_, idb) = read_prelude(&mut rb);
-        let (a_has_b, ida) = contains(a, idb);
+        let (wb, idb) = read_prelude(&mut rb)?;
         if ida == idb {
-            return false;
+            return Some(false);
         }
-        a_has_b || contains(b, ida).0
+        Some(list_contains(&mut ra, wa, idb)? || list_contains(&mut rb, wb, ida)?)
     }
 }
 

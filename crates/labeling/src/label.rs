@@ -547,7 +547,7 @@ mod tests {
         let mut w = BitWriter::new();
         w.write_bits(0b1010, 4);
         let l: Label = w.into();
-        assert_eq!(l.reader().read_bits(4), 0b1010);
+        assert_eq!(l.reader().read_bits(4), Some(0b1010));
     }
 
     #[test]

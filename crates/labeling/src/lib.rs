@@ -68,7 +68,7 @@ pub mod theory;
 pub mod threshold;
 pub mod universal;
 
-pub use codec::{AnyDecoder, SchemeTag, TaggedLabeling};
+pub use codec::{SchemeTag, TaggedLabeling};
 pub use distance::{DistanceDecoder, DistanceScheme};
 pub use label::{Label, LabelRef, Labeling, LabelingBuilder};
 pub use one_query::{OneQueryDecoder, OneQueryScheme};

@@ -49,9 +49,9 @@ use crate::scheme::{id_width, read_prelude, write_prelude};
 /// let labeling = OneQueryScheme.encode(&g, &mut rng);
 /// let dec = OneQueryDecoder;
 /// for (u, v) in g.edges().take(20) {
-///     let third = dec.query_target(labeling.label(u), labeling.label(v));
-///     assert!(dec.decide(labeling.label(u), labeling.label(v),
-///                        labeling.label(third as u32)));
+///     let third = dec.query_target(labeling.label(u), labeling.label(v)).unwrap();
+///     let third = labeling.label(third as u32);
+///     assert_eq!(dec.decide(labeling.label(u), labeling.label(v), third), Some(true));
 /// }
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -106,45 +106,49 @@ pub struct OneQueryDecoder;
 
 impl OneQueryDecoder {
     /// The id of the single extra vertex whose label must be fetched to
-    /// answer adjacency between `a` and `b`.
+    /// answer adjacency between `a` and `b`; `None` if a label is
+    /// malformed.
     #[must_use]
-    pub fn query_target(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> u64 {
+    pub fn query_target(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<u64> {
         let mut ra = a.reader();
-        let (_, ida) = read_prelude(&mut ra);
-        let mut rb = b.reader();
-        let (_, idb) = read_prelude(&mut rb);
-        let pa = ra.read_bits(64);
-        let pb = ra.read_bits(64);
-        let buckets = (ra.read_gamma() - 1) as usize;
+        let (_, ida) = read_prelude(&mut ra)?;
+        let (_, idb) = read_prelude(&mut b.reader())?;
+        let pa = ra.read_bits(64)?;
+        let pb = ra.read_bits(64)?;
+        let buckets = (ra.read_gamma()? - 1) as usize;
+        if buckets == 0 {
+            return None;
+        }
         let hash = BoundedLoadHash::from_params(pa, pb, buckets);
-        hash.bucket_of(edge_key(ida as u32, idb as u32)) as u64
+        Some(hash.bucket_of(edge_key(ida as u32, idb as u32)) as u64)
     }
 
     /// Decides adjacency of `a` and `b` given the fetched `third` label
-    /// (which must be the label of [`query_target`](Self::query_target)).
+    /// (which must be the label of [`query_target`](Self::query_target));
+    /// `None` if a label is malformed.
     #[must_use]
-    pub fn decide(&self, a: LabelRef<'_>, b: LabelRef<'_>, third: LabelRef<'_>) -> bool {
-        let mut ra = a.reader();
-        let (_, ida) = read_prelude(&mut ra);
-        let mut rb = b.reader();
-        let (_, idb) = read_prelude(&mut rb);
+    pub fn decide(&self, a: LabelRef<'_>, b: LabelRef<'_>, third: LabelRef<'_>) -> Option<bool> {
+        let (_, ida) = read_prelude(&mut a.reader())?;
+        let (_, idb) = read_prelude(&mut b.reader())?;
         if ida == idb {
-            return false;
+            return Some(false);
         }
         let (lo, hi) = (ida.min(idb), ida.max(idb));
         let mut rt = third.reader();
-        let (w, _) = read_prelude(&mut rt);
-        rt.skip(128);
-        let _buckets = rt.read_gamma();
-        let pairs = rt.read_gamma() - 1;
-        (0..pairs).any(|_| {
-            let u = rt.read_bits(w);
-            let v = rt.read_bits(w);
-            u == lo && v == hi
-        })
+        let (w, _) = read_prelude(&mut rt)?;
+        rt.skip(128)?;
+        let _buckets = rt.read_gamma()?;
+        let pairs = rt.read_gamma()? - 1;
+        for _ in 0..pairs {
+            if (rt.read_bits(w)?, rt.read_bits(w)?) == (lo, hi) {
+                return Some(true);
+            }
+        }
+        Some(false)
     }
 
-    /// Convenience: full 1-query protocol against a label store.
+    /// Convenience: full 1-query protocol against a label store; a
+    /// malformed label answers `false`.
     #[must_use]
     pub fn adjacent_with<'l>(
         &self,
@@ -152,8 +156,9 @@ impl OneQueryDecoder {
         b: LabelRef<'_>,
         fetch: impl FnOnce(u64) -> LabelRef<'l>,
     ) -> bool {
-        let t = self.query_target(a, b);
-        self.decide(a, b, fetch(t))
+        self.query_target(a, b)
+            .and_then(|t| self.decide(a, b, fetch(t)))
+            == Some(true)
     }
 }
 
@@ -235,6 +240,17 @@ mod tests {
         );
         // And it is dramatically below the Theorem 4 labels for this size.
         assert!(labeling.max_bits() < 1000);
+    }
+
+    #[test]
+    fn zero_buckets_is_malformed() {
+        let mut w = BitWriter::new();
+        write_prelude(&mut w, 3, 1);
+        w.write_bits(7, 64);
+        w.write_bits(9, 64);
+        w.write_gamma(1);
+        let a = Label::from(w);
+        assert_eq!(OneQueryDecoder.query_target(a.view(), a.view()), None);
     }
 
     #[test]

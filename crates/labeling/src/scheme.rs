@@ -1,4 +1,5 @@
-//! Scheme and decoder traits, plus the shared label prelude.
+//! Scheme and decoder traits, plus the shared label prelude and id-list
+//! reads.
 //!
 //! The paper's model (Section 2): an *encoder* sees the graph and emits one
 //! bit string per vertex; a *decoder* sees exactly two labels — never the
@@ -35,15 +36,24 @@ pub trait AdjacencyScheme {
 
 /// The decoder half: answers adjacency from two labels alone.
 pub trait AdjacencyDecoder {
-    /// `true` iff the two labeled vertices are adjacent.
+    /// `Some(true)` iff the two labeled vertices are adjacent; `None`
+    /// when a label is malformed (declares more than it carries, or has
+    /// no valid prelude). Every read is checked, so hostile labels never
+    /// panic the decoder.
     ///
-    /// Both labels must come from the same [`AdjacencyScheme::encode`] run;
-    /// mixing labelings or schemes is a logic error (the decoder may panic
-    /// or answer arbitrarily).
+    /// Both labels must come from the same [`AdjacencyScheme::encode`]
+    /// run; mixing labelings or schemes answers arbitrarily or `None`.
     ///
     /// Labels are passed as borrowed [`LabelRef`] views so decoding runs
     /// in place over a loaded arena with zero per-query allocation.
-    fn adjacent(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> bool;
+    fn try_adjacent(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool>;
+
+    /// [`try_adjacent`](Self::try_adjacent)` == Some(true)`: a malformed
+    /// label decodes as "not adjacent".
+    #[inline]
+    fn adjacent(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> bool {
+        self.try_adjacent(a, b) == Some(true)
+    }
 }
 
 /// Width in bits of identifiers for an `n`-vertex graph: `⌈log₂ n⌉`,
@@ -66,12 +76,33 @@ pub fn write_prelude(w: &mut BitWriter, width: usize, id: u64) {
     w.write_bits(id, width);
 }
 
-/// Reads the prelude written by [`write_prelude`]; returns `(width, id)`.
+/// Reads the prelude written by [`write_prelude`]; returns `(width, id)`,
+/// or `None` if the label is too short to carry it or declares width 0.
+/// Encoders write `width ≥ 1`; a zero width would let an id list declare
+/// any length in zero bits and pass a scan's bounds check.
 #[must_use]
-pub fn read_prelude(r: &mut BitReader<'_>) -> (usize, u64) {
-    let width = r.read_bits(6) as usize;
-    let id = r.read_bits(width);
-    (width, id)
+#[inline]
+pub fn read_prelude(r: &mut BitReader<'_>) -> Option<(usize, u64)> {
+    let width = r.read_bits(6)? as usize;
+    if width == 0 {
+        return None;
+    }
+    Some((width, r.read_bits(width)?))
+}
+
+/// Reads a gamma-coded id list — `gamma(len + 1)`, then `len` ids of
+/// `width ≥ 1` bits (a prelude width) — and reports whether it holds
+/// `id`. `None` if the list declares more ids than the label carries:
+/// one bounds check covers the whole list, so a truncated list is never
+/// a partial answer.
+#[must_use]
+#[inline]
+pub(crate) fn list_contains(r: &mut BitReader<'_>, width: usize, id: u64) -> Option<bool> {
+    let len = r.read_gamma()? - 1;
+    if len.checked_mul(width as u64)? > r.remaining() as u64 {
+        return None;
+    }
+    Some((0..len).any(|_| r.read_bits(width) == Some(id)))
 }
 
 #[cfg(test)]
@@ -98,8 +129,43 @@ mod tests {
             write_prelude(&mut w, width, id);
             let label: crate::label::Label = w.into();
             let mut r = label.reader();
-            assert_eq!(read_prelude(&mut r), (width, id));
+            assert_eq!(read_prelude(&mut r), Some((width, id)));
         }
+    }
+
+    #[test]
+    fn prelude_rejects_width_zero_and_truncation() {
+        let mut w = BitWriter::new();
+        w.write_bits(0, 6);
+        w.write_bits(0, 10);
+        let label: crate::label::Label = w.into();
+        assert_eq!(read_prelude(&mut label.reader()), None);
+        let mut w = BitWriter::new();
+        w.write_bits(12, 6);
+        w.write_bits(5, 11);
+        let label: crate::label::Label = w.into();
+        assert_eq!(read_prelude(&mut label.reader()), None);
+    }
+
+    #[test]
+    fn list_contains_rejects_a_list_longer_than_the_label() {
+        let mut w = BitWriter::new();
+        w.write_gamma(4);
+        for id in [3u64, 9] {
+            w.write_bits(id, 5);
+        }
+        let label: crate::label::Label = w.into();
+        // Three ids declared, two carried: even the id that is present
+        // is not a partial answer.
+        assert_eq!(list_contains(&mut label.reader(), 5, 3), None);
+        let mut w = BitWriter::new();
+        w.write_gamma(3);
+        for id in [3u64, 9] {
+            w.write_bits(id, 5);
+        }
+        let label: crate::label::Label = w.into();
+        assert_eq!(list_contains(&mut label.reader(), 5, 9), Some(true));
+        assert_eq!(list_contains(&mut label.reader(), 5, 4), Some(false));
     }
 
     #[test]

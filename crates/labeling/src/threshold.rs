@@ -34,7 +34,9 @@ use pl_graph::{Graph, VertexId};
 
 use crate::bits::{BitReader, BitWriter};
 use crate::label::{LabelRef, Labeling, LabelingBuilder};
-use crate::scheme::{id_width, write_prelude, AdjacencyDecoder, AdjacencyScheme};
+use crate::scheme::{
+    id_width, list_contains, read_prelude, write_prelude, AdjacencyDecoder, AdjacencyScheme,
+};
 
 /// The fat/thin scheme with an explicitly chosen degree threshold.
 ///
@@ -297,17 +299,15 @@ impl AdjacencyScheme for ThresholdScheme {
     }
 }
 
-/// Decoder for the fat/thin label format. Stateless.
-///
-/// Answers [`try_adjacent`]`(a, b) == Some(true)`: a corrupt label
-/// decodes as "not adjacent" instead of panicking.
+/// Decoder for the fat/thin label format. Stateless; answers through
+/// [`try_adjacent`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ThresholdDecoder;
 
 impl AdjacencyDecoder for ThresholdDecoder {
     #[inline]
-    fn adjacent(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> bool {
-        try_adjacent(a, b) == Some(true)
+    fn try_adjacent(&self, a: LabelRef<'_>, b: LabelRef<'_>) -> Option<bool> {
+        try_adjacent(a, b)
     }
 }
 
@@ -333,20 +333,14 @@ pub struct ThresholdLabel<'a> {
 }
 
 impl<'a> ThresholdLabel<'a> {
-    /// Reads `label`'s prelude; `None` if the label is too short to
-    /// carry it or declares id width 0. Encoders write `w ≥ 1`; a zero
-    /// width would let a thin list declare any length at all in zero
-    /// bits and pass the scan's bounds check.
+    /// Reads `label`'s prelude ([`read_prelude`]) and fat flag; `None`
+    /// if the label is too short to carry them or declares id width 0.
     #[must_use]
     #[inline]
     pub fn parse(label: LabelRef<'a>) -> Option<Self> {
         let mut body = label.reader();
-        let width = body.try_read_bits(6)? as usize;
-        if width == 0 {
-            return None;
-        }
-        let id = body.try_read_bits(width)?;
-        let fat = body.try_read_bit()?;
+        let (width, id) = read_prelude(&mut body)?;
+        let fat = body.read_bit()?;
         Some(Self {
             label,
             body,
@@ -394,27 +388,20 @@ impl<'a> ThresholdLabel<'a> {
         }
         let mut r = self.body.clone();
         if !self.fat {
-            let deg = r.try_read_gamma()? - 1;
-            // One bounds check for the whole list, so the scan cannot
-            // run off the label's end.
-            if deg.checked_mul(self.width as u64)? > r.remaining() as u64 {
-                return None;
-            }
-            return Some((0..deg).any(|_| r.read_bits(self.width) == other.id));
+            return list_contains(&mut r, self.width, other.id);
         }
         if !other.fat {
             return None;
         }
-        let k = r.try_read_gamma()? - 1;
+        let k = r.read_gamma()? - 1;
         if k > r.remaining() as u64 {
             return None;
         }
         if other.id >= k {
             return Some(false);
         }
-        // `other.id < k ≤ remaining`, so the skip stays inside the label.
-        r.skip(other.id as usize);
-        r.try_read_bit()
+        r.skip(other.id as usize)?;
+        r.read_bit()
     }
 
     /// The decode rule of Theorems 3 and 4: the first thin endpoint's

@@ -60,7 +60,7 @@ impl InducedUniversalGraph {
             let mut host = Vec::with_capacity(g.vertex_count());
             for v in g.vertices() {
                 let l = labeling.label(v).to_label();
-                let key = label_key(&l);
+                let key = l.to_bytes();
                 let id = *index.entry(key).or_insert_with(|| {
                     labels.push(l.clone());
                     (labels.len() - 1) as VertexId
@@ -129,28 +129,6 @@ impl InducedUniversalGraph {
         }
         Ok(())
     }
-}
-
-/// Canonical byte key of a label (length-tagged bit dump).
-fn label_key(l: &Label) -> Vec<u8> {
-    let mut r = l.reader();
-    let mut bytes = Vec::with_capacity(l.bit_len() / 8 + 9);
-    bytes.extend_from_slice(&(l.bit_len() as u64).to_le_bytes());
-    let mut acc = 0u8;
-    let mut nbits = 0;
-    for _ in 0..l.bit_len() {
-        acc = (acc << 1) | u8::from(r.read_bit());
-        nbits += 1;
-        if nbits == 8 {
-            bytes.push(acc);
-            acc = 0;
-            nbits = 0;
-        }
-    }
-    if nbits > 0 {
-        bytes.push(acc << (8 - nbits));
-    }
-    bytes
 }
 
 /// Enumerates every labeled graph on `k` vertices (all `2^{k(k−1)/2}`

@@ -249,7 +249,7 @@ proptest! {
         let s = w.finish();
         let mut r = BitReader::new(&s);
         for (value, width) in expect {
-            prop_assert_eq!(r.read_bits(width), value);
+            prop_assert_eq!(r.read_bits(width), Some(value));
         }
         prop_assert_eq!(r.remaining(), 0);
     }
@@ -264,7 +264,7 @@ proptest! {
         let s = w.finish();
         let mut r = BitReader::new(&s);
         for &v in &values {
-            prop_assert_eq!(r.read_gamma(), v);
+            prop_assert_eq!(r.read_gamma(), Some(v));
         }
     }
 }

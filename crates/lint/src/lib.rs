@@ -10,7 +10,7 @@
 //! | pass id | proves |
 //! |---|---|
 //! | `wire-invariants` | opcode/status/version constants are unique, request/reply paired by the `0x80 \| op` convention, mirrored in RELIABILITY.md's matrix, and never re-declared elsewhere |
-//! | `panic-path` | no `unwrap`/`expect`/`panic!`/`unreachable!` in non-test server code (`crates/{wire,serve,cluster}`, `crates/labeling/src/threshold.rs`) without a `// lint: panic-ok(reason)` tag |
+//! | `panic-path` | no `unwrap`/`expect`/`panic!`/`unreachable!` in non-test server code (`crates/{wire,serve,cluster}`, and `crates/labeling/src/{bits,scheme,codec,baseline,forest,distance,threshold}.rs`, the decoders a server answers through) without a `// lint: panic-ok(reason)` tag |
 //! | `atomics-ordering` | no `Relaxed` read-modify-write and no `store(Relaxed)`/`load(Acquire)` split on one field without a `// lint: relaxed-ok(reason)` tag |
 //! | `metrics-doc-drift` | every `plserve_`/`plcluster_`/`plab_` metric in code is documented in OBSERVABILITY.md and vice versa |
 //! | `experiment-drift` | every `eNN_*` harness has an EXPERIMENTS.md §ENN section and vice versa |

@@ -5,8 +5,9 @@
 //! (`StoreError`, `ClientError`, `ProtocolError`) instead. The pass
 //! flags `.unwrap()`, `.expect(`, `panic!(`, `unreachable!(`, `todo!(`
 //! and `unimplemented!(` in non-test lines of the three serving crates
-//! and of `pl_labeling::threshold`, whose checked decoder reads every
-//! label a server answers from.
+//! and of the `pl_labeling` modules a server decodes through: the bit
+//! reader, the prelude, the tag dispatch and the decoder of every
+//! served scheme.
 //!
 //! A site that is *provably* unreachable (an invariant the surrounding
 //! code establishes, like a `try_into` on a length-checked slice) may
@@ -19,11 +20,17 @@ use crate::{Diagnostic, Pass, Workspace};
 const ID: &str = "panic-path";
 
 /// Path prefixes of server code: the serving crates' `src/`, and the
-/// label decoder they serve through.
-pub const SERVER_PATHS: [&str; 4] = [
+/// label decoders they serve through.
+pub const SERVER_PATHS: [&str; 10] = [
     "crates/wire/src/",
     "crates/serve/src/",
     "crates/cluster/src/",
+    "crates/labeling/src/bits.rs",
+    "crates/labeling/src/scheme.rs",
+    "crates/labeling/src/codec.rs",
+    "crates/labeling/src/baseline.rs",
+    "crates/labeling/src/forest.rs",
+    "crates/labeling/src/distance.rs",
     "crates/labeling/src/threshold.rs",
 ];
 

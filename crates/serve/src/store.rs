@@ -10,7 +10,8 @@
 //!
 //! The store decodes nothing itself: a threshold label is read through
 //! [`pl_labeling::threshold::ThresholdLabel`], the format's one checked
-//! decoder, and every other scheme through its codec decoder. What is
+//! decoder, and every other scheme through [`SchemeTag::try_adjacent`]
+//! and [`SchemeTag::try_distance`], whose reads are checked too. What is
 //! left here is serving policy: range checks, scheme dispatch, the
 //! [`QueryPath`] provenance, and which error an unanswerable pair gets.
 //! A fat–fat query is one gamma read plus one bit read at a known
@@ -40,7 +41,7 @@
 
 use std::time::Instant;
 
-use pl_labeling::codec::{decode_adjacent, decode_distance, SchemeTag, TaggedLabeling};
+use pl_labeling::codec::{SchemeTag, TaggedLabeling};
 use pl_labeling::threshold::ThresholdLabel;
 use pl_labeling::{LabelRef, Labeling};
 use pl_obs::MetricsRegistry;
@@ -226,7 +227,8 @@ impl LabelStore {
         let la = self.label(u).ok_or(StoreError::OutOfRange)?;
         let lb = self.label(v).ok_or(StoreError::OutOfRange)?;
         if self.tag != SchemeTag::Threshold {
-            return Ok((decode_adjacent(self.tag, la, lb), QueryPath::Generic));
+            let edge = self.tag.try_adjacent(la, lb).ok_or(StoreError::Malformed)?;
+            return Ok((edge, QueryPath::Generic));
         }
         let a = ThresholdLabel::parse(la).ok_or(StoreError::Malformed)?;
         let b = ThresholdLabel::parse(lb).ok_or(StoreError::Malformed)?;
@@ -255,7 +257,7 @@ impl LabelStore {
         }
         let la = self.label(u).ok_or(StoreError::OutOfRange)?;
         let lb = self.label(v).ok_or(StoreError::OutOfRange)?;
-        Ok(decode_distance(self.tag, la, lb))
+        self.tag.try_distance(la, lb).ok_or(StoreError::Malformed)
     }
 
     /// Answers a batch of adjacency pairs with

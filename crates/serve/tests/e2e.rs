@@ -323,6 +323,71 @@ fn tampered_plab_answers_malformed_and_server_survives() {
     handle.shutdown();
 }
 
+/// A served adjacency-list store with one truncated label: every pair
+/// that label decides comes back `MalformedLabel`, and the same
+/// connection then answers a batch of healthy pairs correctly.
+#[test]
+fn served_adjlist_answers_malformed_and_keeps_the_connection() {
+    use pl_labeling::baseline::AdjListScheme;
+    use pl_labeling::{Label, Labeling};
+    use pl_serve::Answer;
+
+    let g = chung_lu(300, 21);
+    let bad = g
+        .vertices()
+        .find(|&v| g.degree(v) >= 2)
+        .expect("a vertex of degree 2");
+    let full = AdjListScheme.encode(&g);
+    // Cut the last bit off `bad`'s neighbour list.
+    let labels: Vec<Label> = full
+        .iter()
+        .map(|(v, l)| {
+            if v == bad {
+                l.prefix(l.bit_len() - 1)
+            } else {
+                l
+            }
+            .to_label()
+        })
+        .collect();
+    let store = Arc::new(LabelStore::new(
+        TaggedLabeling {
+            tag: SchemeTag::AdjList,
+            labeling: Labeling::new(labels),
+        },
+        StoreConfig::default(),
+    ));
+    let handle = pl_serve::serve(store, "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    assert_eq!(client.tag(), SchemeTag::AdjList.as_u8());
+
+    let nbr = g.neighbors(bad)[0];
+    let answers = client
+        .batch(&[Query::adjacent(bad, nbr), Query::adjacent(bad, bad ^ 1)])
+        .expect("batch survives the corrupt label");
+    assert_eq!(answers, vec![Answer::MalformedLabel; 2]);
+
+    // An AdjList pair is decided by its first label's list, so every
+    // pair led by another vertex is healthy.
+    let pairs: Vec<(u32, u32)> = g
+        .vertices()
+        .filter(|&u| u != bad)
+        .flat_map(|u| [(u, bad), (u, (u * 7 + 3) % 300)])
+        .collect();
+    let queries: Vec<Query> = pairs.iter().map(|&(u, v)| Query::adjacent(u, v)).collect();
+    let answers = client.batch(&queries).expect("healthy batch");
+    for (&(u, v), answer) in pairs.iter().zip(&answers) {
+        let want = if g.has_edge(u, v) {
+            Answer::Adjacent
+        } else {
+            Answer::NotAdjacent
+        };
+        assert_eq!(*answer, want, "({u}, {v})");
+    }
+    client.goodbye().expect("goodbye");
+    handle.shutdown();
+}
+
 /// The whole observability surface over one live server: the v2 STATS
 /// reply with extended latency quantiles, the slow-query log,
 /// TRACE_DUMP over the wire, and the Prometheus rendering.

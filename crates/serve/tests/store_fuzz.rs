@@ -1,19 +1,22 @@
-//! Hostile label arenas never panic the store.
+//! Hostile label arenas never panic the store, whatever scheme it serves.
 //!
 //! Each case is a well-formed `PLL2` container — so `Labeling::from_bytes`
 //! accepts it — around an arena of random words cut at random offsets.
 //! The labels inside are garbage: preludes with any id width, fat flags
 //! over bitmaps that are not there, gamma prefixes running off the end
-//! or past 63 zeros, thin lists declaring more ids than they carry. Every
-//! pair is queried through a full and a partial store; every answer must
-//! be `Ok`, `Malformed` or `NotOwned`, and nothing may panic. This is
-//! what the checked reads of `pl_labeling::threshold`, and the one
-//! up-front bounds check in front of its thin-list scan, are for.
+//! or past 63 zeros, lists and tables declaring more entries than they
+//! carry. The same arena is served under every [`SchemeTag`]; every
+//! pair is queried for adjacency (and, under `Distance`, for distance)
+//! through a full and a partial store. Every answer must be `Ok`,
+//! `Malformed` or `NotOwned`, and nothing may panic or abort. This is
+//! what the checked reads of `pl_labeling::bits`, and the up-front
+//! bounds checks in front of every list scan and table, are for.
 //!
-//! There is one decoder: on every pair, `try_adjacent` must give the
-//! full store's answer (`Some(b)` for `Ok(b)`, `None` for `Malformed`),
-//! and `ThresholdDecoder` must answer `Some(true)` as adjacent and all
-//! else as not, without panicking.
+//! The store adds policy, not decoding: on every pair, the tag's
+//! `try_adjacent` must give the full store's answer (`Some(b)` for
+//! `Ok(b)`, `None` for `Malformed`), and so must `try_distance` for
+//! distance queries. `ThresholdDecoder` must answer `Some(true)` as
+//! adjacent and all else as not.
 
 use pl_labeling::scheme::AdjacencyDecoder;
 use pl_labeling::threshold::{try_adjacent, ThresholdDecoder};
@@ -66,36 +69,54 @@ fn hostile_labeling(rng: &mut StdRng) -> Labeling {
 #[test]
 fn hostile_arenas_answer_or_refuse_but_never_panic() {
     let mut rng = StdRng::seed_from_u64(0xF022);
-    let (mut answered, mut malformed, mut not_owned) = (0u64, 0u64, 0u64);
+    // Per tag: answered, malformed, not owned.
+    let mut outcomes = [[0u64; 3]; SchemeTag::ALL.len()];
     for _ in 0..3_000 {
         let labeling = hostile_labeling(&mut rng);
         let n = labeling.len() as u32;
-        let tagged = TaggedLabeling {
-            tag: SchemeTag::Threshold,
-            labeling,
-        };
-        let full = LabelStore::new(tagged.clone(), StoreConfig::default());
-        for (u, a) in tagged.labeling.iter() {
-            for (v, b) in tagged.labeling.iter() {
-                let rule = try_adjacent(a, b).ok_or(StoreError::Malformed);
-                assert_eq!(full.adjacent(u, v), rule, "({u}, {v}) of {n}");
-                assert_eq!(ThresholdDecoder.adjacent(a, b), rule == Ok(true));
+        for (t, tag) in SchemeTag::ALL.into_iter().enumerate() {
+            let tagged = TaggedLabeling {
+                tag,
+                labeling: labeling.clone(),
+            };
+            let full = LabelStore::new(tagged.clone(), StoreConfig::default());
+            for (u, a) in labeling.iter() {
+                for (v, b) in labeling.iter() {
+                    let rule = tag.try_adjacent(a, b).ok_or(StoreError::Malformed);
+                    assert_eq!(full.adjacent(u, v), rule, "{tag:?} ({u}, {v}) of {n}");
+                    if tag == SchemeTag::Threshold {
+                        assert_eq!(try_adjacent(a, b), rule.ok());
+                        assert_eq!(ThresholdDecoder.adjacent(a, b), rule == Ok(true));
+                    }
+                    if tag.supports_distance() {
+                        let dist = tag.try_distance(a, b).ok_or(StoreError::Malformed);
+                        assert_eq!(full.distance(u, v), dist, "{tag:?} ({u}, {v}) of {n}");
+                    }
+                }
             }
-        }
-        let partial = LabelStore::new(tagged, StoreConfig::default()).with_partial(true);
-        for store in [&full, &partial] {
-            for u in 0..n {
-                for v in 0..n {
-                    match store.adjacent(u, v) {
-                        Ok(_) => answered += 1,
-                        Err(StoreError::Malformed) => malformed += 1,
-                        Err(StoreError::NotOwned) => not_owned += 1,
-                        Err(e) => panic!("({u}, {v}) of {n}: unexpected {e:?}"),
+            let partial = LabelStore::new(tagged, StoreConfig::default()).with_partial(true);
+            for store in [&full, &partial] {
+                for u in 0..n {
+                    for v in 0..n {
+                        let slot = match store.adjacent(u, v) {
+                            Ok(_) => 0,
+                            Err(StoreError::Malformed) => 1,
+                            Err(StoreError::NotOwned) => 2,
+                            Err(e) => panic!("{tag:?} ({u}, {v}) of {n}: unexpected {e:?}"),
+                        };
+                        outcomes[t][slot] += 1;
                     }
                 }
             }
         }
     }
-    // The cases must reach every outcome, or they test too little.
-    assert!(answered > 0 && malformed > 0 && not_owned > 0);
+    // The cases must reach every outcome under every scheme, or they
+    // test too little; only a partial threshold store says `NotOwned`.
+    for (tag, [answered, malformed, not_owned]) in SchemeTag::ALL.into_iter().zip(outcomes) {
+        assert!(
+            answered > 0 && malformed > 0,
+            "{tag:?}: {answered} ok, {malformed} malformed"
+        );
+        assert_eq!(not_owned > 0, tag == SchemeTag::Threshold, "{tag:?}");
+    }
 }

@@ -37,12 +37,16 @@ fn main() {
     // fetch its label, decide.
     let dec = OneQueryDecoder;
     let (u, v) = g.edges().next().expect("has edges");
-    let witness = dec.query_target(labeling.label(u), labeling.label(v));
-    let answer = dec.decide(
-        labeling.label(u),
-        labeling.label(v),
-        labeling.label(witness as u32),
-    );
+    let witness = dec
+        .query_target(labeling.label(u), labeling.label(v))
+        .expect("well-formed labels");
+    let answer = dec
+        .decide(
+            labeling.label(u),
+            labeling.label(v),
+            labeling.label(witness as u32),
+        )
+        .expect("well-formed labels");
     println!("\nprotocol trace for pair ({u}, {v}):");
     println!(
         "  1. exchange labels ({} and {} bits)",

@@ -304,6 +304,69 @@ fn query_answers_corrupt_labels_without_panicking() {
     assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "false");
 
     let _ = std::fs::remove_file(labels);
+
+    // Every other served scheme, each on labels too short for its
+    // decoder: 3-bit labels, short of the 6-bit id width (adjlist,
+    // orientation, distance), moon labels whose bitmap is missing, and
+    // a distance label that declares 2^40 fat-table entries in 92 bits.
+    let bits = |fields: &[(u64, usize)]| {
+        let mut w = BitWriter::new();
+        for &(value, width) in fields {
+            w.write_bits(value, width);
+        }
+        Label::from(w)
+    };
+    let zero3 = || bits(&[(0, 3)]);
+    let mut huge_k = BitWriter::new();
+    huge_k.write_bits(1, 6); // id width 1
+    huge_k.write_bits(0, 1); // id 0
+    huge_k.write_gamma(2); // f = 1
+    huge_k.write_bit(false); // thin
+    huge_k.write_gamma((1 << 40) + 1); // k = 2^40
+    let mut small = BitWriter::new();
+    small.write_bits(1, 6);
+    small.write_bits(1, 1);
+    small.write_gamma(2);
+    small.write_bit(false);
+    small.write_gamma(1); // k = 0
+    small.write_gamma(1); // t = 0
+    let cases = [
+        ("adjlist", SchemeTag::AdjList, vec![zero3(), zero3()], 38),
+        (
+            "orientation",
+            SchemeTag::Orientation,
+            vec![zero3(), zero3()],
+            38,
+        ),
+        ("distance", SchemeTag::Distance, vec![zero3(), zero3()], 38),
+        (
+            "moon",
+            SchemeTag::Moon,
+            vec![bits(&[(1, 6), (0, 1)]), bits(&[(1, 6), (1, 1)])],
+            39,
+        ),
+        (
+            "distance-huge-k",
+            SchemeTag::Distance,
+            vec![Label::from(huge_k), Label::from(small)],
+            51,
+        ),
+    ];
+    for (name, tag, labels, size) in cases {
+        let file = tmp(&format!("corrupt-{name}.plab"));
+        let tagged = TaggedLabeling {
+            tag,
+            labeling: Labeling::new(labels),
+        };
+        tagged.save(&file).unwrap();
+        assert_eq!(std::fs::metadata(&file).unwrap().len(), size, "{name}");
+        let out = plab(&["query", file.to_str().unwrap(), "0", "1"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains("Malformed"), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        let _ = std::fs::remove_file(file);
+    }
 }
 
 #[test]

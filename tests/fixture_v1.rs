@@ -8,7 +8,7 @@
 //! `cargo test --test fixture_v1 -- --ignored`.
 
 use pl_graph::Graph;
-use pl_labeling::codec::{decode_adjacent, SchemeTag, TaggedLabeling};
+use pl_labeling::codec::{SchemeTag, TaggedLabeling};
 use pl_labeling::scheme::AdjacencyScheme;
 use pl_labeling::ThresholdScheme;
 
@@ -58,19 +58,17 @@ fn committed_v1_fixture_still_decodes() {
     assert_eq!(tagged.labeling.len(), fresh.len());
     for u in g.vertices() {
         for v in g.vertices() {
-            let from_fixture = decode_adjacent(
-                tagged.tag,
-                tagged.labeling.label(u),
-                tagged.labeling.label(v),
-            );
+            let from_fixture = tagged
+                .tag
+                .try_adjacent(tagged.labeling.label(u), tagged.labeling.label(v));
             assert_eq!(
                 from_fixture,
-                g.has_edge(u, v),
+                Some(g.has_edge(u, v)),
                 "fixture answer for ({u},{v})"
             );
             assert_eq!(
                 from_fixture,
-                decode_adjacent(tagged.tag, fresh.label(u), fresh.label(v)),
+                tagged.tag.try_adjacent(fresh.label(u), fresh.label(v)),
                 "fixture vs fresh encode for ({u},{v})"
             );
         }
