@@ -37,11 +37,36 @@ case "$TIER" in
 esac
 
 smoke_dir="$(mktemp -d)"
-serve_pids=()
-cleanup() {
-    for pid in "${serve_pids[@]:-}"; do
-        [ -n "$pid" ] && kill "$pid" 2> /dev/null
+# Every process a smoke starts in the background is recorded in this
+# file, one PID a line. Steps run in subshells, so a shell array would
+# never reach the EXIT trap; the file does.
+pid_file="$smoke_dir/pids"
+track() { echo "$1" >> "$pid_file"; }
+
+# kill_smokes: kills every tracked process and its children (a
+# launcher's backends, the load loop's current loadgen), plus every
+# backend a launcher reported in its log (a launcher that died first
+# leaves its backends orphaned), then waits up to ~5s for them to exit.
+kill_smokes() {
+    local pids try
+    mapfile -t pids < <(cat "$pid_file" 2> /dev/null)
+    [ "${#pids[@]}" -gt 0 ] || return 0
+    # Children first: once a parent is gone they cannot be found by it.
+    pkill -P "$(IFS=,; echo "${pids[*]}")" 2> /dev/null || true
+    mapfile -t -O "${#pids[@]}" pids < <(sed -n 's/^backend [0-9]*: pid \([0-9]*\).*/\1/p' \
+        "$smoke_dir"/*launch.log 2> /dev/null)
+    kill "${pids[@]}" 2> /dev/null || true
+    # Reaps those that are this shell's own children, which would
+    # otherwise stay visible to `kill -0` as zombies.
+    wait "${pids[@]}" 2> /dev/null || true
+    for try in $(seq 1 50); do
+        kill -0 "${pids[@]}" 2> /dev/null || return 0
+        sleep 0.1
     done
+}
+
+cleanup() {
+    kill_smokes
     rm -rf "$smoke_dir"
 }
 trap cleanup EXIT
@@ -70,12 +95,11 @@ run_step() {
     local name="$1"
     shift
     echo "==> $name"
-    local t0=$SECONDS status
-    if (set -e; "$@"); then
-        status=ok
-    else
-        status=FAIL
-    fi
+    local t0=$SECONDS status=ok
+    # Not `if (…)` or `(…) ||`: bash ignores `set -e` in either context.
+    (set -e; "$@")
+    local rc=$?
+    [ "$rc" -eq 0 ] || status=FAIL
     STEP_NAMES+=("$name")
     STEP_TIMES+=($((SECONDS - t0)))
     STEP_STATUS+=("$status")
@@ -177,7 +201,7 @@ observability_smoke() {
     "$plab" serve "$smoke_dir/g.plab" --addr 127.0.0.1:0 \
         --prom 127.0.0.1:0 --trace --slow-us 1 --duration 12 \
         2> "$smoke_dir/serve.log" &
-    serve_pids+=($!)
+    track $!
     local serve_pid=$!
     local addr prom
     addr="$(wait_addr "$smoke_dir/serve.log" "$serve_addr_expr")" || return 1
@@ -212,7 +236,7 @@ chaos_smoke() {
     "$plab" serve "$smoke_dir/c.plab" --addr 127.0.0.1:0 --duration 18 \
         --fault-plan "seed=7,flip=0.04,truncate=0.03,drop=0.02,store_err=0.03,delay_ms=1" \
         2> "$smoke_dir/chaos_serve.log" &
-    serve_pids+=($!)
+    track $!
     local chaos_pid=$!
     local addr
     addr="$(wait_addr "$smoke_dir/chaos_serve.log" "$serve_addr_expr")" || return 1
@@ -254,7 +278,7 @@ cluster_smoke() {
     "$plab" cluster launch "$smoke_dir/k.plab" --backends 3 --replicas 2 --seed 13 \
         --addr 127.0.0.1:0 --prom 127.0.0.1:0 --duration 30 \
         --dir "$smoke_dir/cluster" 2> "$smoke_dir/cluster_launch.log" &
-    serve_pids+=($!)
+    track $!
     local launch_pid=$!
     local router prom
     router="$(wait_addr "$smoke_dir/cluster_launch.log" "$router_addr_expr")" \
@@ -303,7 +327,7 @@ router_front_smoke() {
         --addr 127.0.0.1:0 --duration 30 --max-conns 2 \
         --fault-plan "seed=7,flip=0.02" \
         --dir "$smoke_dir/cluster_front" 2> "$smoke_dir/front_launch.log" &
-    serve_pids+=($!)
+    track $!
     local front_pid=$!
     local router host port
     router="$(wait_addr "$smoke_dir/front_launch.log" "$router_addr_expr")" \
@@ -353,7 +377,7 @@ tracing_smoke() {
     "$plab" cluster launch "$smoke_dir/k.plab" --backends 3 --replicas 2 --seed 19 \
         --addr 127.0.0.1:0 --duration 30 --trace \
         --dir "$smoke_dir/cluster_trace" 2> "$smoke_dir/trace_launch.log" &
-    serve_pids+=($!)
+    track $!
     local trace_pid=$!
     local router
     router="$(wait_addr "$smoke_dir/trace_launch.log" "$router_addr_expr")" \
@@ -391,8 +415,7 @@ reconfig_smoke() {
     "$plab" cluster launch "$smoke_dir/k.plab" --backends 3 --replicas 2 --seed 23 \
         --addr 127.0.0.1:0 --prom 127.0.0.1:0 --duration 120 \
         --dir "$smoke_dir/cluster_reconfig" 2> "$smoke_dir/reconfig_launch.log" &
-    serve_pids+=($!)
-    local launch_pid=$!
+    track $!
     local router prom
     router="$(wait_addr "$smoke_dir/reconfig_launch.log" "$router_addr_expr")" \
         || { echo "ci: reconfig cluster router never came up" >&2; return 1; }
@@ -404,7 +427,7 @@ reconfig_smoke() {
     "$plab" cluster stub "$smoke_dir/k.plab" --out "$smoke_dir/k_stub.plab"
     "$plab" serve "$smoke_dir/k_stub.plab" --partial --addr 127.0.0.1:0 --duration 120 \
         2> "$smoke_dir/joiner.log" &
-    serve_pids+=($!)
+    track $!
     local joiner
     joiner="$(wait_addr "$smoke_dir/joiner.log" "$serve_addr_expr")" || return 1
 
@@ -420,6 +443,7 @@ reconfig_smoke() {
         done
     ) &
     local load_pid=$!
+    track "$load_pid"
 
     "$plab" cluster rebalance "$smoke_dir/k.plab" --router "$router" --add "$joiner" \
         > "$smoke_dir/rebalance_add.out" \
@@ -439,7 +463,7 @@ reconfig_smoke() {
              tail -n 5 "$smoke_dir/reconfig_loadgen.out" >&2; return 1; }
     local passes
     passes="$(grep -c 'verified against reference graph: 0 mismatches' \
-        "$smoke_dir/reconfig_loadgen.out")"
+        "$smoke_dir/reconfig_loadgen.out" || true)"
     [ "$passes" -ge 1 ] \
         || { echo "ci: no verified loadgen pass completed during reconfiguration" >&2; return 1; }
     if grep -q 'mismatches' "$smoke_dir/reconfig_loadgen.out" \
@@ -464,10 +488,7 @@ reconfig_smoke() {
 
     # The cluster stays up (duration 120) — tear it down explicitly
     # rather than idling CI: launcher, its backends, and the joiner.
-    sed -n 's/^backend [0-9]*: pid \([0-9]*\).*/\1/p' "$smoke_dir/reconfig_launch.log" \
-        | xargs -r kill 2> /dev/null
-    kill "$launch_pid" 2> /dev/null
-    wait "$launch_pid" 2> /dev/null
+    kill_smokes
     return 0
 }
 
@@ -486,6 +507,22 @@ loadbench_smoke() {
     done
 }
 
+# Leftover-process check: once the tracked processes are killed, no
+# process may still name this run's $smoke_dir in its arguments. A
+# survivor is one a smoke started without tracking it, which a failed
+# run would leak.
+no_leftovers() {
+    kill_smokes
+    local try
+    for try in $(seq 1 30); do
+        pgrep -f "$smoke_dir" > /dev/null || return 0
+        sleep 0.1
+    done
+    echo "ci: processes started by this run are still alive:" >&2
+    pgrep -af "$smoke_dir" >&2
+    return 1
+}
+
 # Chaos soak: verified load against a fault-injecting server, looped for
 # CI_SOAK_SECS seconds. Nightly CI runs this after the full tier; every
 # pass must exit 0 (retries absorb the faults) with zero mismatches.
@@ -498,7 +535,7 @@ soak_chaos() {
     "$plab" serve "$smoke_dir/s.plab" --addr 127.0.0.1:0 --duration $((secs + 60)) \
         --fault-plan "seed=7,flip=0.04,truncate=0.03,drop=0.02,store_err=0.03,delay_ms=1" \
         2> "$smoke_dir/soak_serve.log" &
-    serve_pids+=($!)
+    track $!
     local soak_pid=$!
     local addr
     addr="$(wait_addr "$smoke_dir/soak_serve.log" "$serve_addr_expr")" || return 1
@@ -514,8 +551,7 @@ soak_chaos() {
     done
     echo "soak: $passes verified passes in ${secs}s, all clean"
     kill "$soak_pid" 2> /dev/null
-    wait "$soak_pid" 2> /dev/null
-    return 0
+    wait "$soak_pid" 2> /dev/null || true
 }
 
 # Bench-regression gate: cut-down (--quick) runs of the serving and
@@ -567,6 +603,7 @@ quick|full)
         run_step "tracing smoke"          tracing_smoke
         run_step "reconfiguration smoke"  reconfig_smoke
         run_step "loadbench verified smoke" loadbench_smoke
+        run_step "no leftover processes"  no_leftovers
     fi
     ;;
 bench)

@@ -2,7 +2,8 @@
 //! generator.
 //!
 //! [`Client`] is a thin synchronous wrapper over one TCP connection:
-//! handshake on connect, then batched request/reply in lockstep. Every
+//! handshake on connect, then batched request/reply in lockstep, with
+//! replies read through a [`BufReader`] (one read syscall each). Every
 //! failure surfaces as a raw [`io::Error`]; [`ClientError::classify`]
 //! sorts those into [`Retryable`](ClientError::Retryable) vs
 //! [`Fatal`](ClientError::Fatal), and [`ResilientClient`] acts on that
@@ -14,7 +15,7 @@
 //! server and optionally verifying every answer against the source
 //! graph.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -38,7 +39,8 @@ fn bad_data(msg: impl Into<String>) -> io::Error {
 /// One connection to a pl-serve server, already past the handshake.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    /// Replies are read through the buffer; requests bypass it.
+    stream: BufReader<TcpStream>,
     tag: u8,
     n: u32,
 }
@@ -63,6 +65,7 @@ impl Client {
         stream.set_read_timeout(deadline)?;
         stream.set_write_timeout(deadline)?;
         write_frame(&mut stream, &encode_hello())?;
+        let mut stream = BufReader::new(stream);
         let reply = read_frame(&mut stream)?;
         match reply.first() {
             Some(&opcode::HELLO_OK) => {
@@ -81,8 +84,8 @@ impl Client {
     /// Sets (or clears) the socket read/write deadline for every
     /// subsequent request on this connection.
     pub fn set_io_deadline(&self, deadline: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(deadline)?;
-        self.stream.set_write_timeout(deadline)
+        self.stream.get_ref().set_read_timeout(deadline)?;
+        self.stream.get_ref().set_write_timeout(deadline)
     }
 
     /// Scheme tag byte the server is serving.
@@ -120,7 +123,7 @@ impl Client {
     /// Pair every call with one [`recv_batch`](Self::recv_batch).
     fn send_batch_ctx(&mut self, queries: &[Query], ctx: Option<&TraceContext>) -> io::Result<()> {
         let body = encode_batch_ctx(queries, ctx, VERSION).map_err(|e| bad_data(e.to_string()))?;
-        write_frame(&mut self.stream, &body)
+        write_frame(self.stream.get_mut(), &body)
     }
 
     /// Reads the reply to the BATCH of `count` queries that
@@ -137,7 +140,7 @@ impl Client {
     /// Writes `body`, then reads the reply frame, which must open with
     /// `reply_op`; an ERROR reply becomes a "server error" I/O error.
     fn round_trip(&mut self, body: &[u8], reply_op: u8, what: &str) -> io::Result<Vec<u8>> {
-        write_frame(&mut self.stream, body)?;
+        write_frame(self.stream.get_mut(), body)?;
         self.read_reply(reply_op, what)
     }
 
@@ -252,7 +255,7 @@ impl Client {
     /// Low-level escape hatch for protocol tests: send raw body, read
     /// raw reply.
     pub fn raw_round_trip(&mut self, body: &[u8]) -> io::Result<Vec<u8>> {
-        write_frame(&mut self.stream, body)?;
+        write_frame(self.stream.get_mut(), body)?;
         read_frame(&mut self.stream)
     }
 }

@@ -185,6 +185,58 @@ fn client_refuses_a_hello_ok_claiming_another_version() {
     }
 }
 
+/// The client reads each reply through its buffer whatever the peer's
+/// write pattern: a HELLO_OK and a BATCH_REPLY that arrive one byte per
+/// write, then a ~20 KiB reply, larger than the read buffer.
+#[test]
+fn client_reads_replies_split_byte_by_byte_and_larger_than_its_buffer() {
+    use pl_wire::protocol::{encode_batch_reply, encode_hello_ok, parse_batch};
+    use pl_wire::Answer;
+    use std::io::Write;
+
+    fn answer(q: &Query) -> Answer {
+        Answer::Distance(q.u ^ q.v)
+    }
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        stream.set_nodelay(true).expect("nodelay");
+        let trickle = |stream: &mut TcpStream, body: &[u8]| {
+            let mut frame = Vec::new();
+            write_frame(&mut frame, body).expect("frame");
+            for b in frame {
+                stream.write_all(&[b]).expect("trickle");
+            }
+        };
+        read_frame(&mut stream).expect("hello");
+        trickle(&mut stream, &encode_hello_ok(0x02, 1_000));
+        let small = parse_batch(&read_frame(&mut stream).expect("batch")).expect("parse");
+        trickle(
+            &mut stream,
+            &encode_batch_reply(&small.iter().map(answer).collect::<Vec<_>>()),
+        );
+        let large = parse_batch(&read_frame(&mut stream).expect("batch")).expect("parse");
+        let reply = encode_batch_reply(&large.iter().map(answer).collect::<Vec<_>>());
+        assert!(reply.len() > 8 * 1024, "reply of {} bytes", reply.len());
+        write_frame(&mut stream, &reply).expect("large reply");
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    assert_eq!((client.tag(), client.n()), (0x02, 1_000));
+    let queries = |count: u32| -> Vec<Query> {
+        (0..count)
+            .map(|i| Query::distance(i, i.wrapping_mul(7)))
+            .collect()
+    };
+    for count in [3, 4_096] {
+        let batch = queries(count);
+        let want: Vec<Answer> = batch.iter().map(answer).collect();
+        assert_eq!(client.batch(&batch).expect("batch"), want);
+    }
+    peer.join().expect("fake peer");
+}
+
 /// The server answers distance queries when serving a distance labeling,
 /// and reports Unsupported for distance queries against an adjacency
 /// scheme.

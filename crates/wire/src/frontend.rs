@@ -27,8 +27,8 @@
 //!   rolled *ahead* of engine dispatch.
 //!
 //! Per-connection reply encoding and frame reassembly reuse scratch
-//! buffers, and frames go out through a vectored header+body write, so
-//! the steady-state reply path performs no per-frame allocation.
+//! buffers, and frames go out through the shared vectored `write_frame`,
+//! so the steady-state reply path performs no per-frame allocation.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -43,7 +43,7 @@ use crate::protocol::{
     encode_batch_reply_into, encode_health_reply_into, encode_hello_ok_into, encode_labels_ok,
     encode_map_ok, encode_map_reply, encode_stats_reply_into, opcode, parse_batch_ctx,
     parse_goodbye, parse_health, parse_hello, parse_labels, parse_map_get, parse_map_set,
-    parse_stats, parse_trace_dump, trace_dump_flags, write_frame_vectored, Answer, FrameBuffer,
+    parse_stats, parse_trace_dump, trace_dump_flags, write_frame, Answer, FrameBuffer,
     LabelsStatus, MapSetRequest, MapSetStatus, Query, MAX_FRAME, VERSION,
 };
 use crate::stats::{Metrics, Snapshot};
@@ -336,7 +336,7 @@ fn accept_loop<E: QueryEngine>(listener: &TcpListener, shared: &Arc<FrontShared<
                     shared.stats.metrics.shed.inc();
                     pl_obs::event!("serve.shed");
                     // Best effort: tell the peer why before closing.
-                    let _ = write_frame_vectored(&mut stream, &[opcode::OVERLOADED]);
+                    let _ = write_frame(&mut stream, &[opcode::OVERLOADED]);
                     continue;
                 }
                 shared.live_conns.fetch_add(1, Ordering::SeqCst);
@@ -714,12 +714,12 @@ fn send(
             // meaning before the checksum is even consulted.
             let pos = 1 + inj.flip_position(body.len() - 1);
             corrupted[pos] ^= 1 << (pos % 8);
-            write_frame_vectored(stream, &corrupted)?;
+            write_frame(stream, &corrupted)?;
             stats.metrics.bytes_out.add(4 + corrupted.len() as u64);
             return Ok(());
         }
     }
-    write_frame_vectored(stream, body)?;
+    write_frame(stream, body)?;
     stats.metrics.bytes_out.add(4 + body.len() as u64);
     Ok(())
 }
@@ -729,7 +729,7 @@ mod tests {
     use super::*;
     use crate::protocol::{
         encode_batch, encode_hello, encode_map_get, parse_batch_reply, parse_hello_ok,
-        parse_map_reply, read_frame, write_frame,
+        parse_map_reply, read_frame,
     };
 
     /// A constant-answer engine: NotAdjacent for everything.

@@ -232,18 +232,11 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// Writes one frame (length prefix + body).
+/// Writes one frame (length prefix + body) with a single vectored
+/// syscall for header + body, continuing on short writes and retrying on
+/// `Interrupted`. The body is never copied, and a healthy socket sees
+/// one write per frame. Both ends of a connection write through this.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
-    debug_assert!(body.len() <= MAX_FRAME);
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)
-}
-
-/// Writes one frame with a single vectored syscall for header + body
-/// (falling back to plain continuation writes on short writes), so the
-/// hot reply path never copies the body into a combined buffer and
-/// never issues two syscalls for one frame on a healthy socket.
-pub fn write_frame_vectored(w: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
     debug_assert!(body.len() <= MAX_FRAME);
     let len = (body.len() as u32).to_le_bytes();
     let total = 4 + body.len();
@@ -269,9 +262,9 @@ pub fn write_frame_vectored(w: &mut impl Write, body: &[u8]) -> std::io::Result<
     Ok(())
 }
 
-/// Blocking read of one frame body. Used by the client, which always
-/// expects a reply; the server side uses [`FrameBuffer`] instead so it
-/// can poll for shutdown.
+/// Blocking read of one frame body. The client reads every reply
+/// through this from a buffered stream; the server side uses
+/// [`FrameBuffer`] instead so it can poll for shutdown and deadlines.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -289,7 +282,7 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
 
 /// Incremental frame reassembly for non-blocking reads: feed raw socket
 /// bytes with [`push`](Self::push), pull complete frame bodies with
-/// [`next_frame`](Self::next_frame).
+/// [`next_frame_into`](Self::next_frame_into).
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
@@ -307,17 +300,10 @@ impl FrameBuffer {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Pops the next complete frame body, if one has fully arrived.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, ProtocolError> {
-        let mut body = Vec::new();
-        Ok(self.next_frame_into(&mut body)?.then_some(body))
-    }
-
-    /// Allocation-free variant of [`next_frame`](Self::next_frame):
-    /// copies the next complete frame body into `out` (cleared first)
+    /// Copies the next complete frame body into `out` (cleared first)
     /// and returns `true`, or returns `false` when no full frame has
-    /// arrived yet. Reusing one `out` buffer across frames amortises
-    /// the allocation a `Vec`-returning pop would make per frame.
+    /// arrived yet. Reusing one `out` buffer across frames saves the
+    /// allocation a `Vec`-returning pop would make per frame.
     pub fn next_frame_into(&mut self, out: &mut Vec<u8>) -> Result<bool, ProtocolError> {
         if self.buf.len() < 4 {
             return Ok(false);
@@ -1203,14 +1189,102 @@ mod tests {
         assert_eq!(buf, encode_health_reply(&[true, false]));
     }
 
+    /// The frame `write_frame` must produce: little-endian length, body.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(body);
+        wire
+    }
+
+    /// A writer that takes at most `chunk` bytes per call, fails its
+    /// first `interrupts` calls with `Interrupted`, and counts calls.
+    struct MockWriter {
+        out: Vec<u8>,
+        chunk: usize,
+        interrupts: usize,
+        vectored_calls: usize,
+        plain_calls: usize,
+    }
+
+    impl MockWriter {
+        fn new(chunk: usize, interrupts: usize) -> Self {
+            Self {
+                out: Vec::new(),
+                chunk,
+                interrupts,
+                vectored_calls: 0,
+                plain_calls: 0,
+            }
+        }
+
+        fn take(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            if self.interrupts > 0 {
+                self.interrupts -= 1;
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let start = self.out.len();
+            for b in bufs {
+                let room = self.chunk - (self.out.len() - start);
+                self.out.extend_from_slice(&b[..b.len().min(room)]);
+            }
+            Ok(self.out.len() - start)
+        }
+    }
+
+    impl Write for MockWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.plain_calls += 1;
+            self.take(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.vectored_calls += 1;
+            self.take(bufs)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    const BODIES: [&[u8]; 3] = [&[], &[7], &[1, 2, 3, 4, 5]];
+
     #[test]
-    fn vectored_frame_write_matches_plain() {
-        for body in [&[][..], &[7][..], &[1, 2, 3, 4, 5][..]] {
-            let mut plain = Vec::new();
-            write_frame(&mut plain, body).unwrap();
-            let mut vectored = Vec::new();
-            write_frame_vectored(&mut vectored, body).unwrap();
-            assert_eq!(plain, vectored);
+    fn write_frame_emits_length_then_body() {
+        for body in BODIES {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, body).unwrap();
+            assert_eq!(wire, framed(body));
+        }
+    }
+
+    #[test]
+    fn healthy_frame_takes_one_vectored_write() {
+        for body in BODIES {
+            let mut w = MockWriter::new(usize::MAX, 0);
+            write_frame(&mut w, body).unwrap();
+            assert_eq!(w.out, framed(body));
+            assert_eq!((w.vectored_calls, w.plain_calls), (1, 0));
+        }
+    }
+
+    #[test]
+    fn frame_completes_through_one_byte_writes() {
+        for body in BODIES {
+            let mut w = MockWriter::new(1, 0);
+            write_frame(&mut w, body).unwrap();
+            assert_eq!(w.out, framed(body));
+            assert_eq!(w.vectored_calls + w.plain_calls, 4 + body.len());
+        }
+    }
+
+    #[test]
+    fn frame_completes_after_an_interrupted_write() {
+        for body in BODIES {
+            let mut w = MockWriter::new(usize::MAX, 1);
+            write_frame(&mut w, body).unwrap();
+            assert_eq!(w.out, framed(body));
+            assert_eq!((w.vectored_calls, w.plain_calls), (2, 0));
         }
     }
 
@@ -1484,10 +1558,11 @@ mod tests {
         write_frame(&mut wire, &[4]).unwrap();
         // Feed one byte at a time.
         let mut frames = Vec::new();
+        let mut frame = Vec::new();
         for &b in &wire {
             fb.push(&[b]);
-            while let Some(f) = fb.next_frame().unwrap() {
-                frames.push(f);
+            while fb.next_frame_into(&mut frame).unwrap() {
+                frames.push(frame.clone());
             }
         }
         assert_eq!(frames, vec![vec![1, 2, 3], vec![4]]);
@@ -1498,7 +1573,10 @@ mod tests {
     fn oversized_length_prefix_rejected_without_allocating() {
         let mut fb = FrameBuffer::new();
         fb.push(&u32::MAX.to_le_bytes());
-        assert_eq!(fb.next_frame(), Err(ProtocolError::FrameTooLarge(u32::MAX)));
+        assert_eq!(
+            fb.next_frame_into(&mut Vec::new()),
+            Err(ProtocolError::FrameTooLarge(u32::MAX))
+        );
         let mut wire = Vec::new();
         wire.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(read_frame(&mut wire.as_slice()).is_err());

@@ -280,15 +280,16 @@ fn reassembly_survives_corrupted_length_prefixes() {
         }
         let _ = read_frame(&mut wire.as_slice());
         let mut fb = FrameBuffer::new();
+        let mut frame = Vec::new();
         let mut fed = 0;
         'feed: while fed < wire.len() {
             let take = rng.gen_range(1..=(wire.len() - fed).min(9));
             fb.push(&wire[fed..fed + take]);
             fed += take;
             loop {
-                match fb.next_frame() {
-                    Ok(Some(frame)) => assert!(frame.len() <= MAX_FRAME),
-                    Ok(None) => break,
+                match fb.next_frame_into(&mut frame) {
+                    Ok(true) => assert!(frame.len() <= MAX_FRAME),
+                    Ok(false) => break,
                     Err(e) => {
                         assert!(
                             matches!(e, ProtocolError::FrameTooLarge(l) if l as usize > MAX_FRAME)
