@@ -567,10 +567,12 @@ gate_trace() {
     target/release/bench_gate bench/baselines/BENCH_trace.json results/BENCH_trace.json
 }
 
-# Dep hygiene: the cluster crate must take its transport from pl-wire —
-# never from pl-serve's internals (serve's protocol/fault/metrics
-# modules are compatibility re-export shims over pl-wire, not a layer
-# other crates may build on).
+# Dep hygiene: the cluster crate takes its transport (frames, front-end,
+# fault injection, wire stats) from pl-wire directly. It must keep a
+# normal dependency on pl-wire, and its sources must not name
+# `pl_serve::server` (the store's TCP wrapper) or a `protocol`, `fault`
+# or `metrics` module under `pl_serve` (none exists; the pattern keeps
+# one from coming back as a path around pl-wire).
 dep_hygiene() {
     cargo tree -p pl-cluster --edges normal | grep -q 'pl-wire' \
         || { echo "ci: pl-cluster lost its pl-wire dependency" >&2; return 1; }

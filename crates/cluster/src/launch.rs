@@ -19,7 +19,6 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use pl_serve::{ClusterMap, Partitioner, TaggedLabeling};
-use pl_wire::fault::FaultPlan;
 use pl_wire::FrontendOptions;
 
 use crate::router::{route_with, RouterConfig, RouterHandle};
@@ -45,16 +44,10 @@ pub struct LaunchOptions {
     pub fault_plan: Option<String>,
     /// Router tuning.
     pub config: RouterConfig,
-    /// Router-side connection cap; excess upward connections are shed
-    /// with `OVERLOADED` by the shared front-end.
-    pub max_conns: Option<usize>,
-    /// Router-side idle-connection reap deadline.
-    pub idle_timeout: Option<Duration>,
-    /// Router-side mid-frame stall (and write) deadline.
-    pub stall_timeout: Option<Duration>,
-    /// Fault plan injected at the *router's* front-end (the backends
+    /// The router's own front-end: connection cap, idle and stall
+    /// deadlines, and a fault plan injected at the router (the backends
     /// get [`fault_plan`](Self::fault_plan) via their CLI flag).
-    pub router_fault_plan: Option<FaultPlan>,
+    pub router_front: FrontendOptions,
     /// Enable trace rings cluster-wide: the router process turns its own
     /// tracing on and every backend is spawned with `--trace`, so a
     /// traced batch yields spans on both sides of the wire.
@@ -188,14 +181,12 @@ pub fn launch(tagged: &TaggedLabeling, opts: &LaunchOptions) -> Result<ClusterHa
     if opts.trace {
         pl_obs::set_tracing(true);
     }
-    let front = FrontendOptions {
-        registry: None,
-        max_conns: opts.max_conns,
-        fault_plan: opts.router_fault_plan.clone(),
-        idle_timeout: opts.idle_timeout,
-        stall_timeout: opts.stall_timeout,
-    };
-    match route_with(map.clone(), &opts.router_addr, opts.config.clone(), front) {
+    match route_with(
+        map.clone(),
+        &opts.router_addr,
+        opts.config.clone(),
+        opts.router_front.clone(),
+    ) {
         Ok(router) => Ok(ClusterHandle {
             children,
             router,

@@ -15,9 +15,11 @@
 //!    old owner; one already migrated answers from its new owner.
 //! 3. **Stream labels.** Each vertex whose ownership *moves* (a new
 //!    owner address that was not an old owner of it) has its full label
-//!    streamed to the gaining backend in `LABELS` chunks. The backend
-//!    re-decodes every label and re-encodes it byte-identically before
-//!    buffering — a frame that fails verification rejects wholesale.
+//!    streamed to the gaining backend in `LABELS` chunks, each one
+//!    `PLL2` labeling container. The backend parses every chunk once
+//!    before buffering it — a frame that does not parse, holds the
+//!    wrong number of labels or names a vertex out of range rejects
+//!    wholesale.
 //! 4. **Commit backends, then router.** Gaining backends commit first
 //!    (an extra full label can only make a backend answer *more*, never
 //!    wrongly), the router commits last (closing the window and
@@ -32,6 +34,7 @@
 
 use std::collections::HashMap;
 
+use pl_labeling::{Labeling, LabelingBuilder};
 use pl_serve::{Client, ClusterMap, MapError, TaggedLabeling};
 use pl_wire::protocol::{LabelsStatus, MapSetMode, MapSetStatus, MAP_TARGET_ROUTER};
 
@@ -52,8 +55,8 @@ pub enum RebalanceAction {
 /// Coordinator tuning.
 #[derive(Debug, Clone)]
 pub struct RebalanceOptions {
-    /// Soft cap on one `LABELS` frame's payload bytes (the hard cap is
-    /// the wire's `MAX_FRAME`).
+    /// Soft cap on one `LABELS` frame's payload bytes: ids, offsets and
+    /// label bits (the hard cap is the wire's `MAX_FRAME`).
     pub chunk_bytes: usize,
 }
 
@@ -218,15 +221,20 @@ fn abort_all(router: &mut Client, backends: &mut [Client], map_bytes: &[u8]) {
     let _ = router.map_set(MapSetMode::Abort, MAP_TARGET_ROUTER, 0, map_bytes);
 }
 
-/// One verified `LABELS` chunk to one gaining backend.
+/// One `LABELS` chunk to one gaining backend: the labels of `ids`, as
+/// one `PLL2` container.
 fn push_chunk(
     client: &mut Client,
     addr: &str,
     epoch: u64,
-    chunk: &[(u32, Vec<u8>)],
+    labeling: &Labeling,
+    ids: &[u32],
 ) -> Result<(), ReconfigError> {
-    let refs: Vec<(u32, &[u8])> = chunk.iter().map(|(v, b)| (*v, b.as_slice())).collect();
-    let (status, _received) = client.push_labels(epoch, &refs)?;
+    let mut chunk = LabelingBuilder::new();
+    for &v in ids {
+        chunk.push_ref(labeling.label(v));
+    }
+    let (status, _received) = client.push_labels(epoch, ids, &chunk.finish().to_bytes())?;
     if status != LabelsStatus::Ok {
         return Err(ReconfigError::Refused(format!(
             "backend {addr} rejected a label chunk: {status:?}"
@@ -271,24 +279,23 @@ fn run_rollout(
             continue;
         }
         let addr = &new_map.backends[i];
-        let mut chunk: Vec<(u32, Vec<u8>)> = Vec::new();
+        let mut start = 0;
         let mut chunk_bytes = 0usize;
-        for &v in verts {
-            let bytes = tagged.labeling.label(v).to_label().to_bytes();
-            let cost = bytes.len() + 8;
-            if !chunk.is_empty()
-                && (chunk_bytes + cost > options.chunk_bytes || chunk.len() == u16::MAX as usize)
+        for (k, &v) in verts.iter().enumerate() {
+            // Its id, its offset and its bits.
+            let cost = 12 + tagged.labeling.label(v).bit_len().div_ceil(8);
+            if k > start
+                && (chunk_bytes + cost > options.chunk_bytes || k - start == u16::MAX as usize)
             {
-                push_chunk(&mut backends[i], addr, new_map.epoch, &chunk)?;
-                chunk.clear();
+                let ids = &verts[start..k];
+                push_chunk(&mut backends[i], addr, new_map.epoch, &tagged.labeling, ids)?;
+                start = k;
                 chunk_bytes = 0;
             }
             chunk_bytes += cost;
-            chunk.push((v, bytes));
         }
-        if !chunk.is_empty() {
-            push_chunk(&mut backends[i], addr, new_map.epoch, &chunk)?;
-        }
+        let ids = &verts[start..];
+        push_chunk(&mut backends[i], addr, new_map.epoch, &tagged.labeling, ids)?;
     }
     Ok(())
 }

@@ -95,7 +95,7 @@ fn router_replies_with_the_same_golden_bytes_as_a_server() {
     let hello_ok = read_frame(&mut stream).expect("hello_ok");
     assert_eq!(
         hello_ok,
-        vec![0x80, 0x07, 0x01, 0x08, 0x00, 0x00, 0x00],
+        vec![0x80, 0x08, 0x01, 0x08, 0x00, 0x00, 0x00],
         "router HELLO_OK drifted"
     );
 

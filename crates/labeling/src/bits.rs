@@ -38,8 +38,8 @@
 /// A packed, growable string of bits.
 ///
 /// Invariant: bits at positions `>= len` in the final word are zero, so
-/// word-level equality and serialization are canonical.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// word-level equality, hashing and serialization are canonical.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct BitString {
     words: Vec<u64>,
     len: usize,

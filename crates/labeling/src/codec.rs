@@ -2,8 +2,8 @@
 //! decoder dispatch.
 //!
 //! A labeling on disk is a 1-byte scheme tag followed by the
-//! [`Labeling`] wire format (v2 arena or legacy v1 — see
-//! `crates/labeling/FORMAT.md`). The tag picks the decoder, keeping the
+//! [`Labeling`] `PLL2` container, the same bytes a `LABELS` frame
+//! carries as its body (see `crates/labeling/FORMAT.md`). The tag picks the decoder, keeping the
 //! decoder itself graph-independent: any process holding the file — the
 //! CLI, the serving engine, a remote peer — can answer queries without
 //! the graph. [`SchemeTag::try_adjacent`] and [`SchemeTag::try_distance`]
@@ -162,7 +162,7 @@ pub struct TaggedLabeling {
 }
 
 impl TaggedLabeling {
-    /// Serializes as tag byte + labeling wire format (v2).
+    /// Serializes as tag byte + `PLL2` labeling container.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = vec![self.tag.as_u8()];
@@ -170,8 +170,9 @@ impl TaggedLabeling {
         out
     }
 
-    /// Parses the container format; safe on untrusted bytes. Accepts
-    /// both v2 and legacy v1 labeling bodies.
+    /// Parses the container format; safe on untrusted bytes. A body
+    /// that is not `PLL2` (a retired `PLL1` file, say) is
+    /// [`WireError::BadMagic`].
     pub fn from_bytes(buf: &[u8]) -> Result<Self, FormatError> {
         let (&tag, body) = buf.split_first().ok_or(FormatError::Empty)?;
         let tag = SchemeTag::from_u8(tag).ok_or(FormatError::UnknownTag(tag))?;

@@ -4,9 +4,10 @@
 //! A [`Labeling`] is stored as one contiguous bit arena plus a bit-offset
 //! table: `label(v)` hands out a borrowed [`LabelRef`] window into the
 //! arena, so a loaded `.plab` is queried in place with zero per-query
-//! allocation. The wire format is v2 (`PLL2`: arena + offsets); the
-//! reader is version-gated and still accepts v1 (`PLL1`: per-label
-//! records) files. See `crates/labeling/FORMAT.md` for the byte layout.
+//! allocation. There is one byte format, the `PLL2` container (arena +
+//! offsets), and this module is the one place that reads or writes it:
+//! `.plab` files carry it after their tag byte, and `LABELS` frames
+//! carry it as their body. See `crates/labeling/FORMAT.md`.
 
 use crate::bits::{BitReader, BitString, BitWriter};
 
@@ -27,13 +28,10 @@ fn extend_be_bytes(out: &mut Vec<u8>, words: &[u64], nbytes: usize) {
     out.extend(words.iter().flat_map(|w| w.to_be_bytes()).take(nbytes));
 }
 
-/// Magic prefix of the v1 (per-label records) wire format.
-const LABELING_MAGIC_V1: &[u8; 4] = b"PLL1";
+/// Magic prefix of the one labeling container (arena + offsets).
+const LABELING_MAGIC: &[u8; 4] = b"PLL2";
 
-/// Magic prefix of the v2 (arena + offsets) wire format.
-const LABELING_MAGIC_V2: &[u8; 4] = b"PLL2";
-
-/// Error deserializing a label or labeling.
+/// Error deserializing a labeling.
 ///
 /// `from_bytes` treats its input as untrusted network/disk bytes: any
 /// declared length is checked against the bytes actually present *before*
@@ -44,14 +42,15 @@ pub enum WireError {
     /// The buffer ended before the declared content (or a declared length
     /// exceeds what any buffer of this size could hold).
     Truncated,
-    /// The labeling magic/version prefix did not match.
+    /// The magic prefix was not `PLL2`, the one supported container
+    /// (older `PLL1` files are refused here too).
     BadMagic,
     /// Unused trailing bits of the final byte were not zero.
     DirtyPadding,
     /// Bytes remained after the declared content (the encoding is
     /// canonical: one labeling, nothing else).
     TrailingBytes,
-    /// The v2 offset table was not monotone non-decreasing from zero.
+    /// The offset table was not monotone non-decreasing from zero.
     BadOffsets,
 }
 
@@ -59,7 +58,7 @@ impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Truncated => write!(f, "buffer too short for declared label data"),
-            Self::BadMagic => write!(f, "not a labeling blob (bad magic)"),
+            Self::BadMagic => write!(f, "bad magic: not a PLL2 labeling container"),
             Self::DirtyPadding => write!(f, "non-zero padding bits in final byte"),
             Self::TrailingBytes => write!(f, "trailing bytes after labeling content"),
             Self::BadOffsets => write!(f, "offset table not monotone from zero"),
@@ -71,7 +70,9 @@ impl std::error::Error for WireError {}
 
 /// A single vertex label: an opaque bit string produced by an encoder and
 /// consumed by the matching decoder.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// `Hash` agrees with `Eq`: the bits past `bit_len` are always zero.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Label(BitString);
 
 impl Label {
@@ -101,50 +102,6 @@ impl Label {
     #[must_use]
     pub fn reader(&self) -> BitReader<'_> {
         BitReader::new(&self.0)
-    }
-
-    /// Serializes as `u64-LE bit length` followed by the packed bits,
-    /// MSB-first within each byte, zero-padded to a byte boundary (the
-    /// per-label record of the v1 container format).
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let nbytes = self.bit_len().div_ceil(8);
-        let mut out = Vec::with_capacity(8 + nbytes);
-        out.extend_from_slice(&(self.bit_len() as u64).to_le_bytes());
-        // The bit string's tail past `bit_len` is zero, so the padding is.
-        extend_be_bytes(&mut out, self.0.words(), nbytes);
-        out
-    }
-
-    /// Parses a label written by [`to_bytes`](Self::to_bytes), returning
-    /// the label and the number of bytes consumed.
-    ///
-    /// Safe on adversarial input: an oversized bit-length header is
-    /// rejected against the actual buffer size before any allocation.
-    pub fn from_bytes(buf: &[u8]) -> Result<(Self, usize), WireError> {
-        if buf.len() < 8 {
-            return Err(WireError::Truncated);
-        }
-        let declared = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes"));
-        // The body can hold at most 8 bits per remaining byte; checking the
-        // declared length in u64 first keeps every later usize conversion
-        // and `8 + nbytes` sum exact on all targets.
-        if declared > (buf.len() as u64 - 8).saturating_mul(8) {
-            return Err(WireError::Truncated);
-        }
-        let bit_len = declared as usize;
-        let nbytes = bit_len.div_ceil(8);
-        let body = buf.get(8..8 + nbytes).ok_or(WireError::Truncated)?;
-        // Reject dirty padding so the encoding is canonical (and the
-        // words below keep a zero tail).
-        if !bit_len.is_multiple_of(8) {
-            let pad = body[nbytes - 1] & ((1u8 << (8 - bit_len % 8)) - 1);
-            if pad != 0 {
-                return Err(WireError::DirtyPadding);
-            }
-        }
-        let bits = BitString::from_raw_parts(words_from_be_bytes(body), bit_len);
-        Ok((Self(bits), 8 + nbytes))
     }
 }
 
@@ -378,14 +335,14 @@ impl Labeling {
         self.arena.len()
     }
 
-    /// Serializes in the v2 arena format: magic `PLL2`, `u64-LE` label
-    /// count `n`, `n + 1` `u64-LE` bit offsets, then the arena bits
-    /// packed MSB-first and zero-padded to a byte boundary.
+    /// Serializes as the `PLL2` container: magic, `u64-LE` label count
+    /// `n`, `n + 1` `u64-LE` bit offsets, then the arena bits packed
+    /// MSB-first and zero-padded to a byte boundary.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let nbytes = self.total_bits().div_ceil(8);
         let mut out = Vec::with_capacity(12 + 8 * self.offsets.len() + nbytes);
-        out.extend_from_slice(LABELING_MAGIC_V2);
+        out.extend_from_slice(LABELING_MAGIC);
         out.extend_from_slice(&(self.len() as u64).to_le_bytes());
         for &o in &self.offsets {
             out.extend_from_slice(&o.to_le_bytes());
@@ -394,63 +351,25 @@ impl Labeling {
         out
     }
 
-    /// Serializes in the legacy v1 format: magic `PLL1`, `u64-LE` label
-    /// count, then each label as a [`Label::to_bytes`] record. Kept so
-    /// back-compat fixtures and v1↔v2 equivalence tests can still produce
-    /// v1 bytes; new files should use [`to_bytes`](Self::to_bytes).
-    #[must_use]
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + self.total_bits() / 8 + 9 * self.len());
-        out.extend_from_slice(LABELING_MAGIC_V1);
-        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for (_, l) in self.iter() {
-            out.extend_from_slice(&l.to_label().to_bytes());
-        }
-        out
-    }
-
-    /// Parses a labeling, accepting both the v2 arena format and legacy
-    /// v1 files (version-gated on the magic).
+    /// Parses a `PLL2` container; any other magic (the retired `PLL1`
+    /// included) is [`WireError::BadMagic`].
     ///
-    /// Safe on adversarial input: declared counts and offsets are bounded
-    /// by the bytes actually present before any allocation, offsets must
-    /// be monotone from zero, padding must be clean, and trailing bytes
-    /// are rejected so each encoding stays canonical.
+    /// Safe on adversarial input: the declared count and offsets are
+    /// bounded by the bytes actually present before any allocation,
+    /// offsets must be monotone from zero, padding must be clean, and
+    /// trailing bytes are rejected, so each labeling has exactly one
+    /// encoding.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, WireError> {
         if buf.len() < 12 {
             return Err(WireError::Truncated);
         }
-        match &buf[..4] {
-            m if m == LABELING_MAGIC_V2 => Self::from_bytes_v2(buf),
-            m if m == LABELING_MAGIC_V1 => Self::from_bytes_v1(buf),
-            _ => Err(WireError::BadMagic),
+        if &buf[..4] != LABELING_MAGIC {
+            return Err(WireError::BadMagic);
         }
-    }
-
-    fn from_bytes_v1(buf: &[u8]) -> Result<Self, WireError> {
-        let declared = u64::from_le_bytes(buf[4..12].try_into().expect("8 bytes"));
-        // Every label costs at least its 8-byte length header, so a count
-        // beyond (len - 12) / 8 cannot be satisfied — reject it before
-        // reserving memory for it.
-        if declared > (buf.len() as u64 - 12) / 8 {
-            return Err(WireError::Truncated);
-        }
-        let count = declared as usize;
-        let mut b = LabelingBuilder::new();
-        let mut pos = 12usize;
-        for _ in 0..count {
-            let (l, used) = Label::from_bytes(&buf[pos..])?;
-            b.push_label(&l);
-            pos += used;
-        }
-        if pos != buf.len() {
-            return Err(WireError::TrailingBytes);
-        }
-        Ok(b.finish())
-    }
-
-    fn from_bytes_v2(buf: &[u8]) -> Result<Self, WireError> {
-        let declared = u64::from_le_bytes(buf[4..12].try_into().expect("8 bytes"));
+        let le_u64 = |at: usize| {
+            u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes")) // lint: panic-ok(every caller slices 8 bytes inside the length-checked buffer)
+        };
+        let declared = le_u64(4);
         // The offset table alone costs (n + 1) * 8 bytes; bound the count
         // against the buffer before allocating the table.
         let table_bytes = declared
@@ -461,21 +380,14 @@ impl Labeling {
             return Err(WireError::Truncated);
         }
         let n = declared as usize;
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut pos = 12usize;
-        for _ in 0..=n {
-            offsets.push(u64::from_le_bytes(
-                buf[pos..pos + 8].try_into().expect("8 bytes"),
-            ));
-            pos += 8;
-        }
+        let offsets: Vec<u64> = (0..=n).map(|i| le_u64(12 + 8 * i)).collect();
         if offsets[0] != 0 || offsets.windows(2).any(|w| w[1] < w[0]) {
             return Err(WireError::BadOffsets);
         }
         let total = offsets[n];
         // The arena must fill the rest of the buffer exactly — checked in
         // u64 before sizing any allocation from the declared total.
-        let body = &buf[pos..];
+        let body = &buf[12 + 8 * (n + 1)..];
         let nbytes = total.div_ceil(8);
         if nbytes > body.len() as u64 {
             return Err(WireError::Truncated);
@@ -580,41 +492,10 @@ mod tests {
     }
 
     #[test]
-    fn label_wire_round_trip() {
-        for bits in [0usize, 1, 7, 8, 9, 63, 64, 65, 130] {
-            let l = label_of_bits(bits);
-            let bytes = l.to_bytes();
-            assert_eq!(bytes.len(), 8 + bits.div_ceil(8));
-            let (back, used) = Label::from_bytes(&bytes).unwrap();
-            assert_eq!(used, bytes.len());
-            assert_eq!(back, l, "bits = {bits}");
-        }
-    }
-
-    #[test]
-    fn label_wire_rejects_truncation() {
-        let l = label_of_bits(20);
-        let bytes = l.to_bytes();
-        assert_eq!(
-            Label::from_bytes(&bytes[..bytes.len() - 1]),
-            Err(WireError::Truncated)
-        );
-        assert_eq!(Label::from_bytes(&bytes[..4]), Err(WireError::Truncated));
-    }
-
-    #[test]
-    fn label_wire_rejects_dirty_padding() {
-        let l = label_of_bits(9);
-        let mut bytes = l.to_bytes();
-        *bytes.last_mut().unwrap() |= 1; // flip an unused padding bit
-        assert_eq!(Label::from_bytes(&bytes), Err(WireError::DirtyPadding));
-    }
-
-    #[test]
     fn labeling_wire_round_trip() {
         let lab = Labeling::new(vec![label_of_bits(3), label_of_bits(0), label_of_bits(77)]);
         let bytes = lab.to_bytes();
-        assert_eq!(&bytes[..4], LABELING_MAGIC_V2);
+        assert_eq!(&bytes[..4], LABELING_MAGIC);
         let back = Labeling::from_bytes(&bytes).unwrap();
         assert_eq!(back, lab);
         for v in 0..3u32 {
@@ -623,12 +504,11 @@ mod tests {
     }
 
     #[test]
-    fn v1_bytes_still_parse() {
-        let lab = Labeling::new(vec![label_of_bits(5), label_of_bits(0), label_of_bits(64)]);
-        let v1 = lab.to_bytes_v1();
-        assert_eq!(&v1[..4], LABELING_MAGIC_V1);
-        let back = Labeling::from_bytes(&v1).unwrap();
-        assert_eq!(back, lab);
+    fn retired_pll1_container_is_refused() {
+        let mut bytes = Labeling::new(vec![label_of_bits(5)]).to_bytes();
+        bytes[..4].copy_from_slice(b"PLL1");
+        assert_eq!(Labeling::from_bytes(&bytes), Err(WireError::BadMagic));
+        assert!(WireError::BadMagic.to_string().contains("PLL2"));
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl InducedUniversalGraph {
         S::Decoder: Default,
     {
         let dec = S::Decoder::default();
-        let mut index: HashMap<Vec<u8>, VertexId> = HashMap::new();
+        let mut index: HashMap<Label, VertexId> = HashMap::new();
         let mut labels: Vec<Label> = Vec::new();
         let mut hosts = Vec::with_capacity(family.len());
 
@@ -60,9 +60,8 @@ impl InducedUniversalGraph {
             let mut host = Vec::with_capacity(g.vertex_count());
             for v in g.vertices() {
                 let l = labeling.label(v).to_label();
-                let key = l.to_bytes();
-                let id = *index.entry(key).or_insert_with(|| {
-                    labels.push(l.clone());
+                let id = *index.entry(l.clone()).or_insert_with(|| {
+                    labels.push(l);
                     (labels.len() - 1) as VertexId
                 });
                 host.push(id);

@@ -1,10 +1,11 @@
 //! Adversarial-input tests for the label wire format.
 //!
-//! The serving layer (`pl-serve`) hands bytes read from the network and
-//! disk straight to `Label::from_bytes` / `Labeling::from_bytes`, so these
-//! parsers must treat their input as hostile: any byte string either
-//! round-trips to a value or returns a `WireError` — never a panic, and
-//! never an allocation sized by an unvalidated header.
+//! The serving layer (`pl-serve`) hands bytes read from disk (`.plab`
+//! files) and from the network (`LABELS` frame bodies) straight to
+//! `Labeling::from_bytes`, the one label parser, so it must treat its
+//! input as hostile: any byte string either round-trips to a value or
+//! returns a `WireError` — never a panic, and never an allocation sized
+//! by an unvalidated header.
 
 use pl_labeling::bits::BitWriter;
 use pl_labeling::label::WireError;
@@ -23,12 +24,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn label_round_trips(bits in proptest::collection::vec(any::<bool>(), 0..300)) {
-        let label = label_from_bools(&bits);
-        let bytes = label.to_bytes();
-        let (back, used) = Label::from_bytes(&bytes).expect("own encoding parses");
-        prop_assert_eq!(used, bytes.len());
-        prop_assert_eq!(back, label);
+    fn label_bits_round_trip(bits in proptest::collection::vec(any::<bool>(), 0..300)) {
+        let labeling = Labeling::new(vec![label_from_bools(&bits)]);
+        let bytes = labeling.to_bytes();
+        prop_assert_eq!(bytes.len(), 28 + bits.len().div_ceil(8));
+        let back = Labeling::from_bytes(&bytes).expect("own encoding parses");
+        prop_assert_eq!(back.label(0).to_label(), label_from_bools(&bits));
     }
 
     #[test]
@@ -46,14 +47,11 @@ proptest! {
     }
 
     #[test]
-    fn random_bytes_never_panic_label(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-        // Any outcome is fine; panicking or aborting is not.
-        let _ = Label::from_bytes(&bytes);
-    }
-
-    #[test]
     fn random_bytes_never_panic_labeling(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
+        // Any outcome is fine; panicking or aborting is not.
         let _ = Labeling::from_bytes(&bytes);
+        // The same bytes behind the magic reach the count and offsets.
+        let _ = Labeling::from_bytes(&[&b"PLL2"[..], &bytes].concat());
     }
 
     #[test]
@@ -79,26 +77,42 @@ proptest! {
     }
 }
 
+/// A `PLL2` header: magic, label count, then the given offsets.
+fn header(count: u64, offsets: &[u64]) -> Vec<u8> {
+    let mut bytes = b"PLL2".to_vec();
+    bytes.extend_from_slice(&count.to_le_bytes());
+    for o in offsets {
+        bytes.extend_from_slice(&o.to_le_bytes());
+    }
+    bytes
+}
+
 #[test]
-fn oversized_bit_length_header_is_rejected_without_allocating() {
-    // 8-byte header declaring u64::MAX bits, no body.
-    let mut bytes = u64::MAX.to_le_bytes().to_vec();
-    assert_eq!(Label::from_bytes(&bytes), Err(WireError::Truncated));
-    // Same with a few bytes of body present.
+fn oversized_arena_length_is_rejected_without_allocating() {
+    // One label declaring u64::MAX bits, no arena.
+    let mut bytes = header(1, &[0, u64::MAX]);
+    assert_eq!(Labeling::from_bytes(&bytes), Err(WireError::Truncated));
+    // Same with a few bytes of arena present.
     bytes.extend_from_slice(&[0xAB; 16]);
-    assert_eq!(Label::from_bytes(&bytes), Err(WireError::Truncated));
+    assert_eq!(Labeling::from_bytes(&bytes), Err(WireError::Truncated));
 }
 
 #[test]
 fn oversized_label_count_is_rejected_without_allocating() {
-    let mut bytes = b"PLL1".to_vec();
-    bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+    let bytes = header(u64::MAX, &[]);
     assert_eq!(Labeling::from_bytes(&bytes), Err(WireError::Truncated));
-    // A count that the remaining bytes cannot possibly hold.
-    let mut bytes = b"PLL1".to_vec();
-    bytes.extend_from_slice(&1_000u64.to_le_bytes());
+    // A count whose offset table the remaining bytes cannot hold.
+    let mut bytes = header(1_000, &[]);
     bytes.extend_from_slice(&[0u8; 64]);
     assert_eq!(Labeling::from_bytes(&bytes), Err(WireError::Truncated));
+}
+
+#[test]
+fn dirty_padding_is_rejected() {
+    let labeling = Labeling::new(vec![label_from_bools(&[true; 9])]);
+    let mut bytes = labeling.to_bytes();
+    *bytes.last_mut().unwrap() |= 1; // an unused bit of the last byte
+    assert_eq!(Labeling::from_bytes(&bytes), Err(WireError::DirtyPadding));
 }
 
 #[test]

@@ -6,8 +6,9 @@
 //! flags `.unwrap()`, `.expect(`, `panic!(`, `unreachable!(`, `todo!(`
 //! and `unimplemented!(` in non-test lines of the three serving crates
 //! and of the `pl_labeling` modules a server decodes through: the bit
-//! reader, the prelude, the tag dispatch and the decoder of every
-//! served scheme.
+//! reader, the label container parser (which reads `.plab` files and
+//! `LABELS` frame bodies), the prelude, the tag dispatch and the
+//! decoder of every served scheme.
 //!
 //! A site that is *provably* unreachable (an invariant the surrounding
 //! code establishes, like a `try_into` on a length-checked slice) may
@@ -21,11 +22,12 @@ const ID: &str = "panic-path";
 
 /// Path prefixes of server code: the serving crates' `src/`, and the
 /// label decoders they serve through.
-pub const SERVER_PATHS: [&str; 10] = [
+pub const SERVER_PATHS: [&str; 11] = [
     "crates/wire/src/",
     "crates/serve/src/",
     "crates/cluster/src/",
     "crates/labeling/src/bits.rs",
+    "crates/labeling/src/label.rs",
     "crates/labeling/src/scheme.rs",
     "crates/labeling/src/codec.rs",
     "crates/labeling/src/baseline.rs",

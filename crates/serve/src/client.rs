@@ -236,12 +236,15 @@ impl Client {
 
     /// Streams one frame of migrating labels for the staged epoch and
     /// returns the peer's verdict plus its buffered-label count.
+    /// `labels` is a `PLL2` container ([`pl_labeling::Labeling::to_bytes`])
+    /// holding one label per id in `ids` order.
     pub fn push_labels(
         &mut self,
         epoch: u64,
-        entries: &[(u32, &[u8])],
+        ids: &[u32],
+        labels: &[u8],
     ) -> io::Result<(LabelsStatus, u32)> {
-        let body = encode_labels(epoch, entries).map_err(|e| bad_data(e.to_string()))?;
+        let body = encode_labels(epoch, ids, labels).map_err(|e| bad_data(e.to_string()))?;
         let reply = self.round_trip(&body, opcode::LABELS_OK, "labels ok")?;
         parse_labels_ok(&reply).map_err(|e| bad_data(e.to_string()))
     }

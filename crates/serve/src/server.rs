@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 
 use pl_labeling::codec::SchemeTag;
 use pl_labeling::threshold::cut;
-use pl_labeling::{Label, LabelingBuilder};
+use pl_labeling::{Label, Labeling, LabelingBuilder};
 use pl_obs::MetricsRegistry;
 use pl_wire::fault::FaultPlan;
 use pl_wire::frontend::{self, FrontStats, FrontendHandle, FrontendOptions, QueryEngine};
@@ -99,7 +99,7 @@ pub struct ServeOptions {
 ///
 /// The store is *swappable*: a `MAP_SET` push stages
 /// an epoch-bumped [`ClusterMap`], `LABELS` pushes buffer re-owned
-/// vertices' full labels (verified byte-identical on arrival), and the
+/// vertices' full labels (parsed once, on arrival), and the
 /// commit rebuilds a replacement store off the serving path and swaps
 /// it in atomically — in-flight batches finish against the store they
 /// started on, so no query is ever dropped or answered from a
@@ -134,7 +134,7 @@ struct PendingMap {
     /// This backend's index in the pending map.
     index: u32,
     /// Labels streamed in for the pending epoch, keyed by vertex.
-    labels: HashMap<u32, Vec<u8>>,
+    labels: HashMap<u32, Label>,
 }
 
 /// Per-connection scratch for [`StoreEngine`]: reused across batches so
@@ -225,13 +225,7 @@ impl StoreEngine {
         };
         let mut builder = LabelingBuilder::new();
         for (v, current) in old.labeling().iter() {
-            if let Some(bytes) = pending.labels.get(&v) {
-                // Verified byte-identical on arrival; decode cannot fail.
-                let (label, _) = Label::from_bytes(bytes).expect("verified label"); // lint: panic-ok(bytes round-tripped Label::to_bytes on arrival in map_set; decode of our own encoding cannot fail)
-                builder.push_label(&label);
-            } else {
-                builder.push_ref(current);
-            }
+            builder.push_ref(pending.labels.get(&v).map_or(current, Label::view));
         }
         let rebuilt = Arc::new(old.relabeled(builder.finish()));
         let mut state = pl_wire::sync::lock_recover(&self.reconfig);
@@ -273,11 +267,14 @@ impl StoreEngine {
     }
 
     /// Buffers one `LABELS` frame for the staged epoch. All-or-nothing:
-    /// if any label fails verification the whole frame is discarded.
-    /// Verification is byte-identity — the label must decode, consume
-    /// every pushed byte, and re-encode to exactly the pushed bytes.
-    fn buffer_labels(&self, epoch: u64, entries: &[(u32, Vec<u8>)]) -> (LabelsStatus, u32) {
+    /// the frame is rejected whole unless `labels` parses as one
+    /// canonical `PLL2` container holding exactly one label per id, and
+    /// every id is a vertex of this store.
+    fn buffer_labels(&self, epoch: u64, ids: &[u32], labels: &[u8]) -> (LabelsStatus, u32) {
         let n = self.store().n();
+        let chunk = Labeling::from_bytes(labels)
+            .ok()
+            .filter(|chunk| chunk.len() == ids.len() && ids.iter().all(|&v| v < n));
         let mut state = pl_wire::sync::lock_recover(&self.reconfig);
         let Some(pending) = state.pending.as_mut() else {
             return (LabelsStatus::WrongEpoch, 0);
@@ -285,17 +282,11 @@ impl StoreEngine {
         if epoch != pending.epoch {
             return (LabelsStatus::WrongEpoch, pending.labels.len() as u32);
         }
-        for (v, bytes) in entries {
-            let verified = Label::from_bytes(bytes)
-                .ok()
-                .filter(|(label, used)| *used == bytes.len() && label.to_bytes() == *bytes)
-                .is_some();
-            if *v >= n || !verified {
-                return (LabelsStatus::Rejected, pending.labels.len() as u32);
-            }
-        }
-        for (v, bytes) in entries {
-            pending.labels.insert(*v, bytes.clone());
+        let Some(chunk) = chunk else {
+            return (LabelsStatus::Rejected, pending.labels.len() as u32);
+        };
+        for (&v, (_, label)) in ids.iter().zip(chunk.iter()) {
+            pending.labels.insert(v, label.to_label());
         }
         (LabelsStatus::Ok, pending.labels.len() as u32)
     }
@@ -403,9 +394,10 @@ impl QueryEngine for StoreEngine {
         &self,
         _s: &mut StoreSession,
         epoch: u64,
-        entries: &[(u32, Vec<u8>)],
+        ids: &[u32],
+        labels: &[u8],
     ) -> (LabelsStatus, u32) {
-        self.buffer_labels(epoch, entries)
+        self.buffer_labels(epoch, ids, labels)
     }
 
     fn wire_stats(&self, _s: &mut StoreSession, front: &FrontStats) -> Snapshot {

@@ -1,12 +1,12 @@
 //! Backend-side map-install state machine: epoch fencing
-//! (stale/equal pushes refused), label verification on arrival,
-//! commit-swap, abort, shrink, and wire-level rejection of a
-//! checksum-tampered map push.
+//! (stale/equal pushes refused), `LABELS` bodies parsed and checked on
+//! arrival (all or nothing), commit-swap, abort, shrink, and wire-level
+//! rejection of a checksum-tampered map push.
 
 use std::sync::Arc;
 
 use pl_labeling::scheme::AdjacencyScheme;
-use pl_labeling::ThresholdScheme;
+use pl_labeling::{LabelingBuilder, ThresholdScheme};
 use pl_serve::{
     serve_with, Answer, Client, ClusterMap, LabelStore, Query, SchemeTag, ServeOptions,
     StoreConfig, TaggedLabeling,
@@ -51,10 +51,18 @@ fn map_install_state_machine_end_to_end() {
     assert_eq!(client.map_get().expect("map_get"), None);
     assert_eq!(server.reconfig_epoch(), 0);
 
+    // A LABELS body: the PLL2 container of these vertices' labels.
+    let body = |vs: &[u32]| {
+        let mut b = LabelingBuilder::new();
+        for &v in vs {
+            b.push_ref(tagged.labeling.label(v));
+        }
+        b.finish().to_bytes()
+    };
+
     // Labels without a staged map are refused.
-    let label3 = tagged.labeling.label(3).to_label().to_bytes();
     assert_eq!(
-        client.push_labels(1, &[(3, &label3)]).expect("push"),
+        client.push_labels(1, &[3], &body(&[3])).expect("push"),
         (LabelsStatus::WrongEpoch, 0)
     );
 
@@ -69,38 +77,37 @@ fn map_install_state_machine_end_to_end() {
 
     // Wrong-epoch and malformed pushes are refused; nothing buffers.
     assert_eq!(
-        client.push_labels(2, &[(3, &label3)]).expect("push").0,
+        client.push_labels(2, &[3], &body(&[3])).expect("push").0,
         LabelsStatus::WrongEpoch
     );
-    assert_eq!(
-        client
-            .push_labels(1, &[(3, &[0xFF, 0xFF, 0xFF])])
-            .expect("push")
-            .0,
-        LabelsStatus::Rejected
-    );
-    // A bit-flipped label is not byte-identical and the whole frame
-    // (including its valid entry) is discarded.
-    let mut flipped = label3.clone();
-    let mid = flipped.len() / 2;
-    flipped[mid] ^= 0x10;
-    assert_eq!(
-        client
-            .push_labels(
-                1,
-                &[
-                    (5, &tagged.labeling.label(5).to_label().to_bytes()),
-                    (3, &flipped)
-                ]
-            )
-            .expect("push")
-            .0,
-        LabelsStatus::Rejected
-    );
+    // A label whose bit length leaves padding in its last byte.
+    let odd = (0..n)
+        .find(|&v| !tagged.labeling.label(v).bit_len().is_multiple_of(8))
+        .expect("some label is not byte-aligned");
+    let mut dirty = body(&[odd]);
+    *dirty.last_mut().unwrap() |= 1;
+    let rejected: [(&str, Vec<u32>, Vec<u8>); 5] = [
+        ("garbage body", vec![3], vec![0xFF, 0xFF, 0xFF]),
+        ("label count differs from ids", vec![3], body(&[3, 5])),
+        ("vertex >= n", vec![n], body(&[3])),
+        ("dirty padding bit", vec![odd], dirty),
+        (
+            "valid entry next to an invalid one",
+            vec![5, n],
+            body(&[5, 3]),
+        ),
+    ];
+    for (why, ids, labels) in &rejected {
+        assert_eq!(
+            client.push_labels(1, ids, labels).expect("push"),
+            (LabelsStatus::Rejected, 0),
+            "{why}"
+        );
+    }
 
     // A clean push buffers.
     assert_eq!(
-        client.push_labels(1, &[(3, &label3)]).expect("push"),
+        client.push_labels(1, &[3], &body(&[3])).expect("push"),
         (LabelsStatus::Ok, 1)
     );
 

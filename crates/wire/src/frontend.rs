@@ -124,15 +124,17 @@ pub trait QueryEngine: Send + Sync + 'static {
 
     /// Buffers a `LABELS` migration push for the staged epoch and
     /// returns the verdict plus the labels accepted so far this epoch.
-    /// The frame checksum has already been verified; per-label
-    /// byte-identity verification is the engine's. The default refuses.
+    /// `labels` is the frame's opaque `PLL2` container, one label per
+    /// id in `ids` order. The frame checksum has already been verified;
+    /// parsing the container is the engine's. The default refuses.
     fn labels_install(
         &self,
         session: &mut Self::Session,
         epoch: u64,
-        entries: &[(u32, Vec<u8>)],
+        ids: &[u32],
+        labels: &[u8],
     ) -> (LabelsStatus, u32) {
-        let _ = (session, epoch, entries);
+        let _ = (session, epoch, ids, labels);
         (LabelsStatus::Unsupported, 0)
     }
 
@@ -568,14 +570,14 @@ impl<E: QueryEngine> Conn<'_, E> {
                 self.send_reply(stream)
             }
             Some(opcode::LABELS) => {
-                let (epoch, entries) = match parse_labels(body) {
+                let (epoch, ids, labels) = match parse_labels(body) {
                     Ok(parsed) => parsed,
                     Err(e) => return self.reject(stream, &e.to_string()),
                 };
                 let (status, received) =
                     self.shared
                         .engine
-                        .labels_install(&mut self.session, epoch, &entries);
+                        .labels_install(&mut self.session, epoch, &ids, labels);
                 self.reply = encode_labels_ok(status, received);
                 self.send_reply(stream)
             }

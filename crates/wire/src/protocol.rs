@@ -32,7 +32,7 @@ use crate::stats::Snapshot;
 /// `STATS_REPLY` is one exact-length word list, and every reply sits at
 /// `0x80 | op` of its request. Any change to a frame layout or an opcode
 /// bumps this number.
-pub const VERSION: u8 = 7;
+pub const VERSION: u8 = 8;
 
 /// Handshake magic, first bytes of the HELLO body after the opcode.
 pub const MAGIC: [u8; 4] = *b"PLSV";
@@ -84,7 +84,8 @@ pub mod opcode {
     /// shrink-apply. Reply is `MAP_OK`.
     pub const MAP_SET: u8 = 0x07;
     /// Stream full labels for re-owned vertices into a gaining backend
-    /// during a rebalance: reply is `LABELS_OK`.
+    /// during a rebalance, as vertex ids plus one `PLL2` labeling
+    /// container: reply is `LABELS_OK`.
     pub const LABELS: u8 = 0x08;
     /// Handshake accepted: version + scheme tag + vertex count.
     pub const HELLO_OK: u8 = 0x80;
@@ -752,12 +753,13 @@ impl MapSetStatus {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum LabelsStatus {
-    /// All labels of this frame were verified and buffered.
+    /// The frame's labels were parsed and buffered.
     Ok = 0,
     /// The frame's epoch does not match the staged map's epoch.
     WrongEpoch = 1,
-    /// A label failed verification (not byte-identical after a decode
-    /// round-trip, or out of range) — the whole frame is discarded.
+    /// The labels did not parse as one `PLL2` container of exactly one
+    /// label per vertex, or a vertex was out of range — the whole frame
+    /// is discarded.
     Rejected = 2,
     /// The receiving engine does not accept label pushes.
     Unsupported = 3,
@@ -924,49 +926,47 @@ pub fn parse_map_ok(body: &[u8]) -> Result<(MapSetStatus, u64), ProtocolError> {
 /// Builds a LABELS body:
 ///
 /// ```text
-/// 0x08 | epoch u64 | count u16 | count × (vertex u32, len u32, bytes)
+/// 0x08 | epoch u64 | count u16 | count × vertex u32 | labels
 ///      | FNV-1a-32 u32 over every preceding body byte
 /// ```
 ///
-/// Each entry's bytes are one serialized label record
-/// (`Label::to_bytes` form). The trailing checksum makes migration
-/// pushes tamper-evident end to end: a flipped label bit is caught on
-/// arrival, never merged into a store.
+/// `labels` is one `PLL2` labeling container holding the `count`
+/// labels in `ids` order: the same bytes a `.plab` file carries after
+/// its tag (see `crates/labeling/FORMAT.md`). This layer treats them as
+/// opaque; the receiving engine parses them. The trailing checksum
+/// makes migration pushes tamper-evident end to end: a flipped label
+/// bit is caught on arrival, never merged into a store.
 ///
 /// # Errors
 ///
-/// `Malformed` if the entry count exceeds [`MAX_BATCH`] or the frame
-/// would exceed [`MAX_FRAME`].
-pub fn encode_labels(epoch: u64, entries: &[(u32, &[u8])]) -> Result<Vec<u8>, ProtocolError> {
-    if entries.len() > MAX_BATCH {
+/// `Malformed` if `ids` exceeds [`MAX_BATCH`] or the frame would exceed
+/// [`MAX_FRAME`].
+pub fn encode_labels(epoch: u64, ids: &[u32], labels: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+    if ids.len() > MAX_BATCH {
         return Err(ProtocolError::Malformed("too many labels"));
     }
-    let payload: usize = entries.iter().map(|(_, bytes)| 8 + bytes.len()).sum();
-    if 11 + payload + 4 > MAX_FRAME {
+    let len = 11 + 4 * ids.len() + labels.len() + 4;
+    if len > MAX_FRAME {
         return Err(ProtocolError::Malformed("labels frame too large"));
     }
-    let mut b = Vec::with_capacity(11 + payload + 4);
+    let mut b = Vec::with_capacity(len);
     b.push(opcode::LABELS);
     b.extend_from_slice(&epoch.to_le_bytes());
-    b.extend_from_slice(&(entries.len() as u16).to_le_bytes());
-    for (vertex, bytes) in entries {
-        b.extend_from_slice(&vertex.to_le_bytes());
-        b.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        b.extend_from_slice(bytes);
+    b.extend_from_slice(&(ids.len() as u16).to_le_bytes());
+    for id in ids {
+        b.extend_from_slice(&id.to_le_bytes());
     }
+    b.extend_from_slice(labels);
     let sum = checksum(&b);
     b.extend_from_slice(&sum.to_le_bytes());
     Ok(b)
 }
 
-/// `(vertex, label bytes)` entries carried by one LABELS frame.
-pub type LabelEntries = Vec<(u32, Vec<u8>)>;
-
-/// Parses a LABELS body into `(epoch, entries)`, verifying the trailing
-/// checksum first — corruption anywhere in the frame surfaces as
-/// [`ProtocolError::ChecksumMismatch`] before a single label is
-/// extracted.
-pub fn parse_labels(body: &[u8]) -> Result<(u64, LabelEntries), ProtocolError> {
+/// Parses a LABELS body into `(epoch, ids, labels)`, verifying the
+/// trailing checksum first — corruption anywhere in the frame surfaces
+/// as [`ProtocolError::ChecksumMismatch`] before an id is read.
+/// `labels` borrows the opaque `PLL2` container from `body`.
+pub fn parse_labels(body: &[u8]) -> Result<(u64, Vec<u32>, &[u8]), ProtocolError> {
     if body.len() < 15 || body[0] != opcode::LABELS {
         return Err(ProtocolError::Malformed("labels header"));
     }
@@ -976,26 +976,14 @@ pub fn parse_labels(body: &[u8]) -> Result<(u64, LabelEntries), ProtocolError> {
         return Err(ProtocolError::ChecksumMismatch);
     }
     let epoch = crate::bytes::le_u64(&payload[1..9]);
-    let count = crate::bytes::le_u16(&payload[9..11]) as usize;
-    let mut entries = Vec::with_capacity(count.min(MAX_BATCH));
-    let mut pos = 11;
-    for _ in 0..count {
-        let header = payload
-            .get(pos..pos + 8)
-            .ok_or(ProtocolError::Malformed("truncated label entry"))?;
-        let vertex = crate::bytes::le_u32(&header[..4]);
-        let len = crate::bytes::le_u32(&header[4..8]) as usize;
-        pos += 8;
-        let bytes = payload
-            .get(pos..pos + len)
-            .ok_or(ProtocolError::Malformed("truncated label bytes"))?;
-        pos += len;
-        entries.push((vertex, bytes.to_vec()));
-    }
-    if pos != payload.len() {
-        return Err(ProtocolError::Malformed("trailing label bytes"));
-    }
-    Ok((epoch, entries))
+    let ids_end = 11 + 4 * crate::bytes::le_u16(&payload[9..11]) as usize;
+    let ids = payload
+        .get(11..ids_end)
+        .ok_or(ProtocolError::Malformed("truncated label ids"))?
+        .chunks_exact(4)
+        .map(crate::bytes::le_u32)
+        .collect();
+    Ok((epoch, ids, &payload[ids_end..]))
 }
 
 /// Builds a LABELS_OK body: status byte + labels accepted so far this
@@ -1486,25 +1474,31 @@ mod tests {
 
     #[test]
     fn labels_round_trip() {
-        let entries: Vec<(u32, &[u8])> =
-            vec![(3, &[1, 2, 3][..]), (99, &[][..]), (7, &[0xFF; 40][..])];
-        let body = encode_labels(42, &entries).unwrap();
-        let (epoch, parsed) = parse_labels(&body).unwrap();
-        assert_eq!(epoch, 42);
-        let expected: Vec<(u32, Vec<u8>)> = entries
-            .iter()
-            .map(|&(v, bytes)| (v, bytes.to_vec()))
-            .collect();
-        assert_eq!(parsed, expected);
-        // An empty push is valid (a gaining backend may gain nothing).
-        let empty = encode_labels(42, &[]).unwrap();
-        assert_eq!(parse_labels(&empty).unwrap(), (42, vec![]));
+        let ids = [3, 99, 7];
+        let body = encode_labels(42, &ids, b"PLL2 opaque").unwrap();
+        assert_eq!(
+            parse_labels(&body).unwrap(),
+            (42, ids.to_vec(), &b"PLL2 opaque"[..])
+        );
+        // An empty push is valid on the wire (a gaining backend may
+        // gain nothing); the engine judges the empty container.
+        let empty = encode_labels(42, &[], &[]).unwrap();
+        assert_eq!(parse_labels(&empty).unwrap(), (42, vec![], &[][..]));
+        // Ids that run past the payload are malformed, not a panic.
+        let mut short = encode_labels(1, &[5, 6], &[]).unwrap();
+        short.truncate(15);
+        short[9] = 9;
+        let sum = checksum(&short[..11]);
+        short[11..15].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            parse_labels(&short),
+            Err(ProtocolError::Malformed("truncated label ids"))
+        );
     }
 
     #[test]
     fn every_single_byte_flip_of_a_labels_push_is_detected() {
-        let entries: Vec<(u32, &[u8])> = vec![(1, &[0xAB, 0xCD][..]), (2, &[0x11][..])];
-        let body = encode_labels(9, &entries).unwrap();
+        let body = encode_labels(9, &[1, 2], &[0xAB, 0xCD, 0x11]).unwrap();
         for pos in 0..body.len() {
             for bit in 0..8 {
                 let mut corrupted = body.clone();
@@ -1538,7 +1532,7 @@ mod tests {
     fn oversized_labels_push_is_a_wire_error_not_a_panic() {
         let big = vec![0u8; MAX_FRAME];
         assert_eq!(
-            encode_labels(1, &[(0, &big)]),
+            encode_labels(1, &[0], &big),
             Err(ProtocolError::Malformed("labels frame too large"))
         );
     }

@@ -6,8 +6,11 @@
 //! edge values, and splices between two frames. It shows three things:
 //!
 //! 1. every `parse_*` and `Snapshot::from_bytes` returns `Ok` or `Err`
-//!    on every mutated frame, and the frame reassembler survives
-//!    corrupted length prefixes — nothing panics;
+//!    on every mutated frame, `Labeling::from_bytes` does too on the
+//!    `PLL2` body of every `LABELS` frame that parses (checksum
+//!    re-sealed after the mutation, so mutated bodies get through), and
+//!    the frame reassembler survives corrupted length prefixes —
+//!    nothing panics;
 //! 2. every unmutated frame round-trips, `encode(parse(f)) == f`, and
 //!    re-encoding whatever a mutated frame parses to is a fixed point;
 //! 3. a live front-end fed garbage sessions, and one stalled half-frame,
@@ -21,6 +24,8 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use pl_labeling::bits::BitWriter;
+use pl_labeling::{Label, Labeling};
 use pl_obs::TraceContext;
 use pl_wire::protocol::{
     checksum, encode_batch, encode_batch_ctx, encode_batch_reply, encode_health_reply,
@@ -52,6 +57,13 @@ fn map_blob() -> Vec<u8> {
     let sum = checksum(&b);
     b.extend_from_slice(&sum.to_le_bytes());
     b
+}
+
+/// A real `PLL2` body of two labels, the second one empty.
+fn labels_body() -> Vec<u8> {
+    let mut bits = BitWriter::new();
+    bits.write_bits(0x2B5, 10);
+    Labeling::new(vec![Label::from(bits), Label::from(BitWriter::new())]).to_bytes()
 }
 
 /// One valid frame body of every opcode (some opcodes twice, to cover
@@ -107,7 +119,7 @@ fn corpus() -> Vec<Vec<u8>> {
         encode_map_reply(Some(&blob)),
         encode_map_set(MapSetMode::Prepare, 1, 17, &blob).unwrap(),
         encode_map_ok(MapSetStatus::Committed, 8),
-        encode_labels(3, &[(4, &[0xAB, 0xCD][..]), (9, &[][..])]).unwrap(),
+        encode_labels(3, &[4, 9], &labels_body()).unwrap(),
         encode_labels_ok(LabelsStatus::Ok, 2),
         vec![opcode::OVERLOADED],
         [&[opcode::ERROR][..], b"unknown opcode"].concat(),
@@ -137,10 +149,9 @@ fn reencode(body: &[u8]) -> Option<Result<Vec<u8>, ProtocolError>> {
             parse_map_set(body).and_then(|r| encode_map_set(r.mode, r.backend, r.moved, &r.map))
         }
         opcode::MAP_OK => parse_map_ok(body).map(|(s, e)| encode_map_ok(s, e)),
-        opcode::LABELS => parse_labels(body).and_then(|(epoch, entries)| {
-            let refs: Vec<(u32, &[u8])> = entries.iter().map(|(v, b)| (*v, &b[..])).collect();
-            encode_labels(epoch, &refs)
-        }),
+        opcode::LABELS => {
+            parse_labels(body).and_then(|(epoch, ids, labels)| encode_labels(epoch, &ids, labels))
+        }
         opcode::LABELS_OK => parse_labels_ok(body).map(|(s, r)| encode_labels_ok(s, r)),
         _ => return None,
     })
@@ -164,7 +175,9 @@ fn parse_everything(body: &[u8]) {
     let _ = parse_map_reply(body);
     let _ = parse_map_set(body);
     let _ = parse_map_ok(body);
-    let _ = parse_labels(body);
+    if let Ok((_, _, labels)) = parse_labels(body) {
+        let _ = Labeling::from_bytes(labels);
+    }
     let _ = parse_labels_ok(body);
     let _ = validate_map_blob(body);
     let _ = Snapshot::from_bytes(body);
@@ -257,6 +270,35 @@ fn mutated_frames_never_panic_a_parser() {
             }
         }
     }
+}
+
+/// Mutated `LABELS` frames with their checksum re-sealed, so each
+/// mutation reaches the `PLL2` body: every frame that still parses
+/// hands its body to `Labeling::from_bytes`, which must answer `Ok` or
+/// `Err`, never panic.
+#[test]
+fn resealed_labels_bodies_never_panic_the_labeling_parser() {
+    let corpus = corpus();
+    let seed_frame = encode_labels(3, &[4, 9], &labels_body()).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x1AB5);
+    let (mut parsed, mut refused) = (0, 0);
+    for _ in 0..2_000 {
+        let mut m = mutate(&mut rng, &seed_frame, &corpus);
+        if m.len() < 15 || m[0] != opcode::LABELS {
+            continue;
+        }
+        let end = m.len() - 4;
+        let sum = checksum(&m[..end]);
+        m[end..].copy_from_slice(&sum.to_le_bytes());
+        if let Ok((_, _, labels)) = parse_labels(&m) {
+            parsed += 1;
+            refused += usize::from(Labeling::from_bytes(labels).is_err());
+        }
+    }
+    assert!(
+        parsed > 500 && refused > 250,
+        "parsed {parsed}, refused {refused}"
+    );
 }
 
 /// Length-prefixed streams with corrupted prefixes, fed to the

@@ -11,6 +11,8 @@
 //! preceding literal bytes). If an edit changes any of these bytes, it
 //! changes the protocol and must bump `VERSION` too.
 
+use pl_labeling::bits::BitWriter;
+use pl_labeling::{Label, Labeling};
 use pl_obs::TraceContext;
 use pl_wire::protocol::{
     checksum, encode_batch, encode_batch_ctx, encode_batch_reply, encode_health_reply,
@@ -48,7 +50,7 @@ fn opcode_bytes() {
     for (code, byte) in pinned {
         assert_eq!(code, byte);
     }
-    assert_eq!(VERSION, 7);
+    assert_eq!(VERSION, 8);
     for (bare, parse) in [
         (0x02, parse_stats as fn(&[u8]) -> Result<(), ProtocolError>),
         (0x03, parse_goodbye),
@@ -61,22 +63,22 @@ fn opcode_bytes() {
     assert_eq!(encode_map_get(), [0x06]);
 }
 
-/// HELLO: opcode, `"PLSV"`, version 7. HELLO_OK: opcode, version 7,
+/// HELLO: opcode, `"PLSV"`, version 8. HELLO_OK: opcode, version 8,
 /// scheme tag, n u32 LE.
 #[test]
 fn hello_golden_bytes() {
-    assert_eq!(encode_hello(), [0x00, b'P', b'L', b'S', b'V', 0x07]);
-    assert_eq!(parse_hello(&[0x00, b'P', b'L', b'S', b'V', 0x07]), Ok(()));
+    assert_eq!(encode_hello(), [0x00, b'P', b'L', b'S', b'V', 0x08]);
+    assert_eq!(parse_hello(&[0x00, b'P', b'L', b'S', b'V', 0x08]), Ok(()));
     // The previous version's HELLO is refused, not misread.
     assert_eq!(
-        parse_hello(&[0x00, b'P', b'L', b'S', b'V', 0x06]),
-        Err(ProtocolError::UnsupportedVersion(6))
+        parse_hello(&[0x00, b'P', b'L', b'S', b'V', 0x07]),
+        Err(ProtocolError::UnsupportedVersion(7))
     );
 
     #[rustfmt::skip]
     let hello_ok: &[u8] = &[
         0x80,                   // opcode HELLO_OK
-        0x07,                   // version 7
+        0x08,                   // version 8
         0x02,                   // scheme tag
         0x04, 0x03, 0x02, 0x01, // n = 0x01020304, u32 LE
     ];
@@ -388,33 +390,45 @@ fn map_ok_golden_bytes() {
     assert!(parse_map_ok(&[0x87, 0x07, 0, 0, 0, 0, 0, 0, 0, 0]).is_err());
 }
 
-/// LABELS: opcode, epoch, count, `count ×` (vertex, length, bytes),
-/// then an FNV-1a-32 checksum of every preceding body byte.
+/// LABELS: opcode, epoch, count, `count ×` vertex, one `PLL2`
+/// labeling container holding the `count` labels, then an FNV-1a-32
+/// checksum of every preceding body byte.
 #[test]
 fn labels_golden_bytes() {
     #[rustfmt::skip]
-    let expected: &[u8] = &[
+    let pll2: &[u8] = &[
+        b'P', b'L', b'L', b'2', // container magic
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // 1 label, u64 LE
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // offset 0
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // offset 3 (bits)
+        0xA0,                   // arena: bits 1, 0, 1, zero-padded
+    ];
+    #[rustfmt::skip]
+    let header: &[u8] = &[
         0x08,                   // opcode LABELS
         0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // epoch = 7, u64 LE
-        0x01, 0x00,             // 1 entry, u16 LE
+        0x01, 0x00,             // 1 label, u16 LE
         0x04, 0x03, 0x02, 0x01, // vertex = 0x01020304, u32 LE
-        0x02, 0x00, 0x00, 0x00, // label length = 2, u32 LE
-        0xAA, 0xBB,             // label record bytes
-        0x30, 0xE5, 0x8C, 0x8E, // FNV-1a-32 of the above, LE
     ];
+    let sum = [0xC3, 0xA2, 0xC8, 0xFF]; // FNV-1a-32 of the above, LE
+    let mut bits = BitWriter::new();
+    bits.write_bits(0b101, 3);
+    assert_eq!(Labeling::new(vec![Label::from(bits)]).to_bytes(), pll2);
+    let expected = [header, pll2, &sum].concat();
     assert_eq!(
-        encode_labels(7, &[(0x0102_0304, &[0xAA, 0xBB])]).unwrap(),
+        encode_labels(7, &[0x0102_0304], pll2).unwrap(),
         expected,
         "LABELS layout drifted"
     );
-    let (epoch, entries) = parse_labels(expected).unwrap();
-    assert_eq!(epoch, 7);
-    assert_eq!(entries, vec![(0x0102_0304, vec![0xAA, 0xBB])]);
+    assert_eq!(
+        parse_labels(&expected).unwrap(),
+        (7, vec![0x0102_0304], pll2)
+    );
 
     // A single flipped label bit fails the trailing checksum — the
     // tamper-evidence migration pushes rely on.
-    let mut tampered = expected.to_vec();
-    tampered[19] ^= 0x01; // 0xAA -> 0xAB
+    let mut tampered = expected.clone();
+    tampered[header.len() + 28] ^= 0x01; // 0xA0 -> 0xA1
     assert!(matches!(
         parse_labels(&tampered),
         Err(ProtocolError::ChecksumMismatch)

@@ -20,12 +20,11 @@
 //!                     [--addr HOST:PORT] [--prom HOST:PORT] [--dir DIR]
 //!                     [--duration SECS] [--fault-plan SPEC] [--trace]
 //!                     [--max-conns N] [--idle-ms MS] [--stall-ms MS]
-//! plab cluster stats  <HOST:PORT>             # merged stats via router
 //! plab loadgen <HOST:PORT> [--connections N] [--requests R] [--batch B]
 //!              [--skew uniform|zipf:S] [--seed X] [--retries N]
 //!              [--deadline-ms MS] [--backoff-ms MS] [--verify graph.el]
 //! plab health  <HOST:PORT>                    # liveness
-//! plab stats   <HOST:PORT> [--prom]           # live server metrics
+//! plab stats   <HOST:PORT> [--prom]           # live server or router metrics
 //! plab trace   <HOST:PORT> [--snapshot] [--probe] [--out FILE]
 //! plab trace   --cluster <ROUTER> [--probe] [--explain ID|probe]
 //! plab trace   --in FILE --explain ID         # offline breakdown
@@ -127,7 +126,6 @@ const USAGE: &str = "usage:
                [--addr HOST:PORT] [--prom HOST:PORT] [--dir DIR]
                [--duration SECS] [--fault-plan SPEC] [--trace]
                [--max-conns N] [--idle-ms MS] [--stall-ms MS]
-  plab cluster stats  <HOST:PORT>
   plab cluster stub   <labels.plab> --out <stub.plab>
   plab cluster rebalance <labels.plab> --router HOST:PORT
                (--add HOST:PORT | --remove N | --map FILE) [--chunk-bytes B]
@@ -558,17 +556,10 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:7401");
     let duration: u64 = args.get_parsed("duration", 0)?;
     let slow_us: u64 = args.get_parsed("slow-us", 0)?;
-    let max_conns: usize = args.get_parsed("max-conns", 0)?;
-    let idle_ms: u64 = args.get_parsed("idle-ms", 0)?;
-    let stall_ms: u64 = args.get_parsed("stall-ms", 0)?;
-    let fault_plan = match args.get("fault-plan") {
-        Some(spec) => {
-            let plan = FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
-            eprintln!("chaos mode: injecting faults ({plan})");
-            Some(plan)
-        }
-        None => None,
-    };
+    let front = front_options(&args)?;
+    if let Some(plan) = &front.fault_plan {
+        eprintln!("chaos mode: injecting faults ({plan})");
+    }
     if args.get("trace").is_some_and(|v| v != "false") {
         pl_obs::set_tracing(true);
         eprintln!("tracing on (drain with `plab trace {addr}`)");
@@ -587,10 +578,10 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
     let options = pl_serve::ServeOptions {
         registry: None,
         slow_query_ns: (slow_us > 0).then_some(slow_us * 1_000),
-        max_conns: (max_conns > 0).then_some(max_conns),
-        fault_plan,
-        idle_timeout: (idle_ms > 0).then(|| std::time::Duration::from_millis(idle_ms)),
-        stall_timeout: (stall_ms > 0).then(|| std::time::Duration::from_millis(stall_ms)),
+        max_conns: front.max_conns,
+        fault_plan: front.fault_plan,
+        idle_timeout: front.idle_timeout,
+        stall_timeout: front.stall_timeout,
     };
     let handle =
         pl_serve::serve_with(store, addr, options).map_err(|e| format!("binding {addr}: {e}"))?;
@@ -618,21 +609,41 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `plab cluster <split|launch|stats|stub|rebalance>`: the distributed
+/// The front-end flags `serve` and `cluster launch` share:
+/// `--max-conns`, `--idle-ms`, `--stall-ms` and `--fault-plan` (0 or
+/// absent turns each off).
+fn front_options(args: &Args) -> Result<pl_wire::FrontendOptions, String> {
+    let max_conns: usize = args.get_parsed("max-conns", 0)?;
+    let idle_ms: u64 = args.get_parsed("idle-ms", 0)?;
+    let stall_ms: u64 = args.get_parsed("stall-ms", 0)?;
+    let millis = |ms: u64| (ms > 0).then(|| std::time::Duration::from_millis(ms));
+    let fault_plan = args
+        .get("fault-plan")
+        .map(|spec| FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}")))
+        .transpose()?;
+    Ok(pl_wire::FrontendOptions {
+        registry: None,
+        max_conns: (max_conns > 0).then_some(max_conns),
+        fault_plan,
+        idle_timeout: millis(idle_ms),
+        stall_timeout: millis(stall_ms),
+    })
+}
+
+/// `plab cluster <split|launch|stub|rebalance>`: the distributed
 /// serving front end (see `crates/cluster`). `split` cuts per-partition
 /// sub-stores, `launch` runs a local backends-plus-router process
-/// group, `stats` prints a router's merged snapshot, `stub` writes the
-/// all-stub sub-store a joining backend boots from, and `rebalance`
-/// drives a live epoch-bumped reconfiguration through a router.
+/// group, `stub` writes the all-stub sub-store a joining backend boots
+/// from, and `rebalance` drives a live epoch-bumped reconfiguration
+/// through a router. A router's merged STATS is `plab stats <router>`.
 fn cmd_cluster(raw: &[String]) -> Result<(), String> {
     match raw.first().map(String::as_str) {
         Some("split") => cluster_split(&raw[1..]),
         Some("launch") => cluster_launch(&raw[1..]),
-        Some("stats") => cluster_stats(&raw[1..]),
         Some("stub") => cluster_stub(&raw[1..]),
         Some("rebalance") => cluster_rebalance(&raw[1..]),
         _ => Err(format!(
-            "expected `plab cluster <split|launch|stats|stub|rebalance>`\n{USAGE}"
+            "expected `plab cluster <split|launch|stub|rebalance>`\n{USAGE}"
         )),
     }
 }
@@ -698,22 +709,14 @@ fn cluster_launch(raw: &[String]) -> Result<(), String> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:7400");
     let dir = args.get("dir").unwrap_or("cluster-data");
     let duration: u64 = args.get_parsed("duration", 0)?;
-    let max_conns: usize = args.get_parsed("max-conns", 0)?;
-    let idle_ms: u64 = args.get_parsed("idle-ms", 0)?;
-    let stall_ms: u64 = args.get_parsed("stall-ms", 0)?;
     // One --fault-plan drives chaos end to end: the raw spec is
     // forwarded to every backend's CLI, and the parsed plan is injected
-    // at the router's own front-end too.
-    let (fault_plan, router_fault_plan) = match args.get("fault-plan") {
-        Some(spec) => {
-            // Validated here so a typo fails fast instead of as an
-            // opaque "backend exited before binding".
-            let plan = FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
-            eprintln!("chaos mode: backends and router injecting faults ({plan})");
-            (Some(spec.to_string()), Some(plan))
-        }
-        None => (None, None),
-    };
+    // at the router's own front-end too. It is parsed here so a typo
+    // fails fast instead of as an opaque "backend exited before binding".
+    let router_front = front_options(&args)?;
+    if let Some(plan) = &router_front.fault_plan {
+        eprintln!("chaos mode: backends and router injecting faults ({plan})");
+    }
     let trace = args.get("trace").is_some_and(|v| v != "false");
     if trace {
         eprintln!("tracing on cluster-wide (drain with `plab trace --cluster {addr}`)");
@@ -727,12 +730,9 @@ fn cluster_launch(raw: &[String]) -> Result<(), String> {
         replicas,
         seed,
         router_addr: addr.to_string(),
-        fault_plan,
+        fault_plan: args.get("fault-plan").map(str::to_string),
         config: RouterConfig::default(),
-        max_conns: (max_conns > 0).then_some(max_conns),
-        idle_timeout: (idle_ms > 0).then(|| std::time::Duration::from_millis(idle_ms)),
-        stall_timeout: (stall_ms > 0).then(|| std::time::Duration::from_millis(stall_ms)),
-        router_fault_plan,
+        router_front,
         trace,
     };
     let handle = pl_cluster::launch(&tagged, &opts)?;
@@ -828,19 +828,6 @@ fn cluster_rebalance(raw: &[String]) -> Result<(), String> {
         "rebalanced epoch {} -> {} ({} vertices moved)",
         report.old_epoch, report.new_epoch, report.moved
     );
-    Ok(())
-}
-
-fn cluster_stats(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
-    let addr = args.positional.first().ok_or("missing router address")?;
-    let addr: std::net::SocketAddr = addr
-        .parse()
-        .map_err(|_| format!("bad router address {addr:?}"))?;
-    let mut client = Client::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
-    let stats = client.stats().map_err(|e| format!("stats: {e}"))?;
-    println!("{stats}");
-    client.goodbye().ok();
     Ok(())
 }
 
