@@ -252,14 +252,9 @@ chaos_smoke() {
         || { echo "ci: chaos loadgen failed (wrong answers or unrecovered faults)" >&2; return 1; }
     grep -q 'verified against reference graph: 0 mismatches' "$smoke_dir/chaos_loadgen.out" \
         || { echo "ci: chaos loadgen did not report zero mismatches" >&2; return 1; }
-    # The stats fetch itself can draw an injected fault; retry a few times.
-    local try
-    for try in $(seq 1 20); do
-        if "$plab" stats "$addr" --prom > "$smoke_dir/chaos.prom" 2> /dev/null; then
-            break
-        fi
-        sleep 0.1
-    done
+    # `plab stats` retries an injected fault on the fetch itself.
+    "$plab" stats "$addr" --prom > "$smoke_dir/chaos.prom" \
+        || { echo "ci: plab stats failed against the chaos server" >&2; return 1; }
     grep '^plserve_faults_injected_total' "$smoke_dir/chaos.prom" \
         | awk '{ exit !($2 > 0) }' \
         || { echo "ci: chaos server reported no injected faults" >&2; return 1; }
@@ -349,14 +344,9 @@ router_front_smoke() {
         || { echo "ci: loadgen failed against the capped+faulty router" >&2; return 1; }
     grep -q 'verified against reference graph: 0 mismatches' "$smoke_dir/front_loadgen.out" \
         || { echo "ci: front-end loadgen reported mismatches" >&2; return 1; }
-    # The stats fetch can itself draw an injected fault; retry a few times.
-    local try
-    for try in $(seq 1 20); do
-        if "$plab" stats "$router" --prom > "$smoke_dir/front.prom" 2> /dev/null; then
-            break
-        fi
-        sleep 0.1
-    done
+    # `plab stats` retries an injected fault on the fetch itself.
+    "$plab" stats "$router" --prom > "$smoke_dir/front.prom" \
+        || { echo "ci: plab stats failed against the faulty router" >&2; return 1; }
     grep '^plserve_shed_total' "$smoke_dir/front.prom" \
         | awk '{ exit !($2 > 0) }' \
         || { echo "ci: router shed counter did not move under --max-conns 2" >&2; return 1; }

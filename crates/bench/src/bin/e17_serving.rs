@@ -18,7 +18,7 @@ use pl_labeling::codec::{SchemeTag, TaggedLabeling};
 use pl_labeling::scheme::AdjacencyScheme;
 use pl_labeling::PowerLawScheme;
 use pl_serve::client::loadgen::{self, LoadgenConfig, Skew};
-use pl_serve::{Client, LabelStore, StoreConfig};
+use pl_serve::{Client, LabelStore, RetryPolicy, StoreConfig};
 
 fn skew_name(skew: Skew) -> String {
     match skew {
@@ -48,7 +48,7 @@ fn run_one(
         skew,
         seed: 0xE17,
         hot_order: Some(hot_order.to_vec()),
-        retry: None,
+        retry: RetryPolicy::default(),
     };
     let report = loadgen::run(handle.addr(), &config).expect("load run");
     let mut client = Client::connect(handle.addr()).expect("stats connection");

@@ -30,7 +30,7 @@ use pl_bench::{banner, f1, quick_mode, rng, Table};
 use pl_labeling::threshold::encode_with_stats_threads;
 use pl_labeling::PowerLawScheme;
 use pl_serve::client::loadgen::{self, LoadgenConfig, Skew};
-use pl_serve::{LabelStore, SchemeTag, StoreConfig, TaggedLabeling};
+use pl_serve::{LabelStore, RetryPolicy, SchemeTag, StoreConfig, TaggedLabeling};
 use rand::Rng;
 
 struct Row {
@@ -119,7 +119,7 @@ fn serve_rows(n: usize, requests: usize, rows: &mut Vec<Row>) {
             skew: Skew::Zipf(1.2),
             seed: 0xE19,
             hot_order: None,
-            retry: None,
+            retry: RetryPolicy::default(),
         };
         // Warm-up half-run, then the measured run.
         loadgen::run(handle.addr(), &config).expect("warm-up");

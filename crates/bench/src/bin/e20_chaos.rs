@@ -81,13 +81,13 @@ fn run_scenario(
         skew: Skew::Zipf(1.2),
         seed: 0xE20,
         hot_order: Some(vertices_by_degree_desc(g)),
-        retry: Some(RetryPolicy {
+        retry: RetryPolicy {
             max_retries: 6,
             deadline: Some(DEADLINE),
             backoff_base: Duration::from_millis(5),
             backoff_cap: Duration::from_millis(80),
             seed: 0xE20,
-        }),
+        },
     };
     let report = loadgen::run_verified(handle.addr(), &config, g).expect("chaos run");
     let stats = handle.shutdown();

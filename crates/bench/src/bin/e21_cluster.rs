@@ -115,13 +115,13 @@ fn run_scenario(
         skew: Skew::Zipf(1.2),
         seed: 0xE21,
         hot_order: Some(vertices_by_degree_desc(g)),
-        retry: Some(RetryPolicy {
+        retry: RetryPolicy {
             max_retries: 6,
             deadline: Some(DEADLINE),
             backoff_base: Duration::from_millis(5),
             backoff_cap: Duration::from_millis(80),
             seed: 0xE21,
-        }),
+        },
     };
     let mut report = loadgen::run_verified(router.addr(), &config, g).expect("cluster run");
     if kill_halfway {

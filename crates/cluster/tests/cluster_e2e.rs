@@ -153,7 +153,7 @@ fn killing_one_backend_loses_no_answers_with_two_replicas() {
             skew: Skew::Uniform,
             seed: 0xA,
             hot_order: None,
-            retry: Some(RetryPolicy::default()),
+            retry: RetryPolicy::default(),
         },
         &g,
     )
@@ -173,7 +173,7 @@ fn killing_one_backend_loses_no_answers_with_two_replicas() {
             skew: Skew::Zipf(1.1),
             seed: 0xB,
             hot_order: None,
-            retry: Some(RetryPolicy::default()),
+            retry: RetryPolicy::default(),
         },
         &g,
     )
@@ -243,7 +243,7 @@ fn chaos_flips_on_survivors_stay_correct() {
             skew: Skew::Zipf(1.2),
             seed: 0xC,
             hot_order: None,
-            retry: Some(RetryPolicy::default()),
+            retry: RetryPolicy::default(),
         },
         &g,
     )
@@ -302,7 +302,7 @@ fn healthy_three_by_two_cluster_never_reasks() {
             seed: 0xD,
             // Hubs hottest, so fat/thin pairs are common.
             hot_order: Some(pl_graph::degree::vertices_by_degree_desc(&g)),
-            retry: None,
+            retry: RetryPolicy::default(),
         },
         &g,
     )

@@ -121,7 +121,7 @@ fn background_load(
             skew: Skew::Uniform,
             seed: 0xF00D,
             hot_order: None,
-            retry: Some(RetryPolicy::default()),
+            retry: RetryPolicy::default(),
         };
         let (mut rounds, mut mismatches, mut failed) = (0u64, 0u64, 0u64);
         while !stop.load(Ordering::Relaxed) {
@@ -348,7 +348,7 @@ fn scale_out_then_in_under_continuous_verified_load() {
             skew: Skew::Zipf(1.1),
             seed: 0xBEEF,
             hot_order: None,
-            retry: Some(RetryPolicy::default()),
+            retry: RetryPolicy::default(),
         },
         &g,
     )

@@ -191,10 +191,10 @@ fn router_injects_faults_under_a_fault_plan() {
             hot_order: None,
             // Generous re-ask budget: each faulted query re-rolls at
             // p=0.2, so 8 rounds make a stuck query vanishingly rare.
-            retry: Some(RetryPolicy {
+            retry: RetryPolicy {
                 max_retries: 8,
                 ..RetryPolicy::default()
-            }),
+            },
         },
         &g,
     )

@@ -188,7 +188,7 @@ impl Eq for LabelRef<'_> {}
 /// own builder over a chunk of vertices, and the chunks are stitched in
 /// vertex order with [`merge`](Self::merge) — bit-identical to a single
 /// sequential pass by construction.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct LabelingBuilder {
     arena: BitString,
     offsets: Vec<u64>,
@@ -254,6 +254,12 @@ impl LabelingBuilder {
             arena: self.arena,
             offsets: self.offsets,
         }
+    }
+}
+
+impl Default for LabelingBuilder {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -427,6 +433,14 @@ mod tests {
     fn label_len() {
         assert_eq!(label_of_bits(17).bit_len(), 17);
         assert_eq!(label_of_bits(0).bit_len(), 0);
+    }
+
+    #[test]
+    fn default_builder_is_empty() {
+        let b = LabelingBuilder::default();
+        assert_eq!(b.len(), 0);
+        assert!(b.is_empty());
+        assert_eq!(b.finish().len(), 0);
     }
 
     #[test]

@@ -4,13 +4,18 @@
 //! [`Client`] is a thin synchronous wrapper over one TCP connection:
 //! handshake on connect, then batched request/reply in lockstep, with
 //! replies read through a [`BufReader`] (one read syscall each). Every
-//! failure surfaces as a raw [`io::Error`]; [`ClientError::classify`]
-//! sorts those into [`Retryable`](ClientError::Retryable) vs
-//! [`Fatal`](ClientError::Fatal), and [`ResilientClient`] acts on that
-//! taxonomy — per-request deadlines, bounded exponential backoff with
-//! jitter, and automatic reconnect-and-replay, which is sound because
-//! `BATCH` is idempotent (labels are immutable, answers are pure reads).
-//! The [`loadgen`] module drives many clients from worker threads,
+//! failure surfaces as a raw [`io::Error`]; one the server caused (a
+//! shed connection, a refused handshake, an `ERROR` reply) carries a
+//! typed payload, so [`ClientError::classify`] sorts errors into
+//! [`Retryable`](ClientError::Retryable) vs [`Fatal`](ClientError::Fatal)
+//! by kind and payload, never by message text.
+//!
+//! [`ResilientClient`] is the one place that decides retries: one
+//! attempt loop with one budget of `max_retries` retries after the first
+//! attempt, per-request deadlines, bounded exponential backoff with
+//! jitter, and reconnect-and-replay, which is sound because `BATCH` is
+//! idempotent (labels are immutable, answers are pure reads). The
+//! [`loadgen`] module drives one `ResilientClient` per worker thread,
 //! replaying uniform or Zipf-skewed adjacency query mixes against a
 //! server and optionally verifying every answer against the source
 //! graph.
@@ -28,12 +33,41 @@ use pl_wire::protocol::{
     encode_trace_dump, opcode, parse_batch_reply, parse_health_reply, parse_hello_ok,
     parse_labels_ok, parse_map_ok, parse_map_reply, parse_stats_reply, read_frame,
     trace_dump_flags, write_frame, Answer, HealthReport, LabelsStatus, MapSetMode, MapSetStatus,
-    Query, VERSION,
+    ProtocolError, Query, VERSION,
 };
 use pl_wire::stats::Snapshot;
 
 fn bad_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// What the server said when [`Client`] raises an error for a reply it
+/// understood. It rides as the payload of an `InvalidData` error whose
+/// message is the inner text, so [`ClientError::classify`] reads the
+/// class from the type.
+#[derive(Debug)]
+enum Verdict {
+    /// The server shed the connection: back off, then retry.
+    Overloaded(String),
+    /// The request can never succeed: a refused handshake, a peer on
+    /// another protocol version, or an `ERROR` reply.
+    Refused(String),
+}
+
+impl std::fmt::Display for Verdict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Overloaded(msg) | Self::Refused(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for Verdict {}
+
+impl From<Verdict> for io::Error {
+    fn from(verdict: Verdict) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, verdict)
+    }
 }
 
 /// One connection to a pl-serve server, already past the handshake.
@@ -69,14 +103,20 @@ impl Client {
         let reply = read_frame(&mut stream)?;
         match reply.first() {
             Some(&opcode::HELLO_OK) => {
-                let (tag, n) = parse_hello_ok(&reply).map_err(|e| bad_data(e.to_string()))?;
+                let (tag, n) = parse_hello_ok(&reply).map_err(|e| match e {
+                    ProtocolError::UnsupportedVersion(_) => Verdict::Refused(e.to_string()).into(),
+                    _ => bad_data(e.to_string()),
+                })?;
                 Ok(Self { stream, tag, n })
             }
-            Some(&opcode::ERROR) => Err(bad_data(format!(
+            Some(&opcode::ERROR) => Err(Verdict::Refused(format!(
                 "server rejected handshake: {}",
                 String::from_utf8_lossy(&reply[1..])
-            ))),
-            Some(&opcode::OVERLOADED) => Err(bad_data("server overloaded, connection shed")),
+            ))
+            .into()),
+            Some(&opcode::OVERLOADED) => {
+                Err(Verdict::Overloaded("server overloaded, connection shed".into()).into())
+            }
             _ => Err(bad_data("unexpected handshake reply")),
         }
     }
@@ -138,7 +178,7 @@ impl Client {
     }
 
     /// Writes `body`, then reads the reply frame, which must open with
-    /// `reply_op`; an ERROR reply becomes a "server error" I/O error.
+    /// `reply_op`; an ERROR reply becomes a refused "server error".
     fn round_trip(&mut self, body: &[u8], reply_op: u8, what: &str) -> io::Result<Vec<u8>> {
         write_frame(self.stream.get_mut(), body)?;
         self.read_reply(reply_op, what)
@@ -148,10 +188,11 @@ impl Client {
         let reply = read_frame(&mut self.stream)?;
         match reply.first() {
             Some(&op) if op == reply_op => Ok(reply),
-            Some(&opcode::ERROR) => Err(bad_data(format!(
+            Some(&opcode::ERROR) => Err(Verdict::Refused(format!(
                 "server error: {}",
                 String::from_utf8_lossy(&reply[1..])
-            ))),
+            ))
+            .into()),
             _ => Err(bad_data(format!("unexpected {what}"))),
         }
     }
@@ -284,7 +325,7 @@ pub enum RetryKind {
 /// The client-side error taxonomy: every failure is either worth
 /// retrying (transient transport/overload conditions, given that BATCH
 /// requests are idempotent) or fatal (the request itself can never
-/// succeed, e.g. a handshake rejection).
+/// succeed, e.g. a handshake rejection or an `ERROR` reply).
 #[derive(Debug)]
 pub enum ClientError {
     /// Transient; [`ResilientClient`] reconnects and replays.
@@ -294,7 +335,8 @@ pub enum ClientError {
 }
 
 impl ClientError {
-    /// Sorts a raw I/O error into the taxonomy.
+    /// Sorts a raw I/O error into the taxonomy by its kind and, for the
+    /// errors [`Client`] raises on a server's verdict, its payload.
     #[must_use]
     pub fn classify(e: io::Error) -> Self {
         use io::ErrorKind as K;
@@ -313,27 +355,20 @@ impl ClientError {
                 kind: RetryKind::Io,
                 source: e,
             },
-            K::InvalidData => {
-                let msg = e.to_string();
-                if msg.contains("overloaded") {
-                    Self::Retryable {
-                        kind: RetryKind::Overloaded,
-                        source: e,
-                    }
-                } else if msg.contains("rejected handshake")
-                    || msg.contains("unsupported protocol version")
-                {
-                    Self::Fatal(e)
-                } else {
-                    // Checksum mismatches, short frames, garbled
-                    // replies: the *bytes* are suspect, not the
-                    // request. A fresh connection gets a fresh copy.
-                    Self::Retryable {
-                        kind: RetryKind::Corrupt,
-                        source: e,
-                    }
-                }
-            }
+            K::InvalidData => match e.get_ref().and_then(|p| p.downcast_ref::<Verdict>()) {
+                Some(Verdict::Overloaded(_)) => Self::Retryable {
+                    kind: RetryKind::Overloaded,
+                    source: e,
+                },
+                Some(Verdict::Refused(_)) => Self::Fatal(e),
+                // Checksum mismatches, short frames, garbled replies:
+                // the *bytes* are suspect, not the request. A fresh
+                // connection gets a fresh copy.
+                None => Self::Retryable {
+                    kind: RetryKind::Corrupt,
+                    source: e,
+                },
+            },
             _ => Self::Fatal(e),
         }
     }
@@ -411,10 +446,11 @@ impl RetryPolicy {
 /// A [`Client`] wrapped in deadlines, bounded exponential backoff with
 /// jitter, and automatic reconnect-and-replay.
 ///
-/// Replaying a `BATCH` verbatim is safe because the request is
-/// idempotent: labels are immutable and answers are pure reads, so a
-/// request that died mid-flight can be re-asked without double effects.
-/// Every absorbed failure increments the process-global
+/// Replaying a `BATCH` is safe because the request is idempotent:
+/// labels are immutable and answers are pure reads, so a request that
+/// died mid-flight can be re-asked without double effects. Every
+/// operation makes at most `max_retries + 1` attempts, whatever failed
+/// them. Every retry increments the process-global
 /// `plserve_retries_total` counter and the [`retries`](Self::retries)
 /// tally.
 #[derive(Debug)]
@@ -444,37 +480,28 @@ impl ResilientClient {
             rng,
             retries: 0,
         };
-        this.with_retries(|_| Ok(()))?;
+        this.attempts(|this| this.on_live(|_| Ok(())))?;
         Ok(this)
     }
 
-    /// Failures absorbed by the retry loop so far.
+    /// Retries made so far.
     #[must_use]
     pub fn retries(&self) -> u64 {
         self.retries
     }
 
-    /// The active retry policy.
-    #[must_use]
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
     /// Vertex count of the served labeling (from the most recent
     /// handshake).
     pub fn n(&mut self) -> Result<u32, ClientError> {
-        self.with_retries(|c| Ok(c.n()))
+        self.attempts(|this| this.on_live(|c| Ok(c.n())))
     }
 
-    /// Sends one batch, replaying on transient failures. Transport
-    /// errors replay the whole batch (inside [`with_retries`]); an
-    /// [`Answer::Overloaded`] in an otherwise healthy reply re-asks
-    /// only the shed queries — settled answers are kept, so one
-    /// overloaded shard cannot force the rest of a large batch to
-    /// re-roll its luck every round. Both are sound because the batch
-    /// is idempotent.
-    ///
-    /// [`with_retries`]: Self::with_retries
+    /// Sends one batch, retrying transient failures. A transport error
+    /// replays the unsettled queries on a fresh connection; an
+    /// [`Answer::Overloaded`] in an otherwise healthy reply re-asks only
+    /// the shed queries, and settled answers are kept, so one overloaded
+    /// shard cannot force the rest of a large batch to re-roll its luck
+    /// every attempt. Both are sound because the batch is idempotent.
     pub fn batch(&mut self, queries: &[Query]) -> Result<Vec<Answer>, ClientError> {
         self.batch_ctx(queries, None)
     }
@@ -498,21 +525,16 @@ impl ResilientClient {
     /// [`finish_batch`](Self::finish_batch) counts it as the first
     /// attempt.
     pub fn start_batch(&mut self, queries: &[Query], ctx: Option<&TraceContext>) {
-        let sent = self.ensure_connected().and_then(|c| {
-            c.send_batch_ctx(queries, ctx)
-                .map_err(ClientError::classify)
-        });
-        if sent.is_err() {
+        if self.on_live(|c| c.send_batch_ctx(queries, ctx)).is_err() {
             self.client = None;
         }
     }
 
     /// Second half of a pipelined batch: reads the reply to the
     /// [`start_batch`](Self::start_batch) made with the same `queries`
-    /// and `ctx`. From there it continues exactly as
-    /// [`batch_ctx`](Self::batch_ctx) after its first attempt: a failed
-    /// write or read reconnects and replays, and retryable slots are
-    /// re-asked, within the same retry budget.
+    /// and `ctx`. That was the first attempt; from there it continues
+    /// exactly as [`batch_ctx`](Self::batch_ctx), within the same
+    /// budget.
     pub fn finish_batch(
         &mut self,
         queries: &[Query],
@@ -525,51 +547,57 @@ impl ResilientClient {
         self.settle(queries, ctx, Some(first))
     }
 
-    /// The [`batch_ctx`](Self::batch_ctx) loop; `first`, when given, is
-    /// the outcome of an attempt already made for the whole batch.
+    /// The [`batch_ctx`](Self::batch_ctx) attempts; `first`, when given,
+    /// is the outcome of the first attempt, already made.
     fn settle(
         &mut self,
         queries: &[Query],
         ctx: Option<&TraceContext>,
         mut first: Option<io::Result<Vec<Answer>>>,
     ) -> Result<Vec<Answer>, ClientError> {
-        let mut answers: Vec<Option<Answer>> = vec![None; queries.len()];
-        let mut pending: Vec<usize> = (0..queries.len()).collect();
-        let mut round = 0u32;
-        loop {
-            let subset: Vec<Query> = pending.iter().map(|&i| queries[i]).collect();
-            let got = self.retry_after(first.take(), |c| c.batch_ctx(&subset, ctx))?;
-            let mut still_pending = Vec::new();
-            for (&slot, answer) in pending.iter().zip(got) {
-                if answer.is_retryable() {
-                    still_pending.push(slot);
-                } else {
-                    answers[slot] = Some(answer);
+        // Once a healthy reply sheds slots: its answers, the slots still
+        // shed, and their queries, which are all a retry asks.
+        let mut answers: Vec<Answer> = Vec::new();
+        let mut pending: Vec<usize> = Vec::new();
+        let mut shed: Vec<Query> = Vec::new();
+        let mut tries = 0u32;
+        self.attempts(|this| {
+            tries += 1;
+            let asked = if pending.is_empty() {
+                queries
+            } else {
+                &shed[..]
+            };
+            let got = match first.take() {
+                Some(done) => done.map_err(ClientError::classify)?,
+                None => this.on_live(|c| c.batch_ctx(asked, ctx))?,
+            };
+            if pending.is_empty() {
+                if !got.iter().any(Answer::is_retryable) {
+                    return Ok(got);
+                }
+                pending = (0..got.len()).filter(|&i| got[i].is_retryable()).collect();
+                answers = got;
+            } else {
+                for (&slot, answer) in pending.iter().zip(got) {
+                    answers[slot] = answer;
+                }
+                pending.retain(|&slot| answers[slot].is_retryable());
+                if pending.is_empty() {
+                    return Ok(std::mem::take(&mut answers));
                 }
             }
-            if still_pending.is_empty() {
-                return Ok(answers
-                    .into_iter()
-                    .map(|a| a.expect("every slot settled")) // lint: panic-ok(still_pending is empty here, so every slot was filled by the loop above)
-                    .collect());
-            }
-            if round >= self.policy.max_retries {
-                return Err(ClientError::Retryable {
-                    kind: RetryKind::Overloaded,
-                    source: io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "server overloaded for {} of {} queries after {round} re-asks",
-                            still_pending.len(),
-                            queries.len()
-                        ),
-                    ),
-                });
-            }
-            pending = still_pending;
-            round += 1;
-            self.note_retry(round - 1);
-        }
+            shed = pending.iter().map(|&slot| queries[slot]).collect();
+            Err(ClientError::Retryable {
+                kind: RetryKind::Overloaded,
+                source: bad_data(format!(
+                    "server overloaded for {} of {} queries after {} re-asks",
+                    pending.len(),
+                    queries.len(),
+                    tries - 1,
+                )),
+            })
+        })
     }
 
     /// Single adjacency query with retries.
@@ -585,19 +613,19 @@ impl ResilientClient {
 
     /// Fetches a stats snapshot with retries.
     pub fn stats(&mut self) -> Result<Snapshot, ClientError> {
-        self.with_retries(Client::stats)
+        self.attempts(|this| this.on_live(Client::stats))
     }
 
     /// Fetches the liveness report with retries.
     pub fn health(&mut self) -> Result<HealthReport, ClientError> {
-        self.with_retries(Client::health)
+        self.attempts(|this| this.on_live(Client::health))
     }
 
     /// Drains (or, with [`trace_dump_flags::SNAPSHOT`], snapshots) the
     /// server's trace rings as JSONL, with retries. The router's merged
     /// cluster drain pulls each backend's ring through this.
     pub fn trace_dump_with(&mut self, flags: u8) -> Result<String, ClientError> {
-        self.with_retries(|c| c.trace_dump_with(flags))
+        self.attempts(|this| this.on_live(|c| c.trace_dump_with(flags)))
     }
 
     /// Best-effort orderly close.
@@ -607,65 +635,58 @@ impl ResilientClient {
         }
     }
 
-    /// Runs `op` against a live connection, reconnecting and replaying
-    /// on retryable failures, with backoff between attempts.
-    fn with_retries<T>(
+    /// The one attempt loop: runs `attempt` until it succeeds, fails
+    /// fatally, or has been retried `max_retries` times, sleeping the
+    /// backoff before each retry.
+    fn attempts<T>(
         &mut self,
-        op: impl FnMut(&mut Client) -> io::Result<T>,
+        mut attempt: impl FnMut(&mut Self) -> Result<T, ClientError>,
     ) -> Result<T, ClientError> {
-        self.retry_after(None, op)
-    }
-
-    /// [`with_retries`](Self::with_retries) whose first attempt, when
-    /// `first` is given, was already made and had that outcome.
-    fn retry_after<T>(
-        &mut self,
-        mut first: Option<io::Result<T>>,
-        mut op: impl FnMut(&mut Client) -> io::Result<T>,
-    ) -> Result<T, ClientError> {
-        let mut attempt = 0u32;
+        let mut retry = 0;
         loop {
-            let result = match first.take() {
-                Some(done) => done.map_err(ClientError::classify),
-                None => self
-                    .ensure_connected()
-                    .and_then(|client| op(client).map_err(ClientError::classify)),
-            };
-            let err = match result {
+            let err = match attempt(self) {
                 Ok(v) => return Ok(v),
                 Err(e) => e,
             };
-            // Anything that failed leaves the stream in an unknown
-            // framing state; only a fresh connection is trustworthy.
-            self.client = None;
-            if !err.is_retryable() || attempt >= self.policy.max_retries {
+            // Shed slots arrive in a well-framed reply; after anything
+            // else the stream is in an unknown framing state, and only
+            // a fresh connection is trustworthy.
+            if !matches!(
+                err,
+                ClientError::Retryable {
+                    kind: RetryKind::Overloaded,
+                    ..
+                }
+            ) {
+                self.client = None;
+            }
+            if !err.is_retryable() || retry >= self.policy.max_retries {
                 return Err(err);
             }
-            self.note_retry(attempt);
-            attempt += 1;
+            self.retries += 1;
+            pl_obs::global().counter("plserve_retries_total").inc();
+            pl_obs::event!("client.retry", retry);
+            std::thread::sleep(self.policy.backoff(retry, &mut self.rng));
+            retry += 1;
         }
     }
 
-    /// Books one absorbed failure (tally, global counter, trace event)
-    /// and sleeps the backoff for `attempt`.
-    fn note_retry(&mut self, attempt: u32) {
-        self.retries += 1;
-        pl_obs::global().counter("plserve_retries_total").inc();
-        pl_obs::event!("client.retry", attempt);
-        std::thread::sleep(self.policy.backoff(attempt, &mut self.rng));
-    }
-
-    fn ensure_connected(&mut self) -> Result<&mut Client, ClientError> {
-        match &mut self.client {
-            Some(client) => Ok(client),
+    /// Runs `op` on the live connection, dialing first if there is none.
+    fn on_live<T>(
+        &mut self,
+        op: impl FnOnce(&mut Client) -> io::Result<T>,
+    ) -> Result<T, ClientError> {
+        let client = match &mut self.client {
+            Some(client) => client,
             slot => {
                 // The deadline covers the handshake too: a stalled server
                 // must not wedge the connect beyond the policy's budget.
                 let client = Client::connect_deadline(&self.addrs[..], self.policy.deadline)
                     .map_err(ClientError::classify)?;
-                Ok(slot.insert(client))
+                slot.insert(client)
             }
-        }
+        };
+        op(client).map_err(ClientError::classify)
     }
 }
 
@@ -678,7 +699,7 @@ pub mod loadgen {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    use super::{Answer, Client, Query, ResilientClient, RetryPolicy};
+    use super::{Answer, ClientError, Query, ResilientClient, RetryPolicy};
 
     /// Vertex-selection distribution for generated queries.
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -708,12 +729,11 @@ pub mod loadgen {
         /// in degree-descending order, making the hot set the hubs).
         /// Must be a permutation of `0..n` when present.
         pub hot_order: Option<Vec<u32>>,
-        /// When set, workers use [`ResilientClient`] with this policy
-        /// (worker `i` jitters from `policy.seed + i`): transient
-        /// failures are retried, and batches that exhaust their retries
-        /// are counted in [`LoadReport::failed`] instead of aborting
-        /// the run. `None` keeps the original fail-fast behaviour.
-        pub retry: Option<RetryPolicy>,
+        /// Each worker's [`ResilientClient`] policy (worker `i` jitters
+        /// from `retry.seed + i`): transient failures are retried, and
+        /// batches that exhaust their retries are counted in
+        /// [`LoadReport::failed`] instead of aborting the run.
+        pub retry: RetryPolicy,
     }
 
     impl Default for LoadgenConfig {
@@ -725,7 +745,7 @@ pub mod loadgen {
                 skew: Skew::Uniform,
                 seed: 0x1abe1,
                 hot_order: None,
-                retry: None,
+                retry: RetryPolicy::default(),
             }
         }
     }
@@ -744,11 +764,9 @@ pub mod loadgen {
         pub elapsed_secs: f64,
         /// Client-side aggregate throughput.
         pub qps: f64,
-        /// Transient failures absorbed by the retry loops (0 without
-        /// [`LoadgenConfig::retry`]).
+        /// Retries the workers' clients made.
         pub retries: u64,
-        /// Queries abandoned after exhausting their retries (0 without
-        /// [`LoadgenConfig::retry`], where any failure aborts instead).
+        /// Queries abandoned after exhausting their retries.
         pub failed: u64,
         /// 99th-percentile client-observed batch round-trip, ns
         /// (histogram bucket upper edge; 0 if nothing completed).
@@ -866,51 +884,24 @@ pub mod loadgen {
         Ok(())
     }
 
-    /// Original fail-fast worker: any error aborts the run.
-    fn worker_failfast(
+    /// One connection's share of the run: transient failures retry
+    /// inside [`ResilientClient`], and a batch that exhausts its retries
+    /// is counted as failed while the run continues. A fatal error, or
+    /// an answer the workload should never see, ends the run.
+    fn worker(
         addr: std::net::SocketAddr,
         config: &LoadgenConfig,
         conn_idx: usize,
         tallies: &Tallies,
         reference: Option<&pl_graph::Graph>,
     ) -> std::io::Result<()> {
-        let mut client = Client::connect(addr)?;
-        let sampler = VertexSampler::new(client.n(), config.skew);
-        let mut rng = StdRng::seed_from_u64(config.seed + conn_idx as u64);
-        let mut remaining = config.requests_per_conn;
-        while remaining > 0 {
-            let len = remaining.min(config.batch);
-            let batch = generate_batch(&sampler, config.hot_order.as_deref(), &mut rng, len);
-            let t0 = Instant::now();
-            let answers = client.batch(&batch)?;
-            tallies.batch_latency.record(t0.elapsed().as_nanos() as u64);
-            tally_batch(tallies, &batch, &answers, reference)?;
-            remaining -= len;
-        }
-        client.goodbye()
-    }
-
-    /// Resilient worker: transient failures retry inside
-    /// [`ResilientClient`]; a batch that exhausts its retries is
-    /// counted as failed and the run continues. Only fatal errors
-    /// abort.
-    fn worker_resilient(
-        addr: std::net::SocketAddr,
-        config: &LoadgenConfig,
-        policy: &RetryPolicy,
-        conn_idx: usize,
-        tallies: &Tallies,
-        reference: Option<&pl_graph::Graph>,
-    ) -> std::io::Result<()> {
+        let into_io = |e: ClientError| std::io::Error::new(e.source_io().kind(), e.to_string());
         let policy = RetryPolicy {
-            seed: policy.seed.wrapping_add(conn_idx as u64),
-            ..policy.clone()
+            seed: config.retry.seed.wrapping_add(conn_idx as u64),
+            ..config.retry.clone()
         };
-        let mut client = ResilientClient::connect(addr, policy)
-            .map_err(|e| std::io::Error::new(e.source_io().kind(), e.to_string()))?;
-        let n = client
-            .n()
-            .map_err(|e| std::io::Error::new(e.source_io().kind(), e.to_string()))?;
+        let mut client = ResilientClient::connect(addr, policy).map_err(into_io)?;
+        let n = client.n().map_err(into_io)?;
         let sampler = VertexSampler::new(n, config.skew);
         let mut rng = StdRng::seed_from_u64(config.seed + conn_idx as u64);
         let mut remaining = config.requests_per_conn;
@@ -925,21 +916,14 @@ pub mod loadgen {
             match client.batch(&batch) {
                 Ok(answers) => {
                     tallies.batch_latency.record(t0.elapsed().as_nanos() as u64);
-                    if tally_batch(tallies, &batch, &answers, reference).is_err() {
-                        // An impossible answer is a correctness bug,
-                        // not load noise — surface it as a mismatch so
-                        // verified runs fail loudly.
-                        tallies
-                            .mismatches
-                            .fetch_add(batch.len() as u64, Ordering::Relaxed); // lint: relaxed-ok(loadgen tally; read only after worker join)
+                    if let Err(e) = tally_batch(tallies, &batch, &answers, reference) {
+                        break Err(e);
                     }
                 }
                 Err(e) if e.is_retryable() => {
                     tallies.failed.fetch_add(len as u64, Ordering::Relaxed); // lint: relaxed-ok(loadgen tally; read only after worker join)
                 }
-                Err(e) => {
-                    break Err(std::io::Error::new(e.source_io().kind(), e.to_string()));
-                }
+                Err(e) => break Err(into_io(e)),
             }
         };
         tallies
@@ -969,14 +953,8 @@ pub mod loadgen {
             let mut workers = Vec::with_capacity(config.connections);
             for conn_idx in 0..config.connections {
                 let tallies = &tallies;
-                workers.push(scope.spawn(move || -> std::io::Result<()> {
-                    match &config.retry {
-                        Some(policy) => {
-                            worker_resilient(addr, config, policy, conn_idx, tallies, reference)
-                        }
-                        None => worker_failfast(addr, config, conn_idx, tallies, reference),
-                    }
-                }));
+                workers
+                    .push(scope.spawn(move || worker(addr, config, conn_idx, tallies, reference)));
             }
             for w in workers {
                 w.join().expect("loadgen worker panicked")?; // lint: panic-ok(loadgen is an operator-run bench tool; relaying a worker panic to the terminal is the intended failure mode)

@@ -8,7 +8,7 @@ use pl_graph::degree::vertices_by_degree_desc;
 use pl_labeling::scheme::AdjacencyScheme;
 use pl_labeling::ThresholdScheme;
 use pl_serve::client::loadgen::{self, LoadgenConfig, Skew};
-use pl_serve::{Client, LabelStore, SchemeTag, StoreConfig, TaggedLabeling};
+use pl_serve::{Client, LabelStore, RetryPolicy, SchemeTag, StoreConfig, TaggedLabeling};
 use pl_wire::protocol::{
     encode_batch, encode_hello, opcode, parse_batch_reply, read_frame, write_frame, Query,
 };
@@ -49,7 +49,7 @@ fn serves_chung_lu_over_tcp_with_verified_answers() {
         skew: Skew::Zipf(1.2),
         seed: 7,
         hot_order: Some(vertices_by_degree_desc(&g)),
-        retry: None,
+        retry: RetryPolicy::default(),
     };
     let report = loadgen::run_verified(addr, &config, &g).expect("load run");
     assert_eq!(report.queries, 20_000);
@@ -474,7 +474,7 @@ fn observability_surface_end_to_end() {
         skew: Skew::Zipf(1.2),
         seed: 11,
         hot_order: Some(vertices_by_degree_desc(&g)),
-        retry: None,
+        retry: RetryPolicy::default(),
     };
     loadgen::run(handle.addr(), &config).expect("load run");
 

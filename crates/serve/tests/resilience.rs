@@ -2,8 +2,9 @@
 //! clients, overload shedding, idle/stall deadlines, and the HEALTH
 //! surface — all over real TCP sockets.
 
-use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use pl_graph::degree::vertices_by_degree_desc;
@@ -12,10 +13,13 @@ use pl_labeling::ThresholdScheme;
 use pl_serve::client::loadgen::{self, LoadgenConfig, Skew};
 use pl_serve::client::{ClientError, RetryKind};
 use pl_serve::{
-    Client, FaultPlan, LabelStore, ResilientClient, RetryPolicy, SchemeTag, ServeOptions,
-    StoreConfig, TaggedLabeling,
+    Answer, Client, FaultPlan, LabelStore, Query, ResilientClient, RetryPolicy, SchemeTag,
+    ServeOptions, StoreConfig, TaggedLabeling,
 };
-use pl_wire::protocol::{encode_hello, opcode, read_frame, write_frame};
+use pl_wire::protocol::{
+    encode_batch_reply, encode_hello, encode_hello_ok, opcode, parse_batch, read_frame,
+    write_frame, VERSION,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -74,7 +78,7 @@ fn faulted_server_never_answers_wrong() {
         skew: Skew::Zipf(1.2),
         seed: 3,
         hot_order: Some(vertices_by_degree_desc(&g)),
-        retry: Some(fast_policy(0x7E57)),
+        retry: fast_policy(0x7E57),
     };
     let report = loadgen::run_verified(handle.addr(), &config, &g).expect("chaos run completes");
 
@@ -225,19 +229,6 @@ fn connection_cap_sheds_with_overloaded_frame() {
         ),
         "expected retryable shed error, got {classified}"
     );
-    // The shed frame itself always classifies as Overloaded.
-    let shed_err = std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        "server overloaded, connection shed",
-    );
-    assert!(matches!(
-        ClientError::classify(shed_err),
-        ClientError::Retryable {
-            kind: RetryKind::Overloaded,
-            ..
-        }
-    ));
-
     // The surviving connection is unaffected, and the shed is counted.
     assert!(first.adjacent(1, 2).is_ok());
     first.goodbye().expect("goodbye");
@@ -382,7 +373,7 @@ fn chaos_run_with_single_connection_stays_correct() {
             skew: Skew::Uniform,
             seed: 100 + round,
             hot_order: None,
-            retry: Some(fast_policy(round)),
+            retry: fast_policy(round),
         };
         let report = loadgen::run_verified(handle.addr(), &config, &g).expect("run");
         assert_eq!(report.mismatches, 0);
@@ -390,4 +381,208 @@ fn chaos_run_with_single_connection_stays_correct() {
         let stats = handle.shutdown();
         assert!(stats.faults_injected > 0);
     }
+}
+
+/// A stand-in server for `n = 100` that serves one connection at a time:
+/// it completes each handshake, then passes every BATCH, numbered from 0
+/// across connections, to `reply`, which gives the reply body or `None`
+/// to hang up. Returns its address, its BATCH count, and a stopper that
+/// joins its thread once the client has gone.
+fn fake_server(
+    reply: impl Fn(u64, &[Query]) -> Option<Vec<u8>> + Send + 'static,
+) -> (SocketAddr, Arc<AtomicU64>, impl FnOnce()) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake server");
+    let addr = listener.local_addr().expect("fake server addr");
+    let batches = Arc::new(AtomicU64::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let thread = {
+        let (batches, stop) = (Arc::clone(&batches), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                if stop.load(Ordering::SeqCst) {
+                    return;
+                }
+                let Ok(mut stream) = stream else { continue };
+                let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+                if read_frame(&mut stream).is_err()
+                    || write_frame(&mut stream, &encode_hello_ok(0x02, 100)).is_err()
+                {
+                    continue;
+                }
+                while let Ok(req) = read_frame(&mut stream) {
+                    if req.first() != Some(&opcode::BATCH) {
+                        let _ = write_frame(&mut stream, &[opcode::GOODBYE_OK]);
+                        break;
+                    }
+                    let queries = parse_batch(&req).expect("fake server parses BATCH");
+                    let k = batches.fetch_add(1, Ordering::SeqCst);
+                    match reply(k, &queries) {
+                        Some(body) if write_frame(&mut stream, &body).is_ok() => {}
+                        _ => break,
+                    }
+                }
+            }
+        })
+    };
+    let stopper = move || {
+        stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+        thread.join().expect("fake server thread");
+    };
+    (addr, batches, stopper)
+}
+
+/// One budget: each attempt costs one retry, whether a dropped
+/// connection replays the batch or a reply's shed slots are re-asked.
+/// A server that drops a batch `r` times and then sheds all of it sees
+/// exactly `r + 1` BATCH frames from a client allowed `r` retries.
+#[test]
+fn a_batch_makes_at_most_max_retries_plus_one_attempts() {
+    for r in 1..=3u32 {
+        let cycle = u64::from(r) + 1;
+        let (addr, frames, stop) = fake_server(move |k, queries| {
+            (k % cycle == cycle - 1)
+                .then(|| encode_batch_reply(&vec![Answer::Overloaded; queries.len()]))
+        });
+        let policy = RetryPolicy {
+            max_retries: r,
+            ..fast_policy(u64::from(r))
+        };
+        let mut client = ResilientClient::connect(addr, policy).expect("connect");
+        let err = client
+            .batch(&[Query::adjacent(1, 2), Query::adjacent(3, 4)])
+            .expect_err("a fully shed batch never settles");
+        assert!(
+            matches!(
+                err,
+                ClientError::Retryable {
+                    kind: RetryKind::Overloaded,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        let sent = frames.load(Ordering::SeqCst);
+        assert_eq!(sent, cycle, "BATCH frames at max_retries {r}");
+        assert_eq!(client.retries(), sent - 1, "retries at max_retries {r}");
+        drop(client);
+        stop();
+    }
+}
+
+/// An `ERROR` reply is the server refusing the request itself, so it is
+/// fatal at once: one frame, no retry, the server's text kept.
+#[test]
+fn an_error_reply_is_fatal_after_one_frame() {
+    let (addr, frames, stop) =
+        fake_server(|_, _| Some([&[opcode::ERROR][..], b"batch length"].concat()));
+    let mut client = ResilientClient::connect(addr, fast_policy(3)).expect("connect");
+    let err = client.batch(&[Query::adjacent(1, 2)]).expect_err("refused");
+    assert!(matches!(err, ClientError::Fatal(_)), "{err}");
+    assert_eq!(err.to_string(), "fatal: server error: batch length");
+    assert_eq!(frames.load(Ordering::SeqCst), 1);
+    assert_eq!(client.retries(), 0);
+    drop(client);
+    stop();
+}
+
+/// A reply with shed slots re-asks only those queries, and the answers
+/// that did settle are kept in their slots.
+#[test]
+fn only_shed_slots_are_re_asked() {
+    let truth = |q: &Query| {
+        if q.u < q.v {
+            Answer::Adjacent
+        } else {
+            Answer::NotAdjacent
+        }
+    };
+    let asked = Arc::new(Mutex::new(Vec::new()));
+    let (addr, frames, stop) = fake_server({
+        let asked = Arc::clone(&asked);
+        move |k, queries| {
+            asked.lock().expect("asked log").push(queries.to_vec());
+            let answers: Vec<Answer> = queries
+                .iter()
+                .enumerate()
+                .map(|(i, q)| {
+                    if k == 0 && i % 2 == 1 {
+                        Answer::Overloaded
+                    } else {
+                        truth(q)
+                    }
+                })
+                .collect();
+            Some(encode_batch_reply(&answers))
+        }
+    });
+    let queries: Vec<Query> = (0..6).map(|i| Query::adjacent(i, 5 - i)).collect();
+    let mut client = ResilientClient::connect(addr, fast_policy(4)).expect("connect");
+    let answers = client.batch(&queries).expect("settles on the re-ask");
+    assert_eq!(answers, queries.iter().map(truth).collect::<Vec<_>>());
+    assert_eq!(frames.load(Ordering::SeqCst), 2);
+    assert_eq!(client.retries(), 1);
+    let odd: Vec<Query> = queries.iter().copied().skip(1).step_by(2).collect();
+    assert_eq!(asked.lock().expect("asked log")[1], odd);
+    drop(client);
+    stop();
+}
+
+/// An answer an adjacency workload can never see ends the load run with
+/// an error naming it; it is not retried and not tallied as a mismatch.
+#[test]
+fn loadgen_ends_on_an_impossible_answer() {
+    let (addr, _, stop) = fake_server(|_, queries| {
+        Some(encode_batch_reply(&vec![
+            Answer::MalformedLabel;
+            queries.len()
+        ]))
+    });
+    let config = LoadgenConfig {
+        connections: 1,
+        requests_per_conn: 64,
+        batch: 16,
+        retry: fast_policy(5),
+        ..LoadgenConfig::default()
+    };
+    let err = loadgen::run(addr, &config).expect_err("the run must end");
+    assert!(err.to_string().contains("MalformedLabel"), "{err}");
+    stop();
+}
+
+/// The handshake replies a client sorts by what the server said, not by
+/// the message text: a shed connection is retryable, a refused handshake
+/// or another protocol version is fatal. Each message is kept verbatim.
+#[test]
+fn handshake_verdicts_classify_by_type() {
+    let replies: Vec<Vec<u8>> = vec![
+        vec![opcode::OVERLOADED],
+        [&[opcode::ERROR][..], b"unsupported protocol version 9"].concat(),
+        vec![opcode::HELLO_OK, VERSION - 1, 0x02, 100, 0, 0, 0],
+    ];
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let peer = std::thread::spawn({
+        let replies = replies.clone();
+        move || {
+            for reply in replies {
+                let (mut stream, _) = listener.accept().expect("accept");
+                read_frame(&mut stream).expect("hello");
+                write_frame(&mut stream, &reply).expect("handshake reply");
+            }
+        }
+    });
+    let classified: Vec<String> = replies
+        .iter()
+        .map(|_| ClientError::classify(Client::connect(addr).expect_err("refused")).to_string())
+        .collect();
+    peer.join().expect("fake peer");
+    assert_eq!(
+        classified,
+        [
+            "retryable (Overloaded): server overloaded, connection shed".to_string(),
+            "fatal: server rejected handshake: unsupported protocol version 9".to_string(),
+            format!("fatal: unsupported protocol version {}", VERSION - 1),
+        ]
+    );
 }

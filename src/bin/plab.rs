@@ -21,8 +21,8 @@
 //!                     [--duration SECS] [--fault-plan SPEC] [--trace]
 //!                     [--max-conns N] [--idle-ms MS] [--stall-ms MS]
 //! plab loadgen <HOST:PORT> [--connections N] [--requests R] [--batch B]
-//!              [--skew uniform|zipf:S] [--seed X] [--retries N]
-//!              [--deadline-ms MS] [--backoff-ms MS] [--verify graph.el]
+//!              [--skew uniform|zipf:S] [--seed X] [--verify graph.el]
+//!              [--retries N] [--deadline-ms MS] [--backoff-ms MS]
 //! plab health  <HOST:PORT>                    # liveness
 //! plab stats   <HOST:PORT> [--prom]           # live server or router metrics
 //! plab trace   <HOST:PORT> [--snapshot] [--probe] [--out FILE]
@@ -48,13 +48,19 @@
 //!
 //! Resilience (see RELIABILITY.md): `serve --fault-plan` turns on the
 //! deterministic chaos harness, `--max-conns` sheds excess connections,
-//! `--idle-ms`/`--stall-ms` set the connection deadlines, and `loadgen
-//! --retries --deadline-ms` drives the retrying client — with `--verify`
-//! the run exits nonzero if any answer disagrees with the graph.
+//! and `--idle-ms`/`--stall-ms` set the connection deadlines. `loadgen`,
+//! `stats <HOST:PORT>` and `health` read through the retrying client;
+//! `--retries`, `--deadline-ms` and `--backoff-ms` each override one
+//! field of the default policy for `loadgen`, whose `--verify` exits
+//! nonzero if any answer disagrees with the graph. `trace` stays
+//! single-shot, because a drain consumes events. A `HOST:PORT` may name
+//! the host (`localhost:7461`) or give it as a number.
 
 use std::fs;
 use std::io::BufRead;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
+use std::time::Duration;
 
 use pl_cluster::{
     rebalance, split_all, stub_all, ClusterMap, LaunchOptions, Partitioner, RebalanceAction,
@@ -130,8 +136,9 @@ const USAGE: &str = "usage:
   plab cluster rebalance <labels.plab> --router HOST:PORT
                (--add HOST:PORT | --remove N | --map FILE) [--chunk-bytes B]
   plab loadgen <HOST:PORT> [--connections N] [--requests R] [--batch B]
-               [--skew uniform|zipf:S] [--seed X] [--retries N]
-               [--deadline-ms MS] [--backoff-ms MS] [--verify graph.el]
+               [--skew uniform|zipf:S] [--seed X] [--verify graph.el]
+               [--retries N (3)] [--deadline-ms MS (1000, 0 = none)]
+               [--backoff-ms MS (20)]
   plab health  <HOST:PORT>
   plab trace   <HOST:PORT|--cluster ROUTER> [--snapshot] [--probe]
                [--explain ID|probe] [--in FILE] [--out FILE]";
@@ -177,6 +184,14 @@ impl Args {
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("--{key}: cannot parse {v:?}")),
+        }
+    }
+
+    /// `--key MS` as a duration, or `default` when the flag is absent.
+    fn get_millis(&self, key: &str, default: Duration) -> Result<Duration, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(_) => self.get_parsed(key, 0).map(Duration::from_millis),
         }
     }
 
@@ -251,7 +266,7 @@ fn cmd_stats(raw: &[String]) -> Result<(), String> {
     let path = args.positional.first().ok_or("missing graph file")?;
     // `stats <HOST:PORT>` queries a live server instead of a graph file.
     if !std::path::Path::new(path).exists() {
-        if let Ok(addr) = path.parse::<std::net::SocketAddr>() {
+        if let Ok(addr) = resolve(path) {
             return server_stats(addr, args.get("prom").is_some_and(|v| v != "false"));
         }
     }
@@ -283,17 +298,35 @@ fn cmd_stats(raw: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Resolves a `HOST:PORT` argument, by name or number, to its first
+/// address.
+fn resolve(addr: &str) -> Result<SocketAddr, String> {
+    addr.to_socket_addrs()
+        .ok()
+        .and_then(|mut addrs| addrs.next())
+        .ok_or_else(|| format!("bad server address {addr:?}"))
+}
+
+/// Connects a retrying client with the default policy, for the
+/// idempotent reads (`STATS`, `HEALTH`).
+fn connect_resilient(addr: SocketAddr) -> Result<ResilientClient, String> {
+    ResilientClient::connect(addr, RetryPolicy::default())
+        .map_err(|e| format!("connecting {addr}: {}", e.source_io()))
+}
+
 /// `plab stats <HOST:PORT>`: fetch a live server's snapshot; `--prom`
 /// renders it in Prometheus text form instead of the human layout.
-fn server_stats(addr: std::net::SocketAddr, prom: bool) -> Result<(), String> {
-    let mut client = Client::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
-    let stats = client.stats().map_err(|e| format!("fetching stats: {e}"))?;
+fn server_stats(addr: SocketAddr, prom: bool) -> Result<(), String> {
+    let mut client = connect_resilient(addr)?;
+    let stats = client
+        .stats()
+        .map_err(|e| format!("fetching stats: {}", e.source_io()))?;
     if prom {
         print!("{}", snapshot_prom(&stats));
     } else {
         println!("{stats}");
     }
-    client.goodbye().ok();
+    client.goodbye();
     Ok(())
 }
 
@@ -860,9 +893,7 @@ fn cmd_trace(raw: &[String]) -> Result<(), String> {
             .map(String::as_str)
             .or_else(|| args.get("cluster").filter(|v| *v != "true"))
             .ok_or("missing server address")?;
-        let addr: std::net::SocketAddr = addr
-            .parse()
-            .map_err(|_| format!("bad server address {addr:?}"))?;
+        let addr = resolve(addr)?;
         let mut client = Client::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
         if probe {
             let ctx = pl_obs::TraceContext::root();
@@ -904,10 +935,7 @@ fn cmd_trace(raw: &[String]) -> Result<(), String> {
 
 fn cmd_loadgen(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw)?;
-    let addr = args.positional.first().ok_or("missing server address")?;
-    let addr: std::net::SocketAddr = addr
-        .parse()
-        .map_err(|_| format!("bad server address {addr:?}"))?;
+    let addr = resolve(args.positional.first().ok_or("missing server address")?)?;
     let skew = match args.get("skew").unwrap_or("uniform") {
         "uniform" => Skew::Uniform,
         other => match other.strip_prefix("zipf:") {
@@ -918,32 +946,16 @@ fn cmd_loadgen(raw: &[String]) -> Result<(), String> {
             None => return Err(format!("unknown skew {other:?}")),
         },
     };
-    // Any retry-shaped flag opts the run into the resilient workers;
-    // omitting them all keeps the original fail-fast behaviour.
-    let retries: u32 = args.get_parsed("retries", 0)?;
-    let deadline_ms: u64 = args.get_parsed("deadline-ms", 0)?;
-    let backoff_ms: u64 = args.get_parsed("backoff-ms", 0)?;
-    let retry = (retries > 0 || deadline_ms > 0 || backoff_ms > 0).then(|| {
-        let defaults = RetryPolicy::default();
-        RetryPolicy {
-            max_retries: if retries > 0 {
-                retries
-            } else {
-                defaults.max_retries
-            },
-            deadline: if deadline_ms > 0 {
-                Some(std::time::Duration::from_millis(deadline_ms))
-            } else {
-                defaults.deadline
-            },
-            backoff_base: if backoff_ms > 0 {
-                std::time::Duration::from_millis(backoff_ms)
-            } else {
-                defaults.backoff_base
-            },
-            ..defaults
-        }
-    });
+    // Each retry flag given overrides its own field of the default
+    // policy; `--deadline-ms 0` waits forever.
+    let defaults = RetryPolicy::default();
+    let retry = RetryPolicy {
+        max_retries: args.get_parsed("retries", defaults.max_retries)?,
+        deadline: Some(args.get_millis("deadline-ms", defaults.deadline.unwrap_or_default())?)
+            .filter(|d| !d.is_zero()),
+        backoff_base: args.get_millis("backoff-ms", defaults.backoff_base)?,
+        ..defaults
+    };
     let reference = match args.get("verify") {
         Some(path) => Some(load_graph(path)?),
         None => None,
@@ -966,38 +978,23 @@ fn cmd_loadgen(raw: &[String]) -> Result<(), String> {
         "{} queries over {} connections in {:.3}s: {:.0} qps ({} adjacent)",
         report.queries, config.connections, report.elapsed_secs, report.qps, report.adjacent_true
     );
-    if retry.is_some() {
-        println!(
-            "resilience: {} retries absorbed, {} queries failed, {:.2}% success, p99 batch {:.3}ms",
-            report.retries,
-            report.failed,
-            report.success_rate() * 100.0,
-            report.p99_batch_ns as f64 / 1e6
-        );
-    }
+    println!(
+        "resilience: {} retries absorbed, {} queries failed, {:.2}% success, p99 batch {:.3}ms",
+        report.retries,
+        report.failed,
+        report.success_rate() * 100.0,
+        report.p99_batch_ns as f64 / 1e6
+    );
     if reference.is_some() {
         println!(
             "verified against reference graph: {} mismatches",
             report.mismatches
         );
     }
-    // Fetch closing stats with retries when resilience is on: under an
-    // injected-fault plan a bare connection may itself be dropped.
-    let stats = match retry {
-        Some(policy) => {
-            let mut client = ResilientClient::connect(addr, policy)
-                .map_err(|e| format!("stats connection: {e}"))?;
-            let stats = client.stats().map_err(|e| format!("fetching stats: {e}"))?;
-            client.goodbye();
-            stats
-        }
-        None => {
-            let mut client = Client::connect(addr).map_err(|e| format!("stats connection: {e}"))?;
-            let stats = client.stats().map_err(|e| format!("fetching stats: {e}"))?;
-            client.goodbye().ok();
-            stats
-        }
-    };
+    let mut client =
+        ResilientClient::connect(addr, retry).map_err(|e| format!("stats connection: {e}"))?;
+    let stats = client.stats().map_err(|e| format!("fetching stats: {e}"))?;
+    client.goodbye();
     println!("--- server stats ---\n{stats}");
     if report.mismatches > 0 {
         return Err(format!(
@@ -1014,16 +1011,15 @@ fn cmd_loadgen(raw: &[String]) -> Result<(), String> {
 /// directly.
 fn cmd_health(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw)?;
-    let addr = args.positional.first().ok_or("missing server address")?;
-    let addr: std::net::SocketAddr = addr
-        .parse()
-        .map_err(|_| format!("bad server address {addr:?}"))?;
-    let mut client = Client::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
-    let report = client.health().map_err(|e| format!("health check: {e}"))?;
+    let addr = resolve(args.positional.first().ok_or("missing server address")?)?;
+    let mut client = connect_resilient(addr)?;
+    let report = client
+        .health()
+        .map_err(|e| format!("health check: {}", e.source_io()))?;
     for (i, up) in report.shards.iter().enumerate() {
         println!("entry {i}: {}", if *up { "ok" } else { "DOWN" });
     }
-    client.goodbye().ok();
+    client.goodbye();
     if report.healthy {
         println!("healthy ({} entries)", report.shards.len());
         Ok(())

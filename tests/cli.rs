@@ -472,10 +472,13 @@ fn serve_and_loadgen_round_trip() {
         }
     }
     let addr = addr.expect("server should report its address");
+    // Every HOST:PORT argument resolves names, not just numbers.
+    let port = addr.rsplit(':').next().expect("port");
+    let named = format!("localhost:{port}");
 
     let out = plab(&[
         "loadgen",
-        &addr,
+        &named,
         "--connections",
         "2",
         "--requests",
@@ -485,6 +488,8 @@ fn serve_and_loadgen_round_trip() {
         "--skew",
         "zipf:1.1",
     ]);
+    let stats = plab(&["stats", &named]);
+    let health = plab(&["health", &named]);
     let _ = server.kill();
     let _ = server.wait();
     assert!(
@@ -494,8 +499,20 @@ fn serve_and_loadgen_round_trip() {
     );
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("4000 queries"), "{text}");
+    assert!(text.contains("resilience: "), "{text}");
     assert!(text.contains("server stats"), "{text}");
     assert!(text.contains("qps"), "{text}");
+    for (cmd, out, want) in [
+        ("stats", &stats, "queries: 4000 adj"),
+        ("health", &health, "healthy"),
+    ] {
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && text.contains(want),
+            "plab {cmd} {named}: {text}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 
     let _ = std::fs::remove_file(graph);
     let _ = std::fs::remove_file(labels);
