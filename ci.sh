@@ -562,12 +562,22 @@ gate_trace() {
 # normal dependency on pl-wire, and its sources must not name
 # `pl_serve::server` (the store's TCP wrapper) or a `protocol`, `fault`
 # or `metrics` module under `pl_serve` (none exists; the pattern keeps
-# one from coming back as a path around pl-wire).
+# one from coming back as a path around pl-wire). The `PLCM` map magic
+# appears in one non-test source file, the wire's, so the map envelope
+# has one definition.
 dep_hygiene() {
     cargo tree -p pl-cluster --edges normal | grep -q 'pl-wire' \
         || { echo "ci: pl-cluster lost its pl-wire dependency" >&2; return 1; }
     if grep -rEn 'pl_serve::(protocol|fault|metrics|server)\b' crates/cluster/src; then
         echo "ci: pl-cluster reaches pl-serve transport shims instead of pl-wire" >&2
+        return 1
+    fi
+    # One map envelope: only the wire spells the map magic; every other
+    # source file uses pl_wire::protocol::MAP_MAGIC.
+    local magic=()
+    mapfile -t magic < <(grep -rl --include='*.rs' 'PLCM' crates/*/src)
+    if [ "${#magic[@]}" -gt 1 ]; then
+        echo "ci: the PLCM map magic is spelled in ${magic[*]}; name MAP_MAGIC instead" >&2
         return 1
     fi
 }

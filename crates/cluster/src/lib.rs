@@ -11,8 +11,10 @@
 //! *owned* by the top `R` backends of a seeded ranking; any party with
 //! the seed computes the same assignment), and [`pl_serve::map`], the
 //! epoch-numbered, FNV-checksummed [`ClusterMap`] handed to every
-//! router and pushed to every backend over `MAP_SET`. The crate root
-//! re-exports [`ClusterMap`], [`MapError`] and [`Partitioner`].
+//! router and pushed to every backend over `MAP_SET`, with the one
+//! reconfiguration policy (the map rule and the epoch fence) that the
+//! router and the coordinator here call. The crate root re-exports
+//! [`ClusterMap`], [`MapError`] and [`Partitioner`].
 //!
 //! On top of them, this crate turns one `.plab` file into a serving
 //! *cluster*:
@@ -21,7 +23,8 @@
 //!   from epoch `E` to `E+1` without dropping a query by preparing the
 //!   new map everywhere, streaming re-owned labels into the gaining
 //!   backends while the router dual-routes against both maps, then
-//!   committing backends-first and shrinking the losers (see
+//!   committing backends-first and shrinking the losers; any failure
+//!   before the router commits rolls the router back (see
 //!   RELIABILITY.md §Reconfiguration).
 //! * [`split`] — cuts a threshold labeling into per-partition PLL2
 //!   sub-stores: owned vertices keep their full, bit-identical label;

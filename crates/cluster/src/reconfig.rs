@@ -1,36 +1,31 @@
 //! The live-rebalance coordinator: epoch `E` → `E+1` without dropping
-//! a query.
+//! a query. It keeps no rule of its own: the next map passes the map
+//! rule of `pl_serve::map`, and every party answers by its
+//! `EpochFence` (see RELIABILITY.md §Reconfiguration).
 //!
-//! The rollout is a prepare/commit protocol over the `MAP_SET` and
-//! `LABELS` opcodes (see RELIABILITY.md §Reconfiguration):
-//!
-//! 1. **Prepare backends.** Every backend of the *new* map gets the
-//!    epoch-bumped map (`MAP_SET PREPARE`). Backends validate it
-//!    (checksum, `n`, tag, their own index) and stage it; queries are
-//!    untouched.
-//! 2. **Prepare the router.** The router stages the new map and opens
-//!    the *dual-routing window*: every query now tries the new map's
-//!    owners first and falls back to the old owners on `NOT_OWNED`. A
-//!    vertex whose labels are still in flight keeps answering from its
-//!    old owner; one already migrated answers from its new owner.
+//! 0. **Pick the epoch.** One past the highest epoch that the router or
+//!    any backend of the new map has committed (`MAP_GET`; none is 0).
+//! 1. **Prepare backends.** Every backend of the *new* map validates
+//!    the map (`n`, tag, its own index) and stages it.
+//! 2. **Prepare the router.** It stages the new map and opens the
+//!    *dual-routing window*: every query tries the new map's owners
+//!    first and falls back to the old owners on `NOT_OWNED`.
 //! 3. **Stream labels.** Each vertex whose ownership *moves* (a new
 //!    owner address that was not an old owner of it) has its full label
 //!    streamed to the gaining backend in `LABELS` chunks, each one
-//!    `PLL2` labeling container. The backend parses every chunk once
-//!    before buffering it — a frame that does not parse, holds the
-//!    wrong number of labels or names a vertex out of range rejects
-//!    wholesale.
+//!    `PLL2` labeling container, checked whole on arrival.
 //! 4. **Commit backends, then router.** Gaining backends commit first
 //!    (an extra full label can only make a backend answer *more*, never
-//!    wrongly), the router commits last (closing the window and
-//!    retiring the old map), and only then do losing backends
-//!    **shrink** their no-longer-owned labels down to prelude stubs.
+//!    wrongly), the router commits last (closing the window), and only
+//!    then do losing backends **shrink** their no-longer-owned labels
+//!    down to prelude stubs.
 //!
-//! Any failure in steps 1–3 rolls the whole cluster back: `ABORT` to
-//! the router (closing the window, `plcluster_reconfig_rollbacks_total`
-//! increments) and to every prepared backend (dropping staged state).
-//! The cluster is left exactly at epoch `E`; the push never observably
-//! happened.
+//! Any failure before the router commits sends `ABORT` to the router
+//! (closing the window; `plcluster_reconfig_rollbacks_total` counts it)
+//! and to every backend: the router stays at epoch `E`. A backend that
+//! committed before the failure keeps `E+1` and a superset of its
+//! labels, which answers correctly; step 0 of the next rebalance goes
+//! past it.
 
 use std::collections::HashMap;
 
@@ -84,14 +79,14 @@ pub struct ReconfigReport {
     pub shrunk: Vec<String>,
 }
 
-/// Why a rebalance did not commit. `Refused` and `Io` during the
-/// prepare/stream phases mean the rollout was *rolled back* — the
-/// cluster is still at the old epoch.
+/// Why a rebalance did not commit. `Refused` and `Io` from any step
+/// before the router's commit mean the rollout was *rolled back*: the
+/// router is still at the old epoch.
 #[derive(Debug)]
 pub enum ReconfigError {
     /// Transport failure talking to the router or a backend.
     Io(std::io::Error),
-    /// The router's current map did not parse.
+    /// A party's committed map did not parse.
     Map(MapError),
     /// The requested action is unsatisfiable (index out of range,
     /// replica floor violated, map mismatch).
@@ -110,7 +105,7 @@ impl std::fmt::Display for ReconfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Io(e) => write!(f, "reconfiguration transport error: {e}"),
-            Self::Map(e) => write!(f, "router cluster map unreadable: {e}"),
+            Self::Map(e) => write!(f, "committed cluster map unreadable: {e}"),
             Self::Invalid(why) => write!(f, "invalid rebalance: {why}"),
             Self::Refused(why) => write!(f, "rebalance refused: {why}"),
         }
@@ -119,9 +114,13 @@ impl std::fmt::Display for ReconfigError {
 
 impl std::error::Error for ReconfigError {}
 
-/// Derives the next-epoch map from the current one and the action.
+/// Derives the next map from the current one and the action, and
+/// checks it by the map rule. Its epoch is one past the current one (or
+/// an explicit map's own, if that is higher); [`rebalance`] raises it
+/// past every backend's.
 fn next_map(old: &ClusterMap, action: RebalanceAction) -> Result<ClusterMap, ReconfigError> {
-    match action {
+    let invalid = |e: MapError| ReconfigError::Invalid(e.to_string());
+    let mut map = match action {
         RebalanceAction::Add(addr) => {
             if old.backends.contains(&addr) {
                 return Err(ReconfigError::Invalid(format!(
@@ -129,9 +128,8 @@ fn next_map(old: &ClusterMap, action: RebalanceAction) -> Result<ClusterMap, Rec
                 )));
             }
             let mut map = old.clone();
-            map.epoch += 1;
             map.backends.push(addr);
-            Ok(map)
+            map
         }
         RebalanceAction::Remove(i) => {
             if i as usize >= old.backends.len() {
@@ -140,38 +138,18 @@ fn next_map(old: &ClusterMap, action: RebalanceAction) -> Result<ClusterMap, Rec
                     old.backends.len()
                 )));
             }
-            if old.backends.len() - 1 < old.replicas as usize {
-                return Err(ReconfigError::Invalid(format!(
-                    "removing a backend would leave {} backends for {} replicas",
-                    old.backends.len() - 1,
-                    old.replicas
-                )));
-            }
             let mut map = old.clone();
-            map.epoch += 1;
             map.backends.remove(i as usize);
-            Ok(map)
+            map
         }
-        RebalanceAction::Map(mut map) => {
-            if map.n != old.n || map.tag != old.tag {
-                return Err(ReconfigError::Invalid(format!(
-                    "next map disagrees with the cluster: n {} vs {}, tag {} vs {}",
-                    map.n, old.n, map.tag, old.tag
-                )));
-            }
-            if map.backends.is_empty() || map.backends.len() < map.replicas as usize {
-                return Err(ReconfigError::Invalid(format!(
-                    "{} backends cannot carry {} replicas",
-                    map.backends.len(),
-                    map.replicas
-                )));
-            }
-            if map.epoch <= old.epoch {
-                map.epoch = old.epoch + 1;
-            }
-            Ok(map)
+        RebalanceAction::Map(map) => {
+            map.check_labeling(old.n, old.tag).map_err(invalid)?;
+            map
         }
-    }
+    };
+    map.epoch = map.epoch.max(old.epoch + 1);
+    map.validate().map_err(invalid)?;
+    Ok(map)
 }
 
 /// Address-based ownership diff between two maps: for each backend of
@@ -213,12 +191,23 @@ fn ownership_diff(old: &ClusterMap, new: &ClusterMap) -> (Vec<Vec<u32>>, Vec<boo
     (gained, lost)
 }
 
-/// Best-effort rollback: `ABORT` every prepared backend and the router.
+/// Best-effort rollback: `ABORT` every backend of the new map and the
+/// router.
 fn abort_all(router: &mut Client, backends: &mut [Client], map_bytes: &[u8]) {
     for client in backends.iter_mut() {
         let _ = client.map_set(MapSetMode::Abort, 0, 0, map_bytes);
     }
     let _ = router.map_set(MapSetMode::Abort, MAP_TARGET_ROUTER, 0, map_bytes);
+}
+
+/// A party's committed map, read with `MAP_GET` (`None` before its
+/// first commit).
+fn committed_map(client: &mut Client) -> Result<Option<ClusterMap>, ReconfigError> {
+    client
+        .map_get()?
+        .map(|bytes| ClusterMap::from_bytes(&bytes))
+        .transpose()
+        .map_err(ReconfigError::Map)
 }
 
 /// One `LABELS` chunk to one gaining backend: the labels of `ids`, as
@@ -243,37 +232,42 @@ fn push_chunk(
     Ok(())
 }
 
-/// The rollback-covered phases: prepare every backend, prepare the
-/// router (opening the dual window), stream every moved label. Leaves
-/// the prepared backend connections in `backends` (new-map order) for
-/// the commit phase — and for [`abort_all`] if this returns `Err`.
+/// Every step up to the router's commit, the phases a failure rolls
+/// back: prepare every backend, prepare the router (opening the dual
+/// window), stream every moved label, commit the backends
+/// gaining-first, commit the router. `backends` are connected to the
+/// new map's backends, in its order.
 fn run_rollout(
     tagged: &TaggedLabeling,
     router: &mut Client,
-    backends: &mut Vec<Client>,
+    backends: &mut [Client],
     new_map: &ClusterMap,
     map_bytes: &[u8],
     gained: &[Vec<u32>],
     options: &RebalanceOptions,
 ) -> Result<(), ReconfigError> {
-    for (i, addr) in new_map.backends.iter().enumerate() {
-        let mut client = Client::connect(addr)?;
-        let (status, epoch) = client.map_set(MapSetMode::Prepare, i as u32, 0, map_bytes)?;
-        if status != MapSetStatus::Prepared {
-            return Err(ReconfigError::Refused(format!(
-                "backend {addr} refused prepare for epoch {}: {status:?} (at epoch {epoch})",
-                new_map.epoch
-            )));
+    use MapSetMode::{Commit, Prepare};
+    let epoch = new_map.epoch;
+    let backend = |i: usize| format!("backend {}", new_map.backends[i]);
+    // One `MAP_SET` that `who` must take.
+    let step = |client: &mut Client, who: &str, mode: MapSetMode, target, moved| {
+        let (status, at) = client.map_set(mode, target, moved, map_bytes)?;
+        let taken = match mode {
+            Prepare => MapSetStatus::Prepared,
+            _ => MapSetStatus::Committed,
+        };
+        if status == taken {
+            return Ok(());
         }
-        backends.push(client);
+        let verb = format!("{mode:?}").to_lowercase();
+        Err(ReconfigError::Refused(format!(
+            "{who} refused {verb} for epoch {epoch}: {status:?} (at epoch {at})"
+        )))
+    };
+    for (i, client) in backends.iter_mut().enumerate() {
+        step(client, &backend(i), Prepare, i as u32, 0)?;
     }
-    let (status, epoch) = router.map_set(MapSetMode::Prepare, MAP_TARGET_ROUTER, 0, map_bytes)?;
-    if status != MapSetStatus::Prepared {
-        return Err(ReconfigError::Refused(format!(
-            "router refused prepare for epoch {}: {status:?} (at epoch {epoch})",
-            new_map.epoch
-        )));
-    }
+    step(router, "router", Prepare, MAP_TARGET_ROUTER, 0)?;
     for (i, verts) in gained.iter().enumerate() {
         if verts.is_empty() {
             continue;
@@ -288,23 +282,34 @@ fn run_rollout(
                 && (chunk_bytes + cost > options.chunk_bytes || k - start == u16::MAX as usize)
             {
                 let ids = &verts[start..k];
-                push_chunk(&mut backends[i], addr, new_map.epoch, &tagged.labeling, ids)?;
+                push_chunk(&mut backends[i], addr, epoch, &tagged.labeling, ids)?;
                 start = k;
                 chunk_bytes = 0;
             }
             chunk_bytes += cost;
         }
         let ids = &verts[start..];
-        push_chunk(&mut backends[i], addr, new_map.epoch, &tagged.labeling, ids)?;
+        push_chunk(&mut backends[i], addr, epoch, &tagged.labeling, ids)?;
     }
-    Ok(())
+    // Gaining backends commit first (their extra labels only ever add
+    // answers), every other backend next, the router last: the moment
+    // it flips, every new owner already holds its labels.
+    let mut order: Vec<usize> = (0..backends.len()).collect();
+    order.sort_by_key(|&i| gained[i].is_empty());
+    for i in order {
+        step(&mut backends[i], &backend(i), Commit, i as u32, 0)?;
+    }
+    let moved = gained.iter().map(|g| g.len() as u64).sum();
+    step(router, "router", Commit, MAP_TARGET_ROUTER, moved)
 }
 
 /// Rebalances the cluster behind `router_addr` from its current map to
 /// the `action`-derived next map, streaming moved labels from `tagged`
 /// (the *full* labeling the cluster serves). On `Ok` the cluster is
-/// committed at the new epoch; on `Err` during prepare/streaming it was
-/// rolled back to the old one.
+/// committed at the new epoch. On `Err` the router is back at the old
+/// epoch; a backend that committed before the failure keeps the new
+/// epoch and a superset of its labels, and the next rebalance's epoch
+/// is past it.
 pub fn rebalance(
     tagged: &TaggedLabeling,
     router_addr: &str,
@@ -312,31 +317,25 @@ pub fn rebalance(
     options: &RebalanceOptions,
 ) -> Result<ReconfigReport, ReconfigError> {
     let mut router = Client::connect(router_addr)?;
-    let old_bytes = router
-        .map_get()?
+    let old_map = committed_map(&mut router)?
         .ok_or_else(|| ReconfigError::Invalid("router serves no cluster map".into()))?;
-    let old_map = ClusterMap::from_bytes(&old_bytes).map_err(ReconfigError::Map)?;
-    let new_map = next_map(&old_map, action)?;
-    if new_map.n as usize != tagged.labeling.len() {
-        return Err(ReconfigError::Invalid(format!(
-            "labeling has {} vertices but the cluster serves {}",
-            tagged.labeling.len(),
-            new_map.n
-        )));
-    }
-    if new_map.tag != tagged.tag.as_u8() {
-        return Err(ReconfigError::Invalid(format!(
-            "labeling tag {} but the cluster serves tag {}",
-            tagged.tag.as_u8(),
-            new_map.tag
-        )));
+    let mut new_map = next_map(&old_map, action)?;
+    let n = u32::try_from(tagged.labeling.len()).unwrap_or(u32::MAX);
+    new_map
+        .check_labeling(n, tagged.tag.as_u8())
+        .map_err(|e| ReconfigError::Invalid(e.to_string()))?;
+    // One past the highest epoch any party has committed: a backend
+    // that committed in a rolled-back rollout is ahead of the router.
+    let mut backends = Vec::with_capacity(new_map.backends.len());
+    for addr in &new_map.backends {
+        let mut client = Client::connect(addr)?;
+        let committed = committed_map(&mut client)?.map_or(0, |m| m.epoch);
+        new_map.epoch = new_map.epoch.max(committed + 1);
+        backends.push(client);
     }
 
     let (gained, lost) = ownership_diff(&old_map, &new_map);
-    let moved: u64 = gained.iter().map(|g| g.len() as u64).sum();
     let map_bytes = new_map.to_bytes();
-
-    let mut backends: Vec<Client> = Vec::with_capacity(new_map.backends.len());
     if let Err(e) = run_rollout(
         tagged,
         &mut router,
@@ -348,32 +347,6 @@ pub fn rebalance(
     ) {
         abort_all(&mut router, &mut backends, &map_bytes);
         return Err(e);
-    }
-
-    // Commit: gaining backends first (their extra labels only ever add
-    // answers), every other backend next, the router last — the moment
-    // it flips, every new owner already holds its labels. A failure
-    // from here on is reported, not rolled back: committed backends
-    // merely hold supersets of what they need, which is always safe.
-    let mut order: Vec<usize> = (0..backends.len()).collect();
-    order.sort_by_key(|&i| gained[i].is_empty());
-    for i in order {
-        let addr = &new_map.backends[i];
-        let (status, epoch) = backends[i].map_set(MapSetMode::Commit, i as u32, 0, &map_bytes)?;
-        if status != MapSetStatus::Committed {
-            return Err(ReconfigError::Refused(format!(
-                "backend {addr} refused commit for epoch {}: {status:?} (at epoch {epoch})",
-                new_map.epoch
-            )));
-        }
-    }
-    let (status, epoch) =
-        router.map_set(MapSetMode::Commit, MAP_TARGET_ROUTER, moved, &map_bytes)?;
-    if status != MapSetStatus::Committed {
-        return Err(ReconfigError::Refused(format!(
-            "router refused commit for epoch {}: {status:?} (at epoch {epoch})",
-            new_map.epoch
-        )));
     }
 
     // Shrink the losers. Failures here cost only memory on that
@@ -395,7 +368,7 @@ pub fn rebalance(
     Ok(ReconfigReport {
         old_epoch: old_map.epoch,
         new_epoch: new_map.epoch,
-        moved,
+        moved: gained.iter().map(|g| g.len() as u64).sum(),
         gained: new_map
             .backends
             .iter()

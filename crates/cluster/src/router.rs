@@ -33,14 +33,12 @@
 //! exponential backoff, so a SIGKILLed backend stops eating a connect
 //! timeout per batch within one round-trip of dying.
 //!
-//! Observability (`pl-obs` registry, scrapeable via
-//! [`RouterHandle::prometheus_text`]):
-//! `plcluster_fanout_total{partition}`, `plcluster_failover_total{backend}`,
-//! `plcluster_quarantine_total{backend}`, per-backend round-trip
-//! histograms `plcluster_backend_ns{backend}`, and the batch histogram
-//! `plcluster_batch_ns` — plus, because the front-end's instruments
-//! land in the same registry, the full `plserve_*` transport families
-//! (sheds, faults, deadline closes, bytes). A `STATS` request upward
+//! A rebalance stages the next map in the router's [`EpochFence`] (the
+//! one epoch rule, `pl_serve::map`) and dual-routes until it commits.
+//!
+//! Observability: the `plcluster_*` families of OBSERVABILITY.md and,
+//! in the same registry, the front-end's `plserve_*` transport families
+//! ([`RouterHandle::prometheus_text`]). A `STATS` request upward
 //! returns the *merged* cluster snapshot: counters summed across live
 //! backends, latency quantiles from the router's own observations, and
 //! the router front-end's own shed/fault counters folded in.
@@ -48,14 +46,15 @@
 use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use pl_obs::hist::Histogram;
 use pl_obs::registry::Counter;
 use pl_obs::trace::{self, SpanGuard, TraceContext};
 use pl_obs::MetricsRegistry;
-use pl_serve::{ClientError, ClusterMap, Partitioner, ResilientClient, RetryPolicy};
+use pl_serve::map::MapVerdict;
+use pl_serve::{ClientError, ClusterMap, EpochFence, Partitioner, ResilientClient, RetryPolicy};
 use pl_wire::frontend::{self, FrontStats, FrontendHandle, FrontendOptions, QueryEngine};
 use pl_wire::protocol::{trace_dump_flags, MapSetMode, MapSetRequest, MapSetStatus};
 use pl_wire::{Answer, Query, Snapshot};
@@ -131,26 +130,25 @@ impl BackendState {
     }
 }
 
-/// One map's routing view: the parsed map, its serialized bytes (the
-/// `MAP_GET` payload), its partitioner, and the translation from map
-/// backend indices to backend-table slots.
+/// One map's routing view: the parsed map, its partitioner, and the
+/// translation from map backend indices to backend-table slots.
 struct RouteView {
     map: ClusterMap,
-    map_bytes: Vec<u8>,
     part: Partitioner,
     /// `ids[i]` is the table slot of the map's backend `i`.
     ids: Vec<u32>,
 }
 
-/// The router's routing state: the committed map plus, during a
-/// reconfiguration window, the prepared next-epoch map. While `pending`
-/// is set the router *dual-routes*: each query tries the new map's
-/// owners first and falls back to the old owners on `NOT_OWNED` — so
-/// a vertex whose labels are still in flight keeps answering from its
-/// old owner, and one already migrated answers from its new owner.
+/// The router's routing state: the committed map, and the epoch fence
+/// that stages the next-epoch map during a reconfiguration window.
+/// While a map is staged the router *dual-routes*: each query tries the
+/// new map's owners first and falls back to the old owners on
+/// `NOT_OWNED` — so a vertex whose labels are still in flight keeps
+/// answering from its old owner, and one already migrated answers from
+/// its new owner.
 struct RouteState {
     current: RouteView,
-    pending: Option<RouteView>,
+    next: EpochFence<RouteView>,
 }
 
 struct Shared {
@@ -186,6 +184,10 @@ impl Shared {
 
     fn backend(&self, slot: u32) -> Arc<BackendState> {
         Arc::clone(&pl_wire::sync::read_recover(&self.table)[slot as usize])
+    }
+
+    fn routing(&self) -> RwLockReadGuard<'_, RouteState> {
+        pl_wire::sync::read_recover(&self.route)
     }
 
     fn table_len(&self) -> usize {
@@ -243,18 +245,68 @@ impl Shared {
     /// Per-backend liveness flags in current-map order, the upward
     /// HEALTH payload.
     fn liveness(&self) -> Vec<bool> {
-        let route = pl_wire::sync::read_recover(&self.route);
-        route
-            .current
-            .ids
-            .iter()
-            .map(|&slot| !self.is_quarantined(slot))
-            .collect()
+        let slots = self.current_slots();
+        slots.into_iter().map(|b| !self.is_quarantined(b)).collect()
     }
 
     /// The table slots of the current map's backends, in map order.
     fn current_slots(&self) -> Vec<u32> {
-        pl_wire::sync::read_recover(&self.route).current.ids.clone()
+        self.routing().current.ids.clone()
+    }
+
+    /// Stages `map` and opens the dual-routing window. The map must
+    /// serve the labeling the current map serves.
+    fn prepare_map(&self, map: ClusterMap) -> MapVerdict {
+        let epoch = map.epoch;
+        let _span = pl_obs::span!("router.reconfig", epoch, 0u64);
+        // Resolve slots before taking the route lock: slot_for may
+        // append to the table.
+        let ids: Vec<u32> = map.backends.iter().map(|a| self.slot_for(a)).collect();
+        let mut route = pl_wire::sync::write_recover(&self.route);
+        let current = &route.current.map;
+        if map.check_labeling(current.n, current.tag).is_err() {
+            return (MapSetStatus::Failed, route.next.committed());
+        }
+        let view = RouteView {
+            part: map.partitioner(),
+            map,
+            ids,
+        };
+        let reply = route.next.prepare(epoch, view);
+        if reply.0 == MapSetStatus::Prepared {
+            pl_obs::event!("router.reconfig.prepare", epoch);
+        }
+        reply
+    }
+
+    /// Commits the map staged at `epoch`: closes the window and retires
+    /// the old map.
+    fn commit_map(&self, epoch: u64, moved: u64) -> MapVerdict {
+        let _span = pl_obs::span!("router.reconfig", epoch, 1u64);
+        let mut route = pl_wire::sync::write_recover(&self.route);
+        match route.next.commit(epoch) {
+            Ok(view) => {
+                route.current = view;
+                self.reconfig_epochs.inc();
+                self.reconfig_moved.add(moved);
+                pl_obs::event!("router.reconfig.commit", epoch, moved);
+                (MapSetStatus::Committed, epoch)
+            }
+            Err(refused) => refused,
+        }
+    }
+
+    /// Rolls an open window back; a window that was open counts as a
+    /// rollback.
+    fn abort_map(&self) -> MapVerdict {
+        let mut route = pl_wire::sync::write_recover(&self.route);
+        let epoch = route.next.committed();
+        let _span = pl_obs::span!("router.reconfig", epoch, 2u64);
+        if route.next.abort().is_some() {
+            self.reconfig_rollbacks.inc();
+            pl_obs::event!("router.reconfig.abort", epoch);
+        }
+        (MapSetStatus::Aborted, epoch)
     }
 
     /// One query's candidate slots. Outside a reconfiguration window
@@ -272,7 +324,7 @@ impl Shared {
                 .map(|b| view.ids[b as usize])
                 .collect()
         };
-        let mut slots = match route.pending.as_ref() {
+        let mut slots = match route.next.staged() {
             Some(pending) => {
                 self.reconfig_dual.inc();
                 let mut out = to_slots(pending);
@@ -308,17 +360,11 @@ impl QueryEngine for RouterEngine {
     }
 
     fn scheme_tag(&self) -> u8 {
-        pl_wire::sync::read_recover(&self.shared.route)
-            .current
-            .map
-            .tag
+        self.shared.routing().current.map.tag
     }
 
     fn n(&self) -> u32 {
-        pl_wire::sync::read_recover(&self.shared.route)
-            .current
-            .map
-            .n
+        self.shared.routing().current.map.n
     }
 
     fn answer_batch(&self, session: &mut Downstream, queries: &[Query], answers: &mut Vec<Answer>) {
@@ -330,88 +376,22 @@ impl QueryEngine for RouterEngine {
     }
 
     fn map_payload(&self, _session: &mut Downstream) -> Option<Vec<u8>> {
-        Some(
-            pl_wire::sync::read_recover(&self.shared.route)
-                .current
-                .map_bytes
-                .clone(),
-        )
+        Some(self.shared.routing().current.map.to_bytes())
     }
 
     /// The router's side of the reconfiguration state machine:
     /// `Prepare` opens the dual-routing window for an epoch-bumped map,
     /// `Commit` retires the old map, `Abort` rolls the window back.
     /// Routers never `Shrink` (they hold no labels).
-    fn map_install(&self, _session: &mut Downstream, req: &MapSetRequest) -> (MapSetStatus, u64) {
+    fn map_install(&self, _session: &mut Downstream, req: &MapSetRequest) -> MapVerdict {
         let shared = &self.shared;
-        let Ok(map) = ClusterMap::from_bytes(&req.map) else {
-            let route = pl_wire::sync::read_recover(&shared.route);
-            return (MapSetStatus::Failed, route.current.map.epoch);
-        };
-        match req.mode {
-            MapSetMode::Prepare => {
-                let _span = pl_obs::span!("router.reconfig", map.epoch, 0u64);
-                // Resolve slots before taking the route lock: slot_for
-                // may append to the table.
-                if map.backends.is_empty()
-                    || map.replicas == 0
-                    || map.replicas as usize > map.backends.len()
-                {
-                    let route = pl_wire::sync::read_recover(&shared.route);
-                    return (MapSetStatus::Failed, route.current.map.epoch);
-                }
-                let ids: Vec<u32> = map.backends.iter().map(|a| shared.slot_for(a)).collect();
-                let mut route = pl_wire::sync::write_recover(&shared.route);
-                if map.n != route.current.map.n || map.tag != route.current.map.tag {
-                    return (MapSetStatus::Failed, route.current.map.epoch);
-                }
-                if map.epoch <= route.current.map.epoch {
-                    return (MapSetStatus::Stale, route.current.map.epoch);
-                }
-                let epoch = map.epoch;
-                let part = map.partitioner();
-                route.pending = Some(RouteView {
-                    map,
-                    map_bytes: req.map.clone(),
-                    part,
-                    ids,
-                });
-                pl_obs::event!("router.reconfig.prepare", epoch);
-                (MapSetStatus::Prepared, epoch)
-            }
-            MapSetMode::Commit => {
-                let _span = pl_obs::span!("router.reconfig", map.epoch, 1u64);
-                let mut route = pl_wire::sync::write_recover(&shared.route);
-                if map.epoch <= route.current.map.epoch {
-                    return (MapSetStatus::Stale, route.current.map.epoch);
-                }
-                match route.pending.take() {
-                    Some(pending) if pending.map.epoch == map.epoch => {
-                        route.current = pending;
-                        shared.reconfig_epochs.inc();
-                        shared.reconfig_moved.add(req.moved);
-                        pl_obs::event!("router.reconfig.commit", map.epoch, req.moved);
-                        (MapSetStatus::Committed, map.epoch)
-                    }
-                    other => {
-                        route.pending = other;
-                        (MapSetStatus::Failed, route.current.map.epoch)
-                    }
-                }
-            }
-            MapSetMode::Abort => {
-                let _span = pl_obs::span!("router.reconfig", map.epoch, 2u64);
-                let mut route = pl_wire::sync::write_recover(&shared.route);
-                if route.pending.take().is_some() {
-                    shared.reconfig_rollbacks.inc();
-                    pl_obs::event!("router.reconfig.abort", map.epoch);
-                }
-                (MapSetStatus::Aborted, route.current.map.epoch)
-            }
-            MapSetMode::Shrink => {
-                let route = pl_wire::sync::read_recover(&shared.route);
-                (MapSetStatus::Unsupported, route.current.map.epoch)
-            }
+        let committed = shared.routing().next.committed();
+        match (req.mode, ClusterMap::from_bytes(&req.map)) {
+            (MapSetMode::Abort, _) => shared.abort_map(),
+            (_, Err(_)) => (MapSetStatus::Failed, committed),
+            (MapSetMode::Prepare, Ok(map)) => shared.prepare_map(map),
+            (MapSetMode::Commit, Ok(map)) => shared.commit_map(map.epoch, req.moved),
+            (MapSetMode::Shrink, Ok(_)) => (MapSetStatus::Unsupported, committed),
         }
     }
 
@@ -492,18 +472,13 @@ impl RouterHandle {
     /// The committed cluster-map epoch the router is routing on.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        pl_wire::sync::read_recover(&self.shared.route)
-            .current
-            .map
-            .epoch
+        self.shared.routing().next.committed()
     }
 
     /// Whether a prepared (dual-routing) reconfiguration window is open.
     #[must_use]
     pub fn reconfiguring(&self) -> bool {
-        pl_wire::sync::read_recover(&self.shared.route)
-            .pending
-            .is_some()
+        self.shared.routing().next.staged().is_some()
     }
 
     /// Signals shutdown, drains the front-end and joins the prober, and
@@ -602,17 +577,11 @@ pub fn route_with(
         .map(|(slot, addr)| Arc::new(BackendState::new(addr.clone(), slot, &registry)))
         .collect();
     let part = map.partitioner();
-    let map_bytes = map.to_bytes();
     let ids: Vec<u32> = (0..map.backends.len() as u32).collect();
     let shared = Arc::new(Shared {
         route: RwLock::new(RouteState {
-            current: RouteView {
-                map,
-                map_bytes,
-                part,
-                ids,
-            },
-            pending: None,
+            next: EpochFence::new(map.epoch),
+            current: RouteView { map, part, ids },
         }),
         table: RwLock::new(table),
         config,

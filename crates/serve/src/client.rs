@@ -41,6 +41,13 @@ fn bad_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// A request this client cannot encode (too many queries, an oversized
+/// frame): the caller's error, so [`ClientError::classify`] makes it
+/// `Fatal` instead of replaying it.
+fn bad_request(e: ProtocolError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, e.to_string())
+}
+
 /// What the server said when [`Client`] raises an error for a reply it
 /// understood. It rides as the payload of an `InvalidData` error whose
 /// message is the inner text, so [`ClientError::classify`] reads the
@@ -162,7 +169,7 @@ impl Client {
     /// put a batch on each of several connections before it reads any.
     /// Pair every call with one [`recv_batch`](Self::recv_batch).
     fn send_batch_ctx(&mut self, queries: &[Query], ctx: Option<&TraceContext>) -> io::Result<()> {
-        let body = encode_batch_ctx(queries, ctx, VERSION).map_err(|e| bad_data(e.to_string()))?;
+        let body = encode_batch_ctx(queries, ctx, VERSION).map_err(bad_request)?;
         write_frame(self.stream.get_mut(), &body)
     }
 
@@ -269,8 +276,7 @@ impl Client {
         moved: u64,
         map: &[u8],
     ) -> io::Result<(MapSetStatus, u64)> {
-        let body =
-            encode_map_set(mode, backend, moved, map).map_err(|e| bad_data(e.to_string()))?;
+        let body = encode_map_set(mode, backend, moved, map).map_err(bad_request)?;
         let reply = self.round_trip(&body, opcode::MAP_OK, "map ok")?;
         parse_map_ok(&reply).map_err(|e| bad_data(e.to_string()))
     }
@@ -285,7 +291,7 @@ impl Client {
         ids: &[u32],
         labels: &[u8],
     ) -> io::Result<(LabelsStatus, u32)> {
-        let body = encode_labels(epoch, ids, labels).map_err(|e| bad_data(e.to_string()))?;
+        let body = encode_labels(epoch, ids, labels).map_err(bad_request)?;
         let reply = self.round_trip(&body, opcode::LABELS_OK, "labels ok")?;
         parse_labels_ok(&reply).map_err(|e| bad_data(e.to_string()))
     }

@@ -41,7 +41,7 @@ pub mod store;
 
 pub use client::loadgen::{LoadReport, LoadgenConfig, Skew};
 pub use client::{Client, ClientError, ResilientClient, RetryKind, RetryPolicy};
-pub use map::{ClusterMap, MapError};
+pub use map::{ClusterMap, EpochFence, MapError};
 pub use partition::Partitioner;
 pub use pl_labeling::codec::{SchemeTag, TaggedLabeling};
 pub use pl_wire::fault::{FaultKind, FaultPlan};

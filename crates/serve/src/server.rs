@@ -1,36 +1,16 @@
 //! The TCP server: the shared [`pl_wire`] front-end over a
 //! [`LabelStore`] engine.
 //!
-//! Since PR 6 the transport — accept loop, per-connection lifecycle,
-//! HELLO handshake, `--max-conns` shedding, idle/stall deadlines,
-//! drain-on-shutdown, and fault injection — lives in
-//! [`pl_wire::frontend`] and is shared with the `pl-cluster` router.
-//! This module supplies only the engine: [`StoreEngine`] implements
-//! [`QueryEngine`] by answering each batch against the store query by
-//! query ([`LabelStore::adjacent_batch_traced`]). The store is an
-//! immutable arena, so the answer path takes no lock.
-//!
-//! ## Degradation under load and failure
-//!
-//! The front-end degrades gracefully rather than wedging (see
-//! RELIABILITY.md):
-//!
-//! - [`ServeOptions::max_conns`] caps concurrent connections; excess
-//!   accepts are *shed* — answered with a single `OVERLOADED` frame and
-//!   closed, counted in `plserve_shed_total` — instead of queueing
-//!   unboundedly behind a stuck hub connection.
-//! - [`ServeOptions::idle_timeout`] reaps connections that have sent
-//!   nothing for too long; [`ServeOptions::stall_timeout`] bounds both a
-//!   peer that stalls mid-frame and a peer that stops reading its
-//!   replies (it doubles as the socket write timeout).
-//! - Finished connection threads are reaped every accept-loop pass, so
-//!   the handle vector stays bounded by the number of *live*
-//!   connections ([`ServerHandle::conn_handle_count`]).
-//! - A [`FaultPlan`] ([`ServeOptions::fault_plan`]) turns on the
-//!   deterministic fault-injection harness of [`pl_wire::fault`] for
-//!   chaos testing: injected read/write delays, dropped and truncated
-//!   reply frames, flipped reply bytes (the reply checksum catches
-//!   them), and simulated store errors.
+//! The transport — accept loop, per-connection lifecycle, HELLO
+//! handshake, `--max-conns` shedding, idle/stall deadlines,
+//! drain-on-shutdown and fault injection — is [`pl_wire::frontend`],
+//! shared with the `pl-cluster` router; [`ServeOptions`] passes its
+//! knobs through (RELIABILITY.md §Server-side degradation). This module
+//! supplies only the engine: [`StoreEngine`] implements [`QueryEngine`]
+//! by answering each batch against the store query by query
+//! ([`LabelStore::adjacent_batch_traced`]). The store is an immutable
+//! arena, so the answer path takes no lock. Its `MAP_SET` and `LABELS`
+//! verdicts follow the one reconfiguration policy of [`crate::map`].
 //!
 //! ## Observability
 //!
@@ -41,13 +21,10 @@
 //! at or over [`ServeOptions::slow_query_ns`] increments
 //! `plserve_slow_queries_total` and records a `serve.slow_query` trace
 //! event carrying the vertex pair and the query path
-//! ([`QueryPath`](crate::QueryPath)).
-//! Resilience events land in `plserve_faults_injected_total{kind}`,
-//! `plserve_shed_total`, `plserve_idle_reaped_total`,
-//! `plserve_deadline_closes_total`, and the `plserve_open_conns` gauge.
-//! [`ServerHandle::prometheus_text`] renders the registry (plus the
-//! process-global encode metrics) in Prometheus text format — `plab
-//! serve --prom` exposes it over HTTP.
+//! ([`QueryPath`](crate::QueryPath)). The front-end's resilience events
+//! land in the same registry. [`ServerHandle::prometheus_text`] renders
+//! it (plus the process-global encode metrics) in Prometheus text
+//! format — `plab serve --prom` exposes it over HTTP.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -65,7 +42,7 @@ use pl_wire::protocol::{
 };
 use pl_wire::stats::{Metrics, Snapshot};
 
-use crate::map::ClusterMap;
+use crate::map::{ClusterMap, EpochFence, MapVerdict};
 use crate::store::{BatchOutcome, LabelStore, StoreError};
 
 /// Server tuning knobs beyond the store itself.
@@ -113,26 +90,18 @@ pub struct StoreEngine {
     reconfig: Mutex<ReconfigState>,
 }
 
-/// The backend's view of cluster reconfiguration: the committed epoch
-/// plus an optional staged (prepared but uncommitted) map with the
-/// labels streamed in for it so far.
-#[derive(Default)]
+/// The backend's view of cluster reconfiguration: the epoch fence
+/// (committed epoch, 0 until the first map push, plus the staged map
+/// with the labels streamed in for it so far) and the committed map.
 struct ReconfigState {
-    /// Committed epoch; 0 until the first map push.
-    epoch: u64,
+    fence: EpochFence<PendingMap>,
     /// Serialized current map, answering `MAP_GET`.
     map: Option<Vec<u8>>,
-    /// This backend's index in the current map.
-    index: u32,
-    pending: Option<PendingMap>,
 }
 
 /// A prepared-but-uncommitted map push.
 struct PendingMap {
-    epoch: u64,
     map_bytes: Vec<u8>,
-    /// This backend's index in the pending map.
-    index: u32,
     /// Labels streamed in for the pending epoch, keyed by vertex.
     labels: HashMap<u32, Label>,
 }
@@ -165,105 +134,72 @@ impl StoreEngine {
     /// The committed reconfiguration epoch (0 until the first map push).
     #[must_use]
     pub fn reconfig_epoch(&self) -> u64 {
-        pl_wire::sync::lock_recover(&self.reconfig).epoch
+        pl_wire::sync::lock_recover(&self.reconfig)
+            .fence
+            .committed()
     }
 
-    /// Stages an epoch-bumped map: semantic validation (parameters must
-    /// match the serving store), epoch fencing (must be newer than the
-    /// committed epoch), then buffer it for `LABELS` pushes.
-    fn prepare(&self, req: &MapSetRequest) -> (MapSetStatus, u64) {
+    /// Stages an epoch-bumped map for `LABELS` pushes. The map must
+    /// serve this store's labeling and name this backend.
+    fn prepare(
+        &self,
+        state: &mut ReconfigState,
+        req: &MapSetRequest,
+        map: &ClusterMap,
+    ) -> MapVerdict {
         let store = self.store();
-        let mut state = pl_wire::sync::lock_recover(&self.reconfig);
-        let Ok(map) = ClusterMap::from_bytes(&req.map) else {
-            return (MapSetStatus::Failed, state.epoch);
-        };
-        if map.n != store.n()
-            || map.tag != store.tag().as_u8()
-            || (req.backend as usize) >= map.backends.len()
-            || map.replicas == 0
+        if map.check_labeling(store.n(), store.tag().as_u8()).is_err()
+            || req.backend as usize >= map.backends.len()
         {
-            return (MapSetStatus::Failed, state.epoch);
+            return (MapSetStatus::Failed, state.fence.committed());
         }
-        if map.epoch <= state.epoch {
-            return (MapSetStatus::Stale, state.epoch);
-        }
-        let epoch = map.epoch;
-        // A newer prepare supersedes any staged one (its labels die
-        // with it — the coordinator restreams for the new epoch).
-        state.pending = Some(PendingMap {
-            epoch,
+        let pending = PendingMap {
             map_bytes: req.map.clone(),
-            index: req.backend,
             labels: HashMap::new(),
-        });
-        (MapSetStatus::Prepared, epoch)
+        };
+        state.fence.prepare(map.epoch, pending)
     }
 
     /// Commits the staged map: rebuilds the store with the pushed
     /// labels merged (streamed-in labels override, every other vertex
-    /// keeps its current label bit for bit), swaps it in, and advances
-    /// the epoch. The rebuild runs against a snapshot of the current
-    /// store while that store keeps serving; only the final pointer
-    /// swap takes the write lock.
-    fn commit(&self, req: &MapSetRequest) -> (MapSetStatus, u64) {
-        let old = self.store();
-        let pending = {
-            let mut state = pl_wire::sync::lock_recover(&self.reconfig);
-            let Ok(map) = ClusterMap::from_bytes(&req.map) else {
-                return (MapSetStatus::Failed, state.epoch);
-            };
-            if map.epoch <= state.epoch {
-                return (MapSetStatus::Stale, state.epoch);
-            }
-            match state.pending.take() {
-                Some(p) if p.epoch == map.epoch => p,
-                other => {
-                    state.pending = other;
-                    return (MapSetStatus::Failed, state.epoch);
-                }
-            }
+    /// keeps its current label bit for bit) and swaps it in. The
+    /// current store keeps serving during the rebuild; only the final
+    /// pointer swap takes the write lock.
+    fn commit(&self, state: &mut ReconfigState, map: &ClusterMap) -> MapVerdict {
+        let pending = match state.fence.commit(map.epoch) {
+            Ok(pending) => pending,
+            Err(refused) => return refused,
         };
+        let old = self.store();
         let mut builder = LabelingBuilder::new();
         for (v, current) in old.labeling().iter() {
             builder.push_ref(pending.labels.get(&v).map_or(current, Label::view));
         }
-        let rebuilt = Arc::new(old.relabeled(builder.finish()));
-        let mut state = pl_wire::sync::lock_recover(&self.reconfig);
-        *pl_wire::sync::write_recover(&self.store) = rebuilt;
-        state.epoch = pending.epoch;
+        *pl_wire::sync::write_recover(&self.store) = Arc::new(old.relabeled(builder.finish()));
         state.map = Some(pending.map_bytes);
-        state.index = pending.index;
-        (MapSetStatus::Committed, pending.epoch)
+        (MapSetStatus::Committed, map.epoch)
     }
 
     /// Post-commit cleanup on a losing backend: labels the *current*
     /// map no longer assigns to this backend shrink back to prelude
     /// stubs. Threshold labelings only — the same restriction as
     /// splitting.
-    fn shrink(&self, req: &MapSetRequest) -> (MapSetStatus, u64) {
+    fn shrink(&self, state: &ReconfigState, backend: u32, map: &ClusterMap) -> MapVerdict {
+        if let Err(refused) = state.fence.check_committed(map.epoch) {
+            return refused;
+        }
+        let failed = (MapSetStatus::Failed, map.epoch);
         let old = self.store();
-        let (epoch, part, index) = {
-            let state = pl_wire::sync::lock_recover(&self.reconfig);
-            let Ok(map) = ClusterMap::from_bytes(&req.map) else {
-                return (MapSetStatus::Failed, state.epoch);
-            };
-            if map.epoch != state.epoch {
-                return (MapSetStatus::Stale, state.epoch);
-            }
-            if old.tag() != SchemeTag::Threshold || (req.backend as usize) >= map.backends.len() {
-                return (MapSetStatus::Failed, state.epoch);
-            }
-            (state.epoch, map.partitioner(), req.backend)
+        if old.tag() != SchemeTag::Threshold || backend as usize >= map.backends.len() {
+            return failed;
+        }
+        let part = map.partitioner();
+        let Ok(labeling) = cut(old.labeling(), |v| part.owns(backend, v)) else {
+            return failed;
         };
-        let Ok(labeling) = cut(old.labeling(), |v| part.owns(index, v)) else {
-            return (
-                MapSetStatus::Failed,
-                pl_wire::sync::lock_recover(&self.reconfig).epoch,
-            );
-        };
-        let rebuilt = Arc::new(old.relabeled(labeling).with_partial(true));
-        *pl_wire::sync::write_recover(&self.store) = rebuilt;
-        (MapSetStatus::Shrunk, epoch)
+        *pl_wire::sync::write_recover(&self.store) =
+            Arc::new(old.relabeled(labeling).with_partial(true));
+        (MapSetStatus::Shrunk, map.epoch)
     }
 
     /// Buffers one `LABELS` frame for the staged epoch. All-or-nothing:
@@ -276,19 +212,20 @@ impl StoreEngine {
             .ok()
             .filter(|chunk| chunk.len() == ids.len() && ids.iter().all(|&v| v < n));
         let mut state = pl_wire::sync::lock_recover(&self.reconfig);
-        let Some(pending) = state.pending.as_mut() else {
-            return (LabelsStatus::WrongEpoch, 0);
+        let received = |p: &PendingMap| p.labels.len() as u32;
+        let Some(pending) = state.fence.staged_at(epoch) else {
+            return (
+                LabelsStatus::WrongEpoch,
+                state.fence.staged().map_or(0, received),
+            );
         };
-        if epoch != pending.epoch {
-            return (LabelsStatus::WrongEpoch, pending.labels.len() as u32);
-        }
         let Some(chunk) = chunk else {
-            return (LabelsStatus::Rejected, pending.labels.len() as u32);
+            return (LabelsStatus::Rejected, received(pending));
         };
         for (&v, (_, label)) in ids.iter().zip(chunk.iter()) {
             pending.labels.insert(v, label.to_label());
         }
-        (LabelsStatus::Ok, pending.labels.len() as u32)
+        (LabelsStatus::Ok, received(pending))
     }
 
     /// Records one query's latency and, at or over the threshold, the
@@ -377,16 +314,21 @@ impl QueryEngine for StoreEngine {
         pl_wire::sync::lock_recover(&self.reconfig).map.clone()
     }
 
-    fn map_install(&self, _s: &mut StoreSession, req: &MapSetRequest) -> (MapSetStatus, u64) {
-        match req.mode {
-            MapSetMode::Prepare => self.prepare(req),
-            MapSetMode::Commit => self.commit(req),
-            MapSetMode::Abort => {
-                let mut state = pl_wire::sync::lock_recover(&self.reconfig);
-                state.pending = None;
-                (MapSetStatus::Aborted, state.epoch)
+    /// The backend's side of the reconfiguration state machine. The
+    /// lock is held through a commit's rebuild, so the epoch, the
+    /// `MAP_GET` map and the serving store move together.
+    fn map_install(&self, _s: &mut StoreSession, req: &MapSetRequest) -> MapVerdict {
+        let mut state = pl_wire::sync::lock_recover(&self.reconfig);
+        let committed = state.fence.committed();
+        match (req.mode, ClusterMap::from_bytes(&req.map)) {
+            (MapSetMode::Abort, _) => {
+                state.fence.abort();
+                (MapSetStatus::Aborted, committed)
             }
-            MapSetMode::Shrink => self.shrink(req),
+            (_, Err(_)) => (MapSetStatus::Failed, committed),
+            (MapSetMode::Prepare, Ok(map)) => self.prepare(&mut state, req, &map),
+            (MapSetMode::Commit, Ok(map)) => self.commit(&mut state, &map),
+            (MapSetMode::Shrink, Ok(map)) => self.shrink(&state, req.backend, &map),
         }
     }
 
@@ -510,7 +452,10 @@ pub fn serve_with(
         store: RwLock::new(store),
         metrics: Metrics::new(&registry),
         slow_query_ns: options.slow_query_ns.unwrap_or(u64::MAX),
-        reconfig: Mutex::new(ReconfigState::default()),
+        reconfig: Mutex::new(ReconfigState {
+            fence: EpochFence::new(0),
+            map: None,
+        }),
     });
     let front = frontend::bind(
         engine,

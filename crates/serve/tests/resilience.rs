@@ -586,3 +586,27 @@ fn handshake_verdicts_classify_by_type() {
         ]
     );
 }
+
+/// A batch the client cannot even encode (more than `MAX_BATCH`
+/// queries) is the caller's error: fatal on the first attempt, with the
+/// encoder's message, and no reconnect is spent on it.
+#[test]
+fn an_unencodable_batch_is_fatal_without_a_retry() {
+    let g = chung_lu(200, 11);
+    let handle = pl_serve::serve_with(
+        threshold_store(&g, 8, StoreConfig::default()),
+        "127.0.0.1:0",
+        ServeOptions::default(),
+    )
+    .expect("bind");
+    let mut client = ResilientClient::connect(handle.addr(), fast_policy(9)).expect("connect");
+    let queries = vec![Query::adjacent(0, 1); pl_wire::protocol::MAX_BATCH + 1];
+    let err = client
+        .batch(&queries)
+        .expect_err("65 536 queries do not fit a BATCH");
+    assert!(matches!(err, ClientError::Fatal(_)), "{err}");
+    assert!(err.to_string().contains("batch"), "{err}");
+    assert_eq!(client.retries(), 0);
+    drop(client);
+    assert_eq!(handle.shutdown().connections, 1);
+}

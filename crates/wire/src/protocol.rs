@@ -794,22 +794,23 @@ pub struct MapSetRequest {
     pub map: Vec<u8>,
 }
 
-/// Structural validation of a pushed map blob: the `"PLCM"` magic, the
-/// minimum fixed-layout size, and the trailing FNV-1a-32 self-checksum
-/// the `ClusterMap` serialization carries. The wire layer treats the
-/// blob as opaque beyond this — semantic parsing lives with the engine
-/// — but a bit-flipped or truncated push is rejected here, before any
-/// engine sees it.
-pub fn validate_map_blob(map: &[u8]) -> Result<(), ProtocolError> {
-    if map.len() < 36 || map[..4] != *b"PLCM" {
+/// Magic opening every serialized cluster map (`pl_serve::map`).
+pub const MAP_MAGIC: [u8; 4] = *b"PLCM";
+
+/// The one check of the map envelope: the [`MAP_MAGIC`], the minimum
+/// fixed-layout size, and the trailing FNV-1a-32 self-checksum.
+/// Returns the blob without its checksum. The wire rejects a
+/// bit-flipped or truncated push here, before any engine sees it;
+/// `ClusterMap::from_bytes` runs the same check before it reads a field.
+pub fn validate_map_blob(map: &[u8]) -> Result<&[u8], ProtocolError> {
+    if map.len() < 36 || map[..4] != MAP_MAGIC {
         return Err(ProtocolError::Malformed("map blob"));
     }
     let (payload, sum) = map.split_at(map.len() - 4);
-    let declared = crate::bytes::le_u32(sum);
-    if checksum(payload) != declared {
+    if checksum(payload) != crate::bytes::le_u32(sum) {
         return Err(ProtocolError::ChecksumMismatch);
     }
-    Ok(())
+    Ok(payload)
 }
 
 /// Builds a MAP_GET body (opcode only).
@@ -1348,12 +1349,12 @@ mod tests {
         assert!(parse_health_reply(&lying).is_err());
     }
 
-    /// A minimal, structurally valid map blob: "PLCM" magic, arbitrary
+    /// A minimal, structurally valid map blob: the map magic, arbitrary
     /// body bytes up to the fixed-layout minimum, trailing FNV-1a-32
     /// self-checksum.
     fn fake_map_blob() -> Vec<u8> {
         let mut b = Vec::new();
-        b.extend_from_slice(b"PLCM");
+        b.extend_from_slice(&MAP_MAGIC);
         b.push(1); // map format version
         b.extend_from_slice(&7u64.to_le_bytes()); // epoch
         b.extend_from_slice(&0xDEAD_BEEFu64.to_le_bytes()); // seed
