@@ -215,8 +215,14 @@ observability_smoke() {
         grep -q "$metric" "$smoke_dir/metrics.prom" \
             || { echo "ci: scrape is missing $metric" >&2; return 1; }
     done
-    "$plab" stats "$addr" --prom | grep -q '^plserve_qps ' \
-        || { echo "ci: plab stats --prom lacks plserve_qps" >&2; return 1; }
+    # STATS carries the registry the scrape renders: every plserve_
+    # family of the scrape is in `plab stats --prom` too.
+    "$plab" stats "$addr" --prom > "$smoke_dir/stats.prom"
+    local family
+    for family in $(grep -o '^plserve_[a-z0-9_]*' "$smoke_dir/metrics.prom" | sort -u); do
+        grep -q "^$family[ {]" "$smoke_dir/stats.prom" \
+            || { echo "ci: plab stats --prom lacks $family" >&2; return 1; }
+    done
     "$plab" trace "$addr" --out "$smoke_dir/serve_trace.jsonl"
     grep -q '"name":"serve.slow_query"' "$smoke_dir/serve_trace.jsonl" \
         || { echo "ci: serve trace JSONL lacks slow-query events" >&2; return 1; }
@@ -256,7 +262,7 @@ chaos_smoke() {
     "$plab" stats "$addr" --prom > "$smoke_dir/chaos.prom" \
         || { echo "ci: plab stats failed against the chaos server" >&2; return 1; }
     grep '^plserve_faults_injected_total' "$smoke_dir/chaos.prom" \
-        | awk '{ exit !($2 > 0) }' \
+        | awk '{ s += $2 } END { exit !(s > 0) }' \
         || { echo "ci: chaos server reported no injected faults" >&2; return 1; }
     wait "$chaos_pid"
 }
@@ -351,7 +357,7 @@ router_front_smoke() {
         | awk '{ exit !($2 > 0) }' \
         || { echo "ci: router shed counter did not move under --max-conns 2" >&2; return 1; }
     grep '^plserve_faults_injected_total' "$smoke_dir/front.prom" \
-        | awk '{ exit !($2 > 0) }' \
+        | awk '{ s += $2 } END { exit !(s > 0) }' \
         || { echo "ci: router fault counter did not move under --fault-plan" >&2; return 1; }
     wait "$front_pid"
 }

@@ -55,10 +55,13 @@ fn run_one(
     let stats = client.stats().expect("stats");
     let _ = client.goodbye();
     handle.shutdown();
+    let latency = stats
+        .histogram("plserve_query_latency_ns")
+        .expect("decode latency histogram");
     RunResult {
         qps: report.qps,
-        p50_ns: stats.p50_ns,
-        p99_ns: stats.p99_ns,
+        p50_ns: latency.quantile_ns(0.5),
+        p99_ns: latency.quantile_ns(0.99),
     }
 }
 

@@ -96,7 +96,7 @@ fn run_scenario(
         queries: report.queries,
         failed: report.failed,
         retries: report.retries,
-        faults_injected: stats.faults_injected,
+        faults_injected: stats.counter("plserve_faults_injected_total"),
         success_pct: report.success_rate() * 100.0,
         mismatches: report.mismatches,
         p99_batch_ms: report.p99_batch_ns as f64 / 1e6,

@@ -68,7 +68,7 @@ pub struct ClusterHandle {
 
 impl ClusterHandle {
     /// Drains the router, then kills and reaps every backend child.
-    pub fn shutdown(self) -> pl_wire::Snapshot {
+    pub fn shutdown(self) -> pl_wire::Stats {
         let stats = self.router.shutdown();
         for (_, mut child, _) in self.children {
             child.kill().ok();

@@ -39,9 +39,11 @@
 //! Observability: the `plcluster_*` families of OBSERVABILITY.md and,
 //! in the same registry, the front-end's `plserve_*` transport families
 //! ([`RouterHandle::prometheus_text`]). A `STATS` request upward
-//! returns the *merged* cluster snapshot: counters summed across live
-//! backends, latency quantiles from the router's own observations, and
-//! the router front-end's own shed/fault counters folded in.
+//! returns the router's own samples merged with every reachable
+//! backend's under one rule ([`merge_samples`]): counters and gauges
+//! sum, histograms add bucket by bucket. So `plserve_query_latency_ns`
+//! is the cluster-wide decode latency, and the router's batch latency
+//! is `plcluster_batch_ns`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -50,14 +52,14 @@ use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use pl_obs::hist::Histogram;
-use pl_obs::registry::Counter;
+use pl_obs::registry::{merge_samples, Counter};
 use pl_obs::trace::{self, SpanGuard, TraceContext};
 use pl_obs::MetricsRegistry;
 use pl_serve::map::MapVerdict;
 use pl_serve::{ClientError, ClusterMap, EpochFence, Partitioner, ResilientClient, RetryPolicy};
-use pl_wire::frontend::{self, FrontStats, FrontendHandle, FrontendOptions, QueryEngine};
+use pl_wire::frontend::{self, FrontendHandle, FrontendOptions, QueryEngine};
 use pl_wire::protocol::{trace_dump_flags, MapSetMode, MapSetRequest, MapSetStatus};
-use pl_wire::{Answer, Query, Snapshot};
+use pl_wire::{Answer, Query, Stats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -405,20 +407,24 @@ impl QueryEngine for RouterEngine {
         cluster_trace_jsonl(&self.shared, session, snapshot)
     }
 
-    fn wire_stats(&self, session: &mut Downstream, front: &FrontStats) -> Snapshot {
-        let mut merged = merged_stats(&self.shared, session);
-        // Fold in the router front-end's own transport counters so a
-        // client asking the *router* for STATS sees router-side sheds
-        // and injected faults, not only the backends' sums.
-        merged.faults_injected += front.faults.total();
-        merged.shed += front.metrics.shed.get();
-        merged.protocol_errors += front.metrics.protocol_errors.get();
-        merged.open_conns += front.metrics.open_conns.get().max(0) as u64;
-        merged
-    }
-
-    fn local_snapshot(&self, _front: &FrontStats) -> Snapshot {
-        router_snapshot(&self.shared)
+    /// The cluster-wide `STATS`: the router's own samples merged with
+    /// each reachable backend's, fetched over this session's pooled
+    /// connections. A backend that fails the fetch is quarantined.
+    fn wire_stats(&self, session: &mut Downstream, mut own: Stats) -> Stats {
+        let shared = &self.shared;
+        for b in shared.current_slots() {
+            let Ok(mut client) = session.take(shared, b) else {
+                continue;
+            };
+            match client.stats() {
+                Ok(s) => {
+                    merge_samples(&mut own.samples, &s.samples);
+                    session.put(b, client);
+                }
+                Err(_) => shared.quarantine(b),
+            }
+        }
+        own
     }
 }
 
@@ -447,14 +453,14 @@ impl RouterHandle {
     /// Renders the router registry as Prometheus text.
     #[must_use]
     pub fn prometheus_text(&self) -> String {
-        pl_obs::prom::render(&self.shared.registry)
+        pl_obs::prom::render(&self.shared.registry.samples())
     }
 
     /// A boxed renderer for [`pl_obs::http::expose`].
     #[must_use]
     pub fn prometheus_renderer(&self) -> Arc<dyn Fn() -> String + Send + Sync> {
         let shared = Arc::clone(&self.shared);
-        Arc::new(move || pl_obs::prom::render(&shared.registry))
+        Arc::new(move || pl_obs::prom::render(&shared.registry.samples()))
     }
 
     /// Per-backend liveness as the router currently believes it.
@@ -482,8 +488,8 @@ impl RouterHandle {
     }
 
     /// Signals shutdown, drains the front-end and joins the prober, and
-    /// returns the router's own merged view of its counters.
-    pub fn shutdown(self) -> Snapshot {
+    /// returns the router registry's final samples (no backend merge).
+    pub fn shutdown(self) -> Stats {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         let snap = self.front.shutdown();
         if let Some(t) = self.prober_thread {
@@ -523,27 +529,6 @@ fn cluster_trace_jsonl(shared: &Shared, down: &mut Downstream, snapshot: bool) -
         }
     }
     trace_merge::merge(&streams)
-}
-
-/// The router's own counters as a wire snapshot (no backend merge —
-/// that needs live connections; see the upward `STATS` path).
-fn router_snapshot(shared: &Shared) -> Snapshot {
-    let h = shared.batch_ns.snapshot();
-    let uptime = shared.started.elapsed().as_secs_f64().max(1e-9);
-    let queries = shared.queries.get();
-    Snapshot {
-        adj_queries: queries,
-        batches: shared.batches.get(),
-        connections: shared.connections.get(),
-        p50_ns: h.quantile_ns(0.50),
-        p90_ns: h.quantile_ns(0.90),
-        p99_ns: h.quantile_ns(0.99),
-        p999_ns: h.quantile_ns(0.999),
-        min_ns: h.min,
-        max_ns: h.max,
-        qps_milli: (queries as f64 / uptime * 1_000.0) as u64,
-        ..Snapshot::default()
-    }
 }
 
 /// Starts a router for `map`, listening upward on `addr`, with default
@@ -797,33 +782,4 @@ fn answer_batch(shared: &Shared, down: &mut Downstream, queries: &[Query]) -> Ve
         .into_iter()
         .map(|a| a.unwrap_or(Answer::Overloaded))
         .collect()
-}
-
-/// Merged cluster STATS: counters summed over reachable backends,
-/// quantiles from the router's own batch histogram.
-fn merged_stats(shared: &Shared, down: &mut Downstream) -> Snapshot {
-    let mut merged = router_snapshot(shared);
-    merged.adj_queries = 0;
-    for b in shared.current_slots() {
-        let Ok(mut client) = down.take(shared, b) else {
-            continue;
-        };
-        match client.stats() {
-            Ok(s) => {
-                merged.adj_queries += s.adj_queries;
-                merged.dist_queries += s.dist_queries;
-                merged.connections += s.connections;
-                merged.bytes_in += s.bytes_in;
-                merged.bytes_out += s.bytes_out;
-                merged.protocol_errors += s.protocol_errors;
-                merged.slow_queries += s.slow_queries;
-                merged.faults_injected += s.faults_injected;
-                merged.shed += s.shed;
-                merged.open_conns += s.open_conns;
-                down.put(b, client);
-            }
-            Err(_) => shared.quarantine(b),
-        }
-    }
-    merged
 }

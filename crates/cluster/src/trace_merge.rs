@@ -12,8 +12,9 @@
 //! `TRACE_CTX`).
 //!
 //! [`merge`] therefore tags every line with its origin, groups lines by
-//! trace id, and orders each trace *causally*: parents before children
-//! (breadth-first over the span tree), ties broken by origin then
+//! trace id, and orders each trace *causally*: a depth-first pre-order
+//! over the span tree, so every span directly follows its parent's
+//! earlier children and their subtrees; siblings order by origin then
 //! start time. Untraced events lead, sorted per origin; traced groups
 //! follow, so front-truncation at the wire's frame cap sacrifices
 //! untraced noise before traced spans. The output is one JSONL stream —
@@ -26,6 +27,9 @@
 //! decomposition is all durations: router batch time, scatter time,
 //! router queue (batch − scatter), per-leg round trip, backend batch
 //! time, wire overhead (leg − backend batch), and backend store time.
+//! Each leg is paired with the backend `serve.batch` spans whose parent
+//! is that leg's span, never by origin name, so the decomposition holds
+//! in one process (where every origin is `router`) as in a cluster.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -114,11 +118,11 @@ pub fn parse_stream(jsonl: &str, origin: &str) -> Vec<TraceLine> {
         .collect()
 }
 
-/// Orders one trace's lines causally: breadth-first over the span tree
-/// (every parent precedes all its children), roots first. Lines whose
-/// parent is not in the trace (e.g. ring-wrapped away) count as roots.
-/// Ties order by origin then start time — never across origins by
-/// timestamp alone.
+/// Orders one trace's lines causally: a depth-first pre-order over the
+/// span tree, so each line comes right after its parent or an earlier
+/// sibling's subtree. Lines whose parent is not in the trace (e.g.
+/// ring-wrapped away) count as roots. Siblings order by origin then
+/// start time — never across origins by timestamp alone.
 fn causal_order(mut lines: Vec<TraceLine>) -> Vec<TraceLine> {
     lines.sort_by(|x, y| {
         x.origin
@@ -142,14 +146,14 @@ fn causal_order(mut lines: Vec<TraceLine>) -> Vec<TraceLine> {
         }
     }
     let mut order: Vec<usize> = Vec::with_capacity(lines.len());
-    let mut queue: std::collections::VecDeque<usize> = roots.into();
-    while let Some(i) = queue.pop_front() {
+    let mut stack: Vec<usize> = roots.into_iter().rev().collect();
+    while let Some(i) = stack.pop() {
         order.push(i);
         if let Some(kids) = children.remove(&lines[i].span) {
-            queue.extend(kids);
+            stack.extend(kids.into_iter().rev());
         }
     }
-    // Cycles (torn events) never reach the queue; append them so no
+    // Cycles (torn events) never reach the stack; append them so no
     // line is silently dropped.
     if order.len() < lines.len() {
         let mut seen = vec![false; lines.len()];
@@ -258,10 +262,17 @@ pub fn explain(merged_jsonl: &str, trace_hex: &str) -> Option<String> {
         ));
     }
 
-    // Decomposition. Router-side spans:
+    // Decomposition. The spans named `name` whose parent is `span`:
+    let under = |span: u64, name: &'static str| {
+        ordered
+            .iter()
+            .filter(move |l| span != 0 && l.parent == span && l.name == name)
+    };
+    let legs: Vec<&TraceLine> = ordered.iter().filter(|l| l.name == "router.leg").collect();
+    // The router's batch is the one no leg sent.
     let router_batch: u64 = ordered
         .iter()
-        .filter(|l| l.origin == "router" && l.name == "serve.batch")
+        .filter(|l| l.name == "serve.batch" && !legs.iter().any(|leg| leg.span == l.parent))
         .map(|l| l.dur_ns)
         .max()
         .unwrap_or(0);
@@ -285,19 +296,12 @@ pub fn explain(merged_jsonl: &str, trace_hex: &str) -> Option<String> {
     if scatter > 0 {
         out.push_str(&format!("  router scatter         {}\n", fmt_ns(scatter)));
     }
-    // Per-leg: leg span (round trip) vs that backend's serve.batch.
-    let legs: Vec<&TraceLine> = ordered.iter().filter(|l| l.name == "router.leg").collect();
+    // Per-leg: leg span (round trip) vs the backend batches it sent,
+    // and the store time under those batches only.
     for leg in legs {
-        let backend_origin = format!("b{}", leg.a);
-        let backend_batch: u64 = ordered
-            .iter()
-            .filter(|l| l.origin == backend_origin && l.name == "serve.batch")
-            .map(|l| l.dur_ns)
-            .max()
-            .unwrap_or(0);
-        let store_ns: u64 = ordered
-            .iter()
-            .filter(|l| l.origin == backend_origin && l.name == "store.adjacent")
+        let backend_batch: u64 = under(leg.span, "serve.batch").map(|b| b.dur_ns).sum();
+        let store_ns: u64 = under(leg.span, "serve.batch")
+            .flat_map(|b| under(b.span, "store.adjacent"))
             .map(|l| l.dur_ns)
             .sum();
         out.push_str(&format!(
@@ -379,5 +383,91 @@ mod tests {
         assert!(text.contains("router.leg"), "{text}");
         assert!(text.contains("leg → backend 0"), "{text}");
         assert!(explain(&merged, "ffffffffffffffffffffffffffffffff").is_none());
+    }
+
+    /// One router batch scattered over three legs, as `(origin, jsonl)`
+    /// streams: the router's spans, then one stream per backend. Leg
+    /// `i` (span `10 + i`) takes `300 + 100·i` ns; the backend batch it
+    /// sends (span `20 + i`) takes `100·(i + 1)` ns and holds two store
+    /// spans summing to `15·(i + 1)` ns. Each backend's clock starts
+    /// near 0, and the legs start in reverse backend order.
+    fn three_leg_streams() -> Vec<(String, String)> {
+        let t = "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb";
+        let line = |name: &str, start: u64, dur: u64, a: u64, span: u64, parent: u64| {
+            format!(
+                "{{\"name\":\"{name}\",\"tid\":0,\"start_ns\":{start},\"dur_ns\":{dur},\"a\":{a},\"b\":0,\"trace\":\"{t}\",\"span\":{span},\"parent\":{parent}}}\n"
+            )
+        };
+        let mut router = line("serve.batch", 1_000, 2_000, 3, 1, 0);
+        router += &line("router.scatter", 1_010, 1_900, 3, 2, 1);
+        for i in 0..3u64 {
+            router += &line("router.leg", 1_100 - 10 * i, 300 + 100 * i, i, 10 + i, 2);
+        }
+        let mut streams = vec![("router".to_string(), router)];
+        for i in 0..3u64 {
+            let mut b = line("serve.batch", 5 + i, 100 * (i + 1), 1, 20 + i, 10 + i);
+            b += &line("store.adjacent", 6 + i, 10 * (i + 1), 0, 30 + 2 * i, 20 + i);
+            b += &line("store.adjacent", 7 + i, 5 * (i + 1), 0, 31 + 2 * i, 20 + i);
+            streams.push((format!("b{i}"), b));
+        }
+        streams
+    }
+
+    /// The explain text of the three-leg trace must give each leg its
+    /// own backend's batch and store time, and print each backend
+    /// `serve.batch` directly under its own leg.
+    fn assert_legs_pair_with_their_own_batches(text: &str) {
+        for i in 0..3u64 {
+            let row = format!(
+                "leg → backend {i}        rtt {}ns  backend batch {}ns  wire/queue {}ns  store {}ns",
+                300 + 100 * i,
+                100 * (i + 1),
+                200,
+                15 * (i + 1)
+            );
+            assert!(text.contains(&row), "missing `{row}` in\n{text}");
+        }
+        let tree: Vec<&str> = text.lines().take_while(|l| !l.is_empty()).skip(1).collect();
+        let indent = |l: &str| l.len() - l.trim_start().len();
+        let mut legs = 0;
+        for (k, l) in tree.iter().enumerate() {
+            if let Some(backend) = l.trim_start().strip_prefix("router.leg").and_then(|r| {
+                r.rsplit_once("backend=")
+                    .map(|(_, b)| b.parse::<u64>().expect("backend"))
+            }) {
+                legs += 1;
+                let next = tree.get(k + 1).expect("a line after each leg");
+                let batch = format!("] {}ns", 100 * (backend + 1));
+                assert!(
+                    next.trim_start().starts_with("serve.batch [")
+                        && next.ends_with(&batch)
+                        && indent(next) == indent(l) + 2,
+                    "leg {backend} is not directly above its batch:\n{text}"
+                );
+            }
+        }
+        assert_eq!(legs, 3, "{text}");
+    }
+
+    #[test]
+    fn explain_pairs_legs_by_parent_in_merged_streams() {
+        let merged = merge(&three_leg_streams());
+        let text = explain(&merged, "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb").expect("trace");
+        assert_legs_pair_with_their_own_batches(&text);
+        assert!(text.contains("router batch total     2.0µs"), "{text}");
+    }
+
+    #[test]
+    fn explain_pairs_legs_by_parent_in_one_process() {
+        // In one process every span is drained from the same rings, so
+        // every origin is `router`.
+        let one: String = three_leg_streams().into_iter().map(|(_, s)| s).collect();
+        let merged = merge(&[("router".to_string(), one)]);
+        assert!(merged
+            .lines()
+            .all(|l| field_raw(l, "origin") == Some("router")));
+        let text = explain(&merged, "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb").expect("trace");
+        assert_legs_pair_with_their_own_batches(&text);
+        assert!(text.contains("router batch total     2.0µs"), "{text}");
     }
 }

@@ -126,11 +126,14 @@ fn router_answers_like_a_single_server() {
     assert!(health.healthy);
     assert_eq!(health.shards.len(), 3);
     let stats = client.stats().expect("stats");
-    assert!(stats.adj_queries >= 2_000, "merged adj_queries: {stats}");
+    assert!(
+        stats.counter("plserve_adj_queries_total") >= 2_000,
+        "merged adj_queries: {stats}"
+    );
 
     client.goodbye().expect("goodbye");
     let snap = router.shutdown();
-    assert!(snap.batches > 0);
+    assert!(snap.counter("plcluster_batches_total") > 0);
     for b in backends {
         b.shutdown();
     }
@@ -217,7 +220,7 @@ fn killing_one_backend_loses_no_answers_with_two_replicas() {
     assert!(degraded, "backend 0 never quarantined");
 
     let snap = router.shutdown();
-    assert!(snap.batches > 0);
+    assert!(snap.counter("plcluster_batches_total") > 0);
     for b in backends {
         b.shutdown();
     }
@@ -255,7 +258,10 @@ fn chaos_flips_on_survivors_stay_correct() {
         report.success_rate() * 100.0
     );
 
-    let faults: u64 = backends.iter().map(|b| b.snapshot().faults_injected).sum();
+    let faults: u64 = backends
+        .iter()
+        .map(|b| b.snapshot().counter("plserve_faults_injected_total"))
+        .sum();
     assert!(faults > 0, "no faults injected — chaos plan inert");
 
     router.shutdown();
@@ -323,6 +329,67 @@ fn healthy_three_by_two_cluster_never_reasks() {
         "{fanout} legs over {batches} batches: more than one round"
     );
 
+    router.shutdown();
+    for b in backends {
+        b.shutdown();
+    }
+}
+
+/// `STATS` through a 3×2 router is cluster-wide: its
+/// `plserve_query_latency_ns` is the bucket-wise sum of the backends'
+/// own decode histograms, taken while idle, its query counters are
+/// their sums, and the router's batch latency is `plcluster_batch_ns`.
+#[test]
+fn router_stats_merge_the_backends_decode_histograms() {
+    let g = power_law(300, 9);
+    let tagged = encode(&g, 5);
+    let (backends, map) = spin_backends(&tagged, 3, 2, None);
+    let router = route(map, "127.0.0.1:0", router_config()).expect("router");
+    let report = loadgen::run(
+        router.addr(),
+        &LoadgenConfig {
+            connections: 2,
+            requests_per_conn: 500,
+            batch: 25,
+            skew: Skew::Zipf(1.2),
+            seed: 0x57A7,
+            hot_order: None,
+            retry: RetryPolicy::default(),
+        },
+    )
+    .expect("loadgen");
+    assert_eq!(report.failed, 0);
+
+    let mut client = Client::connect(router.addr()).expect("connect via router");
+    let stats = client.stats().expect("stats via router");
+    let mut decode = pl_obs::Histogram::new().snapshot();
+    let mut adj = 0;
+    for b in &backends {
+        let reg = b.registry();
+        decode.merge(&reg.histogram("plserve_query_latency_ns").snapshot());
+        adj += reg.counter("plserve_adj_queries_total").get();
+    }
+    let merged = stats
+        .histogram("plserve_query_latency_ns")
+        .expect("merged decode latency");
+    assert_eq!(merged, &decode);
+    assert!(decode.count() >= 1_000, "{} decodes", decode.count());
+    assert_eq!(stats.counter("plserve_adj_queries_total"), adj);
+    let batch = stats
+        .histogram("plcluster_batch_ns")
+        .expect("router batch latency");
+    assert_eq!(batch.count(), stats.counter("plcluster_batches_total"));
+    let text = stats.to_string();
+    assert!(
+        text.starts_with(&format!("queries: {adj} adj + 0 dist")),
+        "{text}"
+    );
+    assert!(
+        text.contains("\nrouter: 1000 queries in 40 batches"),
+        "{text}"
+    );
+
+    client.goodbye().expect("goodbye");
     router.shutdown();
     for b in backends {
         b.shutdown();
@@ -424,7 +491,10 @@ fn backend_dropping_a_read_batch_fails_only_its_leg_over() {
     );
     // The other legs' replies were used, not re-asked: the live
     // backends answered each query once.
-    let served: u64 = backends.iter().map(|b| b.snapshot().adj_queries).sum();
+    let served: u64 = backends
+        .iter()
+        .map(|b| b.snapshot().counter("plserve_adj_queries_total"))
+        .sum();
     assert_eq!(served, queries.len() as u64, "live backends re-asked");
     // And the dropper is quarantined.
     assert!(!router.backend_liveness()[0], "dropper not quarantined");

@@ -18,11 +18,10 @@ use pl_serve::{
     Client, LabelStore, RetryPolicy, SchemeTag, ServeOptions, ServerHandle, StoreConfig,
     TaggedLabeling,
 };
-use pl_wire::frontend::{self, FrontStats, FrontendHandle, FrontendOptions, QueryEngine};
+use pl_wire::frontend::{self, FrontendHandle, FrontendOptions, QueryEngine};
 use pl_wire::protocol::{
     Answer, LabelsStatus, MapSetMode, MapSetRequest, MapSetStatus, Query, MAP_TARGET_ROUTER,
 };
-use pl_wire::Snapshot;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -164,14 +163,6 @@ impl QueryEngine for RefusesCommit {
 
     fn labels_install(&self, _: &mut (), _: u64, ids: &[u32], _: &[u8]) -> (LabelsStatus, u32) {
         (LabelsStatus::Ok, ids.len() as u32)
-    }
-
-    fn wire_stats(&self, _: &mut (), front: &FrontStats) -> Snapshot {
-        self.local_snapshot(front)
-    }
-
-    fn local_snapshot(&self, front: &FrontStats) -> Snapshot {
-        front.metrics.snapshot(front.started, front.faults.total())
     }
 }
 

@@ -95,7 +95,7 @@ fn router_replies_with_the_same_golden_bytes_as_a_server() {
     let hello_ok = read_frame(&mut stream).expect("hello_ok");
     assert_eq!(
         hello_ok,
-        vec![0x80, 0x08, 0x01, 0x08, 0x00, 0x00, 0x00],
+        vec![0x80, 0x09, 0x01, 0x08, 0x00, 0x00, 0x00],
         "router HELLO_OK drifted"
     );
 
@@ -147,7 +147,10 @@ fn router_sheds_connections_over_max_conns() {
         "router registry must count the shed"
     );
     let stats = client.stats().expect("stats via router");
-    assert!(stats.shed >= 1, "shed missing from merged STATS: {stats}");
+    assert!(
+        stats.counter("plserve_shed_total") >= 1,
+        "shed missing from merged STATS: {stats}"
+    );
 
     client.goodbye().ok();
     router.shutdown();
@@ -209,7 +212,7 @@ fn router_injects_faults_under_a_fault_plan() {
     let mut client = Client::connect(router.addr()).expect("stats connection");
     let stats = client.stats().expect("stats");
     assert!(
-        stats.faults_injected > 0,
+        stats.counter("plserve_faults_injected_total") > 0,
         "faults missing from merged STATS: {stats}"
     );
     client.goodbye().ok();

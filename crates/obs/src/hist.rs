@@ -44,7 +44,9 @@ impl Default for Histogram {
     }
 }
 
-fn bucket_of(v: u64) -> usize {
+/// The bucket holding `v`: `⌊log₂ v⌋`, with 0 counted as 1.
+#[must_use]
+pub(crate) fn bucket_of(v: u64) -> usize {
     (v.max(1).ilog2() as usize).min(BUCKETS - 1)
 }
 
@@ -125,10 +127,29 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Total observations.
+    /// Total observations (saturating: a snapshot may come off the wire).
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.counts.iter().sum()
+        self.counts.iter().fold(0, |a, &c| a.saturating_add(c))
+    }
+
+    /// Adds `other` in bucket by bucket. The sum adds; min and max are
+    /// taken over the non-empty sides only, since an empty snapshot
+    /// reports 0 for both.
+    pub fn merge(&mut self, other: &Self) {
+        if other.count() == 0 {
+            return;
+        }
+        if self.count() == 0 {
+            (self.min, self.max) = (other.min, other.max);
+        } else {
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+        }
+        for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
+            *a = a.saturating_add(b);
+        }
+        self.sum = self.sum.saturating_add(other.sum);
     }
 
     /// Upper edge (exclusive) of the bucket containing quantile
@@ -144,7 +165,7 @@ impl HistogramSnapshot {
         let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
+            seen = seen.saturating_add(c);
             if seen >= rank {
                 return bucket_edge(i);
             }

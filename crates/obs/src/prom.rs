@@ -1,14 +1,16 @@
 //! Prometheus text-format (version 0.0.4) rendering.
 //!
+//! [`render`] is the one renderer: a server's and a router's `/metrics`
+//! and `plab stats --prom` all call it over a `&[MetricSample]`.
 //! Counters and gauges render directly. Histograms render
 //! summary-style: `quantile="0.5|0.9|0.99|0.999"` series plus `_sum`
 //! and `_count`, and companion `_min`/`_max` gauges — log₂ buckets make
 //! quantile edges cheap and exact-to-a-factor-of-two, which is what a
-//! dashboard of latency percentiles wants. Output is deterministic
-//! (samples sorted by name then labels) so golden tests stay stable.
+//! dashboard of latency percentiles wants. Output follows the sample
+//! order (sorted by name then labels) so golden tests stay stable.
 
 use crate::hist::HistogramSnapshot;
-use crate::registry::{Labels, MetricValue, MetricsRegistry};
+use crate::registry::{Labels, MetricSample, MetricValue};
 
 /// Quantiles every histogram exposes.
 pub const QUANTILES: [(f64, &str); 4] =
@@ -35,21 +37,15 @@ fn label_block(labels: &Labels, extra: Option<(&str, &str)>) -> String {
     }
 }
 
-/// Incrementally builds Prometheus text output, emitting each `# TYPE`
-/// header once per family.
+/// Accumulates Prometheus text, emitting each `# TYPE` header once per
+/// family.
 #[derive(Default)]
-pub struct PromText {
+struct PromText {
     out: String,
     typed: Vec<(String, &'static str)>,
 }
 
 impl PromText {
-    /// A fresh, empty builder.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     fn header(&mut self, name: &str, kind: &'static str) {
         if self.typed.iter().any(|(n, k)| n == name && *k == kind) {
             return;
@@ -58,29 +54,20 @@ impl PromText {
         self.out.push_str(&format!("# TYPE {name} {kind}\n"));
     }
 
-    /// Emits one counter sample.
-    pub fn counter(&mut self, name: &str, labels: &Labels, v: u64) {
+    fn counter(&mut self, name: &str, labels: &Labels, v: u64) {
         self.header(name, "counter");
         self.out
             .push_str(&format!("{name}{} {v}\n", label_block(labels, None)));
     }
 
-    /// Emits one gauge sample.
-    pub fn gauge(&mut self, name: &str, labels: &Labels, v: i64) {
+    fn gauge(&mut self, name: &str, labels: &Labels, v: i64) {
         self.header(name, "gauge");
         self.out
             .push_str(&format!("{name}{} {v}\n", label_block(labels, None)));
     }
 
-    /// Emits one gauge sample with a float value (e.g. a ratio).
-    pub fn gauge_f64(&mut self, name: &str, labels: &Labels, v: f64) {
-        self.header(name, "gauge");
-        self.out
-            .push_str(&format!("{name}{} {v:.6}\n", label_block(labels, None)));
-    }
-
-    /// Emits one histogram as a summary plus `_min`/`_max` gauges.
-    pub fn histogram(&mut self, name: &str, labels: &Labels, h: &HistogramSnapshot) {
+    /// One histogram as a summary plus `_min`/`_max` gauges.
+    fn histogram(&mut self, name: &str, labels: &Labels, h: &HistogramSnapshot) {
         self.header(name, "summary");
         for (q, qs) in QUANTILES {
             self.out.push_str(&format!(
@@ -96,36 +83,26 @@ impl PromText {
         self.gauge(&format!("{name}_min"), labels, h.min as i64);
         self.gauge(&format!("{name}_max"), labels, h.max as i64);
     }
-
-    /// Emits every sample from `reg`.
-    pub fn registry(&mut self, reg: &MetricsRegistry) {
-        for s in reg.samples() {
-            match &s.value {
-                MetricValue::Counter(v) => self.counter(&s.name, &s.labels, *v),
-                MetricValue::Gauge(v) => self.gauge(&s.name, &s.labels, *v),
-                MetricValue::Histogram(h) => self.histogram(&s.name, &s.labels, h),
-            }
-        }
-    }
-
-    /// Finishes and returns the accumulated text.
-    #[must_use]
-    pub fn finish(self) -> String {
-        self.out
-    }
 }
 
-/// Renders a whole registry to Prometheus text.
+/// Renders `samples` to Prometheus text, in their order.
 #[must_use]
-pub fn render(reg: &MetricsRegistry) -> String {
-    let mut p = PromText::new();
-    p.registry(reg);
-    p.finish()
+pub fn render(samples: &[MetricSample]) -> String {
+    let mut p = PromText::default();
+    for s in samples {
+        match &s.value {
+            MetricValue::Counter(v) => p.counter(&s.name, &s.labels, *v),
+            MetricValue::Gauge(v) => p.gauge(&s.name, &s.labels, *v),
+            MetricValue::Histogram(h) => p.histogram(&s.name, &s.labels, h),
+        }
+    }
+    p.out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::MetricsRegistry;
 
     #[test]
     fn golden_render() {
@@ -142,7 +119,7 @@ mod tests {
         }
         h.record(1 << 20);
 
-        let text = render(&reg);
+        let text = render(&reg.samples());
         let expected = "\
 # TYPE plab_latency_ns summary
 plab_latency_ns{quantile=\"0.5\"} 128
@@ -170,17 +147,7 @@ plab_vertices 1000
     fn labels_are_escaped() {
         let reg = MetricsRegistry::new();
         reg.counter_with("m", &[("k", "a\"b\\c\nd")]).inc();
-        let text = render(&reg);
+        let text = render(&reg.samples());
         assert!(text.contains("m{k=\"a\\\"b\\\\c\\nd\"} 1"));
-    }
-
-    #[test]
-    fn ratio_gauges_render_as_floats() {
-        let mut p = PromText::new();
-        p.gauge_f64("hit_ratio", &vec![("shard".into(), "2".into())], 0.5);
-        assert_eq!(
-            p.finish(),
-            "# TYPE hit_ratio gauge\nhit_ratio{shard=\"2\"} 0.500000\n"
-        );
     }
 }

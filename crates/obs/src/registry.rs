@@ -121,6 +121,20 @@ pub enum MetricValue {
     Histogram(Box<HistogramSnapshot>),
 }
 
+impl MetricValue {
+    /// Adds `other` in under the one merge rule: counters and gauges
+    /// sum, histograms add bucket by bucket. A kind mismatch leaves
+    /// `self` unchanged.
+    fn merge(&mut self, other: &Self) {
+        match (self, other) {
+            (Self::Counter(a), Self::Counter(b)) => *a = a.saturating_add(*b),
+            (Self::Gauge(a), Self::Gauge(b)) => *a = a.saturating_add(*b),
+            (Self::Histogram(a), Self::Histogram(b)) => a.merge(b),
+            _ => {}
+        }
+    }
+}
+
 /// One `(name, labels, value)` triple from [`MetricsRegistry::samples`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricSample {
@@ -130,6 +144,28 @@ pub struct MetricSample {
     pub labels: Labels,
     /// Captured value.
     pub value: MetricValue,
+}
+
+impl MetricSample {
+    /// The sort key: name, then labels.
+    #[must_use]
+    pub fn key(&self) -> (&str, &[(String, String)]) {
+        (&self.name, &self.labels)
+    }
+}
+
+/// Merges `from` into `into`, both sorted by [`MetricSample::key`] as
+/// [`MetricsRegistry::samples`] returns them, under one rule: under a
+/// key both hold, counters and gauges sum and histograms add bucket by
+/// bucket, and a kind mismatch keeps `into`'s value. Any other sample
+/// of `from` is inserted in order.
+pub fn merge_samples(into: &mut Vec<MetricSample>, from: &[MetricSample]) {
+    for s in from {
+        match into.binary_search_by(|t| t.key().cmp(&s.key())) {
+            Ok(i) => into[i].value.merge(&s.value),
+            Err(i) => into.insert(i, s.clone()),
+        }
+    }
 }
 
 /// A collection of named metric families. See the module docs for the
@@ -187,8 +223,8 @@ impl MetricsRegistry {
         family(&mut s.histograms, name).get_or_create(to_labels(labels))
     }
 
-    /// Captures every registered metric, sorted by name then labels for
-    /// deterministic output.
+    /// Captures every registered metric, sorted by
+    /// [`MetricSample::key`] for deterministic output.
     #[must_use]
     pub fn samples(&self) -> Vec<MetricSample> {
         let s = self.state.lock().unwrap();
@@ -220,7 +256,7 @@ impl MetricsRegistry {
                 });
             }
         }
-        out.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        out.sort_by(|a, b| a.key().cmp(&b.key()));
         out
     }
 }
@@ -237,6 +273,7 @@ pub fn global() -> &'static MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hist::{bucket_edge, bucket_of};
 
     #[test]
     fn get_or_create_is_stable() {
@@ -266,6 +303,66 @@ mod tests {
         assert_eq!(g.get(), 9);
         g.add(-4);
         assert_eq!(g.get(), 5);
+    }
+
+    /// The nearest-rank quantile of `sorted`, as loadbench's `stats.rs`
+    /// computes it: the smallest sample with at least `q · len` samples
+    /// at or below it.
+    fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+        let rank = (q * sorted.len() as f64).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1]
+    }
+
+    #[test]
+    fn merged_histograms_answer_the_pooled_quantile_buckets() {
+        // Values spread over some 30 octaves, 0 included.
+        let xs: Vec<u64> = (0..500u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (34 + i % 30))
+            .collect();
+        let (left, right) = xs.split_at(170);
+        let (a, b) = (MetricsRegistry::new(), MetricsRegistry::new());
+        for (reg, part) in [(&a, left), (&b, right)] {
+            let h = reg.histogram("lat");
+            part.iter().for_each(|&x| h.record(x));
+            reg.counter("n").add(part.len() as u64);
+            reg.gauge("open").set(2);
+        }
+        let mut merged = a.samples();
+        merge_samples(&mut merged, &b.samples());
+        // An empty histogram merges in without touching min or max.
+        let empty = MetricsRegistry::new();
+        empty.histogram("lat");
+        merge_samples(&mut merged, &empty.samples());
+
+        let names: Vec<_> = merged.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["lat", "n", "open"]);
+        assert_eq!(merged[1].value, MetricValue::Counter(500));
+        assert_eq!(merged[2].value, MetricValue::Gauge(4));
+        let MetricValue::Histogram(h) = &merged[0].value else {
+            panic!("expected a histogram, got {:?}", merged[0].value);
+        };
+        let mut pooled = xs.clone();
+        pooled.sort_unstable();
+        for q in [0.0, 0.1, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            let x = nearest_rank(&pooled, q);
+            assert_eq!(h.quantile_ns(q), bucket_edge(bucket_of(x)), "q = {q}");
+        }
+        assert_eq!(h.count(), 500);
+        assert_eq!(h.sum, xs.iter().sum::<u64>());
+        assert_eq!((h.min, h.max), (pooled[0], pooled[499]));
+    }
+
+    #[test]
+    fn a_kind_mismatch_keeps_the_first_value() {
+        let a = MetricsRegistry::new();
+        a.counter("x").add(3);
+        let b = MetricsRegistry::new();
+        b.gauge("x").set(9);
+        b.histogram("x");
+        let mut merged = a.samples();
+        merge_samples(&mut merged, &b.samples());
+        assert_eq!(merged.len(), 1);
+        assert_eq!(merged[0].value, MetricValue::Counter(3));
     }
 
     #[test]

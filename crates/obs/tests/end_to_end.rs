@@ -15,7 +15,7 @@ fn scrape_reflects_live_registry() {
         .record(100);
 
     let render_reg = reg.clone();
-    let render: pl_obs::http::RenderFn = Arc::new(move || prom::render(&render_reg));
+    let render: pl_obs::http::RenderFn = Arc::new(move || prom::render(&render_reg.samples()));
     let mut h = pl_obs::http::expose("127.0.0.1:0", render).unwrap();
 
     let mut s = TcpStream::connect(h.addr()).unwrap();

@@ -35,7 +35,7 @@ use pl_wire::protocol::{
     trace_dump_flags, write_frame, Answer, HealthReport, LabelsStatus, MapSetMode, MapSetStatus,
     ProtocolError, Query, VERSION,
 };
-use pl_wire::stats::Snapshot;
+use pl_wire::stats::Stats;
 
 fn bad_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -222,8 +222,9 @@ impl Client {
         }
     }
 
-    /// Fetches the server's metrics snapshot.
-    pub fn stats(&mut self) -> io::Result<Snapshot> {
+    /// Fetches the server's metric samples (a router's are merged
+    /// across its reachable backends).
+    pub fn stats(&mut self) -> io::Result<Stats> {
         let reply = self.round_trip(&[opcode::STATS], opcode::STATS_REPLY, "stats reply")?;
         parse_stats_reply(&reply).map_err(|e| bad_data(e.to_string()))
     }
@@ -617,8 +618,8 @@ impl ResilientClient {
         }
     }
 
-    /// Fetches a stats snapshot with retries.
-    pub fn stats(&mut self) -> Result<Snapshot, ClientError> {
+    /// Fetches the server's metric samples with retries.
+    pub fn stats(&mut self) -> Result<Stats, ClientError> {
         self.attempts(|this| this.on_live(Client::stats))
     }
 

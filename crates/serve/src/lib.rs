@@ -46,6 +46,5 @@ pub use partition::Partitioner;
 pub use pl_labeling::codec::{SchemeTag, TaggedLabeling};
 pub use pl_wire::fault::{FaultKind, FaultPlan};
 pub use pl_wire::protocol::{Answer, HealthReport, Query, QueryKind};
-pub use pl_wire::stats::Snapshot;
 pub use server::{serve, serve_with, ServeOptions, ServerHandle, StoreEngine};
 pub use store::{BatchOutcome, LabelStore, QueryPath, StoreConfig, StoreError};

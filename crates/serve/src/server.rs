@@ -34,13 +34,14 @@ use std::time::{Duration, Instant};
 use pl_labeling::codec::SchemeTag;
 use pl_labeling::threshold::cut;
 use pl_labeling::{Label, Labeling, LabelingBuilder};
+use pl_obs::registry::merge_samples;
 use pl_obs::MetricsRegistry;
 use pl_wire::fault::FaultPlan;
-use pl_wire::frontend::{self, FrontStats, FrontendHandle, FrontendOptions, QueryEngine};
+use pl_wire::frontend::{self, FrontendHandle, FrontendOptions, QueryEngine};
 use pl_wire::protocol::{
     Answer, LabelsStatus, MapSetMode, MapSetRequest, MapSetStatus, Query, QueryKind,
 };
-use pl_wire::stats::{Metrics, Snapshot};
+use pl_wire::stats::{Metrics, Stats};
 
 use crate::map::{ClusterMap, EpochFence, MapVerdict};
 use crate::store::{BatchOutcome, LabelStore, StoreError};
@@ -341,26 +342,17 @@ impl QueryEngine for StoreEngine {
     ) -> (LabelsStatus, u32) {
         self.buffer_labels(epoch, ids, labels)
     }
-
-    fn wire_stats(&self, _s: &mut StoreSession, front: &FrontStats) -> Snapshot {
-        self.local_snapshot(front)
-    }
-
-    fn local_snapshot(&self, front: &FrontStats) -> Snapshot {
-        front.metrics.snapshot(front.started, front.faults.total())
-    }
 }
 
-/// Prometheus text: the server registry and the process-global
-/// registry (encode-phase timings and label-size histograms),
-/// deduplicated if they are the same.
+/// Prometheus text: the server registry's samples (what `STATS`
+/// carries) merged with the process-global registry's (encode-phase
+/// timings and label-size histograms), unless they are the same.
 fn prometheus_text(registry: &MetricsRegistry) -> String {
-    let mut p = pl_obs::prom::PromText::new();
-    p.registry(registry);
+    let mut samples = registry.samples();
     if !std::ptr::eq(registry, pl_obs::global()) {
-        p.registry(pl_obs::global());
+        merge_samples(&mut samples, &pl_obs::global().samples());
     }
-    p.finish()
+    pl_obs::prom::render(&samples)
 }
 
 /// A running server. Dropping the handle without calling
@@ -377,10 +369,10 @@ impl ServerHandle {
         self.front.addr()
     }
 
-    /// A live metrics snapshot.
+    /// The registry's samples now.
     #[must_use]
-    pub fn snapshot(&self) -> Snapshot {
-        self.front.snapshot()
+    pub fn snapshot(&self) -> Stats {
+        Stats::of(&self.registry)
     }
 
     /// The registry this server's instruments live in.
@@ -427,8 +419,8 @@ impl ServerHandle {
     }
 
     /// Signals shutdown, waits for every connection to drain, and
-    /// returns the final metrics snapshot.
-    pub fn shutdown(self) -> Snapshot {
+    /// returns the registry's final samples.
+    pub fn shutdown(self) -> Stats {
         self.front.shutdown()
     }
 }

@@ -62,19 +62,24 @@ fn serves_chung_lu_over_tcp_with_verified_answers() {
         "skewed load over hubs should hit some edges"
     );
 
-    // STATS over the wire: nonzero throughput.
+    // STATS over the wire: every query counted, with its latency.
     let mut client = Client::connect(addr).expect("stats connection");
     let stats = client.stats().expect("stats fetch");
-    assert_eq!(stats.adj_queries, 20_000);
-    assert!(stats.qps() > 0.0, "qps should be nonzero: {stats}");
-    assert!(stats.batches >= 4 * (5_000 / 50));
-    assert!(stats.bytes_in > 0 && stats.bytes_out > 0);
-    assert_eq!(stats.protocol_errors, 0);
-    assert!(stats.p99_ns >= stats.p50_ns);
+    assert_eq!(stats.counter("plserve_adj_queries_total"), 20_000);
+    assert!(stats.counter("plserve_batches_total") >= 4 * (5_000 / 50));
+    assert!(
+        stats.counter("plserve_bytes_in_total") > 0 && stats.counter("plserve_bytes_out_total") > 0
+    );
+    assert_eq!(stats.counter("plserve_protocol_errors_total"), 0);
+    let latency = stats
+        .histogram("plserve_query_latency_ns")
+        .expect("latency");
+    assert_eq!(latency.count(), 20_000);
+    assert!(latency.quantile_ns(0.99) >= latency.quantile_ns(0.5));
     client.goodbye().expect("goodbye");
 
     let final_stats = handle.shutdown();
-    assert!(final_stats.adj_queries >= 20_000);
+    assert!(final_stats.counter("plserve_adj_queries_total") >= 20_000);
 }
 
 /// Graceful shutdown must answer requests already on the wire: write a
@@ -100,7 +105,7 @@ fn shutdown_drains_in_flight_requests() {
     // in flight and must be answered, not dropped.
     let final_stats = handle.shutdown();
     assert!(
-        final_stats.adj_queries >= 500,
+        final_stats.counter("plserve_adj_queries_total") >= 500,
         "drained queries must be counted: {final_stats}"
     );
 
@@ -133,7 +138,10 @@ fn malformed_frames_get_error_replies() {
     assert_eq!(reply.first(), Some(&opcode::ERROR));
 
     let stats = handle.shutdown();
-    assert!(stats.protocol_errors >= 2, "{stats}");
+    assert!(
+        stats.counter("plserve_protocol_errors_total") >= 2,
+        "{stats}"
+    );
 }
 
 /// The requests that are their opcode alone must be exactly that one
@@ -156,7 +164,7 @@ fn one_byte_requests_with_trailing_bytes_get_error_replies() {
     }
 
     let stats = handle.shutdown();
-    assert_eq!(stats.protocol_errors, 3, "{stats}");
+    assert_eq!(stats.counter("plserve_protocol_errors_total"), 3, "{stats}");
 }
 
 /// The client checks the version byte a server claims in HELLO_OK: a
@@ -368,7 +376,8 @@ fn tampered_plab_answers_malformed_and_server_survives() {
     assert!(client.adjacent(1, 0).expect("follow-up query"));
     let stats = client.stats().expect("stats");
     assert_eq!(
-        stats.protocol_errors, 0,
+        stats.counter("plserve_protocol_errors_total"),
+        0,
         "malformed labels are per-query statuses, not protocol errors"
     );
     client.goodbye().expect("goodbye");
@@ -481,11 +490,19 @@ fn observability_surface_end_to_end() {
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.adj_queries, 2_000);
-    assert!(stats.p50_ns <= stats.p90_ns && stats.p90_ns <= stats.p99_ns);
-    assert!(stats.p99_ns <= stats.p999_ns && stats.min_ns <= stats.max_ns);
-    assert!(stats.max_ns > 0, "latencies were recorded");
-    assert_eq!(stats.slow_queries, 2_000, "threshold 0 flags every query");
+    assert_eq!(stats.counter("plserve_adj_queries_total"), 2_000);
+    let latency = stats
+        .histogram("plserve_query_latency_ns")
+        .expect("latency");
+    let q = |p| latency.quantile_ns(p);
+    assert!(q(0.5) <= q(0.9) && q(0.9) <= q(0.99) && q(0.99) <= q(0.999));
+    assert!(latency.min <= latency.max);
+    assert!(latency.max > 0, "latencies were recorded");
+    assert_eq!(
+        stats.counter("plserve_slow_queries_total"),
+        2_000,
+        "threshold 0 flags every query"
+    );
 
     // Trace dump over the wire: the slow-query log and the store spans
     // were recorded while tracing was on.

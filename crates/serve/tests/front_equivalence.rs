@@ -30,8 +30,8 @@ fn tiny_server() -> ServerHandle {
 }
 
 /// `HELLO_OK` for a threshold store over 8 vertices:
-/// `0x80 | version 8 | scheme tag 1 | n=8 u32 LE`.
-const GOLDEN_HELLO_OK: [u8; 7] = [0x80, 0x08, 0x01, 0x08, 0x00, 0x00, 0x00];
+/// `0x80 | version 9 | scheme tag 1 | n=8 u32 LE`.
+const GOLDEN_HELLO_OK: [u8; 7] = [0x80, 0x09, 0x01, 0x08, 0x00, 0x00, 0x00];
 
 /// `BATCH_REPLY` to `[adjacent(0,1), adjacent(0,3)]`:
 /// `0x81 | count 2 u16 LE | Adjacent | NotAdjacent | FNV-1a-32 LE`.

@@ -94,7 +94,7 @@ fn faulted_server_never_answers_wrong() {
 
     let stats = handle.shutdown();
     assert!(
-        stats.faults_injected > 0,
+        stats.counter("plserve_faults_injected_total") > 0,
         "server must report injected faults: {stats}"
     );
 }
@@ -166,7 +166,10 @@ fn finished_connection_handles_are_reaped() {
         let _ = client.adjacent(i % 300, (i + 1) % 300).expect("query");
         client.goodbye().expect("goodbye");
     }
-    assert_eq!(handle.snapshot().connections, u64::from(total));
+    assert_eq!(
+        handle.snapshot().counter("plserve_connections_total"),
+        u64::from(total)
+    );
 
     // Give the accept loop a few poll ticks to observe the exits.
     let mut held = usize::MAX;
@@ -233,7 +236,7 @@ fn connection_cap_sheds_with_overloaded_frame() {
     assert!(first.adjacent(1, 2).is_ok());
     first.goodbye().expect("goodbye");
     let stats = handle.shutdown();
-    assert!(stats.shed >= 2, "{stats}");
+    assert!(stats.counter("plserve_shed_total") >= 2, "{stats}");
 }
 
 /// Idle connections are reaped after `idle_timeout`, freeing their
@@ -264,7 +267,7 @@ fn idle_connections_are_reaped() {
 
     let mut deadline_ok = false;
     for _ in 0..50 {
-        if handle.snapshot().open_conns == 0 {
+        if handle.snapshot().gauge("plserve_open_conns") == 0 {
             deadline_ok = true;
             break;
         }
@@ -277,8 +280,12 @@ fn idle_connections_are_reaped() {
         "idle reap not counted in:\n{prom}"
     );
     let stats = handle.shutdown();
-    assert_eq!(stats.open_conns, 0);
-    assert_eq!(stats.faults_injected, 0, "no faults were configured");
+    assert_eq!(stats.gauge("plserve_open_conns"), 0);
+    assert_eq!(
+        stats.counter("plserve_faults_injected_total"),
+        0,
+        "no faults were configured"
+    );
 }
 
 /// A peer that stalls mid-frame (length prefix promising bytes that
@@ -316,7 +323,7 @@ fn stalled_mid_frame_peer_is_deadline_closed() {
 
     let mut stats = handle.snapshot();
     for _ in 0..50 {
-        if stats.open_conns == 0 {
+        if stats.gauge("plserve_open_conns") == 0 {
             break;
         }
         std::thread::sleep(Duration::from_millis(20));
@@ -328,7 +335,7 @@ fn stalled_mid_frame_peer_is_deadline_closed() {
         "stall close not counted in:\n{prom}"
     );
     let final_stats = handle.shutdown();
-    assert_eq!(final_stats.open_conns, 0, "{final_stats}");
+    assert_eq!(final_stats.gauge("plserve_open_conns"), 0, "{final_stats}");
 }
 
 /// HEALTH over the wire: the store's single always-live entry.
@@ -379,7 +386,7 @@ fn chaos_run_with_single_connection_stays_correct() {
         assert_eq!(report.mismatches, 0);
         assert!(report.retries > 0, "10%+10% frame faults must bite");
         let stats = handle.shutdown();
-        assert!(stats.faults_injected > 0);
+        assert!(stats.counter("plserve_faults_injected_total") > 0);
     }
 }
 
@@ -608,5 +615,5 @@ fn an_unencodable_batch_is_fatal_without_a_retry() {
     assert!(err.to_string().contains("batch"), "{err}");
     assert_eq!(client.retries(), 0);
     drop(client);
-    assert_eq!(handle.shutdown().connections, 1);
+    assert_eq!(handle.shutdown().counter("plserve_connections_total"), 1);
 }

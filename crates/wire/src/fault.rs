@@ -376,7 +376,7 @@ mod tests {
         assert_eq!(counters.get(FaultKind::Drop), 1);
         assert_eq!(counters.get(FaultKind::Truncate), 0);
         assert_eq!(counters.total(), 3);
-        let text = pl_obs::prom::render(&reg);
+        let text = pl_obs::prom::render(&reg.samples());
         assert!(
             text.contains("plserve_faults_injected_total{kind=\"flip\"} 2"),
             "{text}"

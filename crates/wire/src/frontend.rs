@@ -46,7 +46,7 @@ use crate::protocol::{
     parse_stats, parse_trace_dump, trace_dump_flags, write_frame, Answer, FrameBuffer,
     LabelsStatus, MapSetRequest, MapSetStatus, Query, MAX_FRAME, VERSION,
 };
-use crate::stats::{Metrics, Snapshot};
+use crate::stats::{Metrics, Stats};
 
 /// Poll interval for the accept loop and connection read timeout.
 const POLL: Duration = Duration::from_millis(20);
@@ -138,27 +138,23 @@ pub trait QueryEngine: Send + Sync + 'static {
         (LabelsStatus::Unsupported, 0)
     }
 
-    /// Snapshot answering a wire STATS request. A router merges
-    /// downstream backend stats here, which may use the session's
-    /// pooled connections; a plain server returns
-    /// [`local_snapshot`](Self::local_snapshot).
-    fn wire_stats(&self, session: &mut Self::Session, front: &FrontStats) -> Snapshot;
-
-    /// Local (no-I/O) snapshot, used by [`FrontendHandle::snapshot`]
-    /// and returned from [`FrontendHandle::shutdown`].
-    fn local_snapshot(&self, front: &FrontStats) -> Snapshot;
+    /// The samples answering a wire `STATS` request, given `own`: the
+    /// front-end registry's samples, engine and transport families
+    /// alike. A router merges every reachable backend's samples in
+    /// here, over the session's pooled connections; the default
+    /// answers `own` alone.
+    fn wire_stats(&self, session: &mut Self::Session, own: Stats) -> Stats {
+        let _ = session;
+        own
+    }
 }
 
-/// The front-end's own instruments, passed to the engine so transport
-/// counters (bytes, sheds, faults, open connections) can be folded
-/// into snapshots.
-pub struct FrontStats {
+/// The front-end's own instruments.
+struct FrontStats {
     /// Wire metrics (`plserve_*` families).
-    pub metrics: Metrics,
+    metrics: Metrics,
     /// Fault-injection counters (`plserve_faults_injected_total{kind}`).
-    pub faults: FaultCounters,
-    /// When the front-end started, for uptime/qps derivation.
-    pub started: Instant,
+    faults: FaultCounters,
 }
 
 /// Transport tuning knobs, shared by every front-end consumer.
@@ -236,12 +232,6 @@ impl<E: QueryEngine> FrontendHandle<E> {
         &self.shared.engine
     }
 
-    /// The front-end's transport instruments.
-    #[must_use]
-    pub fn stats(&self) -> &FrontStats {
-        &self.shared.stats
-    }
-
     /// The registry the front-end's instruments live in.
     #[must_use]
     pub fn registry(&self) -> Arc<MetricsRegistry> {
@@ -263,20 +253,14 @@ impl<E: QueryEngine> FrontendHandle<E> {
         self.shared.conn_handles.load(Ordering::SeqCst)
     }
 
-    /// A live engine snapshot (no downstream I/O).
-    #[must_use]
-    pub fn snapshot(&self) -> Snapshot {
-        self.shared.engine.local_snapshot(&self.shared.stats)
-    }
-
     /// Signals shutdown, waits for every connection to drain, and
-    /// returns the final engine snapshot.
-    pub fn shutdown(mut self) -> Snapshot {
+    /// returns the registry's final samples.
+    pub fn shutdown(mut self) -> Stats {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        self.snapshot()
+        Stats::of(&self.shared.registry)
     }
 }
 
@@ -298,7 +282,6 @@ pub fn bind<E: QueryEngine>(
         stats: FrontStats {
             metrics: Metrics::new(&registry),
             faults: FaultCounters::new(&registry),
-            started: Instant::now(),
         },
         registry,
         max_conns: options.max_conns.unwrap_or(usize::MAX),
@@ -508,11 +491,9 @@ impl<E: QueryEngine> Conn<'_, E> {
                 if let Err(e) = parse_stats(body) {
                     return self.reject(stream, &e.to_string());
                 }
-                let snap = self
-                    .shared
-                    .engine
-                    .wire_stats(&mut self.session, &self.shared.stats);
-                encode_stats_reply_into(&snap, &mut self.reply);
+                let own = Stats::of(&self.shared.registry);
+                let stats = self.shared.engine.wire_stats(&mut self.session, own);
+                encode_stats_reply_into(&stats, &mut self.reply);
                 self.send_reply(stream)
             }
             Some(opcode::HEALTH) => {
@@ -752,12 +733,6 @@ mod tests {
         fn health(&self) -> Vec<bool> {
             vec![true]
         }
-        fn wire_stats(&self, _s: &mut (), front: &FrontStats) -> Snapshot {
-            self.local_snapshot(front)
-        }
-        fn local_snapshot(&self, front: &FrontStats) -> Snapshot {
-            front.metrics.snapshot(front.started, front.faults.total())
-        }
     }
 
     #[test]
@@ -792,9 +767,10 @@ mod tests {
 
         drop(stream);
         drop(extra);
-        let snap = front.shutdown();
-        assert_eq!(snap.batches, 1);
-        assert!(snap.shed >= 1, "shed counter: {}", snap.shed);
+        let stats = front.shutdown();
+        assert_eq!(stats.counter("plserve_batches_total"), 1);
+        let shed = stats.counter("plserve_shed_total");
+        assert!(shed >= 1, "shed counter: {shed}");
     }
 
     #[test]

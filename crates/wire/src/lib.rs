@@ -8,9 +8,9 @@
 //!   the single-version HELLO handshake, one layout per frame, FNV-1a
 //!   reply checksums, and the incremental
 //!   [`FrameBuffer`](protocol::FrameBuffer) reassembler.
-//! - [`stats`] — the wire-visible [`Metrics`]/[`Snapshot`] pair: the
-//!   instruments the front-end maintains and the STATS payload they
-//!   serialize into.
+//! - [`stats`] — the front-end's [`Metrics`] instruments and
+//!   [`Stats`], a registry's samples: the STATS payload, merged by a
+//!   router and rendered by `plab stats`.
 //! - [`fault`] — the deterministic fault-injection harness
 //!   ([`FaultPlan`](fault::FaultPlan)/[`FaultInjector`](fault::FaultInjector))
 //!   for chaos testing either front-end.
@@ -36,6 +36,6 @@ pub mod protocol;
 pub mod stats;
 pub mod sync;
 
-pub use frontend::{bind, FrontStats, FrontendHandle, FrontendOptions, QueryEngine};
+pub use frontend::{bind, FrontendHandle, FrontendOptions, QueryEngine};
 pub use protocol::{Answer, HealthReport, ProtocolError, Query, QueryKind};
-pub use stats::{Metrics, Snapshot};
+pub use stats::{Metrics, Stats};

@@ -20,7 +20,7 @@ use std::io::{IoSlice, Read, Write};
 
 use pl_obs::TraceContext;
 
-use crate::stats::Snapshot;
+use crate::stats::Stats;
 
 /// The one protocol version this build speaks. HELLO and HELLO_OK must
 /// both carry exactly this byte: a server answers any other offer with
@@ -29,10 +29,10 @@ use crate::stats::Snapshot;
 /// frame layouts never misparse each other's frames. Every frame has one
 /// layout: `BATCH_REPLY` is always checksummed, `BATCH` may carry the
 /// `TRACE_CTX` trailer, `TRACE_DUMP` always carries its flag byte,
-/// `STATS_REPLY` is one exact-length word list, and every reply sits at
-/// `0x80 | op` of its request. Any change to a frame layout or an opcode
-/// bumps this number.
-pub const VERSION: u8 = 8;
+/// `STATS_REPLY` carries the server registry's samples ([`Stats`]), and
+/// every reply sits at `0x80 | op` of its request. Any change to a frame
+/// layout, an opcode or the histogram bucket layout bumps this number.
+pub const VERSION: u8 = 9;
 
 /// Handshake magic, first bytes of the HELLO body after the opcode.
 pub const MAGIC: [u8; 4] = *b"PLSV";
@@ -91,7 +91,7 @@ pub mod opcode {
     pub const HELLO_OK: u8 = 0x80;
     /// Answers, one per query, in order.
     pub const BATCH_REPLY: u8 = 0x81;
-    /// Serialized [`Snapshot`].
+    /// The peer registry's samples, as [`Stats`](crate::stats::Stats).
     pub const STATS_REPLY: u8 = 0x82;
     /// Acknowledges `GOODBYE`; the server closes after sending it.
     pub const GOODBYE_OK: u8 = 0x83;
@@ -1009,27 +1009,20 @@ pub fn parse_labels_ok(body: &[u8]) -> Result<(LabelsStatus, u32), ProtocolError
     Ok((status, received))
 }
 
-/// Builds a STATS_REPLY body: opcode + [`Snapshot::to_bytes`].
-#[must_use]
-pub fn encode_stats_reply(s: &Snapshot) -> Vec<u8> {
-    let mut b = Vec::new();
-    encode_stats_reply_into(s, &mut b);
-    b
-}
-
-/// [`encode_stats_reply`] into a reusable buffer (cleared first).
-pub fn encode_stats_reply_into(s: &Snapshot, b: &mut Vec<u8>) {
+/// Builds a STATS_REPLY body into a reusable buffer (cleared first):
+/// opcode + [`Stats::encode_into`].
+pub fn encode_stats_reply_into(s: &Stats, b: &mut Vec<u8>) {
     b.clear();
     b.push(opcode::STATS_REPLY);
-    b.extend_from_slice(&s.to_bytes());
+    s.encode_into(b);
 }
 
 /// Parses a STATS_REPLY body.
-pub fn parse_stats_reply(body: &[u8]) -> Result<Snapshot, ProtocolError> {
-    if body.first() != Some(&opcode::STATS_REPLY) {
-        return Err(ProtocolError::Malformed("stats reply header"));
+pub fn parse_stats_reply(body: &[u8]) -> Result<Stats, ProtocolError> {
+    match body.split_first() {
+        Some((&opcode::STATS_REPLY, rest)) => Stats::parse(rest),
+        _ => Err(ProtocolError::Malformed("stats reply header")),
     }
-    Snapshot::from_bytes(&body[1..]).ok_or(ProtocolError::Malformed("stats reply body"))
 }
 
 #[cfg(test)]
@@ -1162,16 +1155,10 @@ mod tests {
     #[test]
     fn into_encoders_match_their_allocating_twins() {
         let answers = vec![Answer::Adjacent, Answer::Distance(9), Answer::Overloaded];
-        let snap = Snapshot {
-            adj_queries: 3,
-            ..Snapshot::default()
-        };
         // Pre-fill each buffer with junk: `_into` must clear first.
         let mut buf = vec![0xAA; 32];
         encode_batch_reply_into(&answers, VERSION, &mut buf);
         assert_eq!(buf, encode_batch_reply(&answers));
-        encode_stats_reply_into(&snap, &mut buf);
-        assert_eq!(buf, encode_stats_reply(&snap));
         encode_hello_ok_into(1, 77, &mut buf);
         assert_eq!(buf, encode_hello_ok(1, 77));
         encode_health_reply_into(&[true, false], &mut buf);

@@ -5,7 +5,7 @@
 //! truncation and extension, length and count fields overwritten with
 //! edge values, and splices between two frames. It shows three things:
 //!
-//! 1. every `parse_*` and `Snapshot::from_bytes` returns `Ok` or `Err`
+//! 1. every `parse_*` and `Stats::parse` returns `Ok` or `Err`
 //!    on every mutated frame, `Labeling::from_bytes` does too on the
 //!    `PLL2` body of every `LABELS` frame that parses (checksum
 //!    re-sealed after the mutation, so mutated bodies get through), and
@@ -15,10 +15,15 @@
 //!    re-encoding whatever a mutated frame parses to is a fixed point;
 //! 3. a live front-end fed garbage sessions, and one stalled half-frame,
 //!    closes each of them within its deadlines and still answers a
-//!    well-formed client correctly afterwards.
+//!    well-formed client correctly afterwards;
+//! 4. a `STATS_REPLY` body that is truncated, byte-flipped, or whose
+//!    length and count prefixes are overwritten up to `u32::MAX` never
+//!    makes the parser allocate more than a small multiple of the body.
 //!
 //! The seeds are fixed, so a failure replays exactly.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -30,16 +35,67 @@ use pl_obs::TraceContext;
 use pl_wire::protocol::{
     checksum, encode_batch, encode_batch_ctx, encode_batch_reply, encode_health_reply,
     encode_hello, encode_hello_ok, encode_labels, encode_labels_ok, encode_map_get, encode_map_ok,
-    encode_map_reply, encode_map_set, encode_stats_reply, encode_trace_dump, opcode, parse_batch,
-    parse_batch_ctx, parse_batch_reply, parse_goodbye, parse_health, parse_health_reply,
-    parse_hello, parse_hello_ok, parse_labels, parse_labels_ok, parse_map_get, parse_map_ok,
-    parse_map_reply, parse_map_set, parse_stats, parse_stats_reply, parse_trace_dump, read_frame,
-    trace_dump_flags, validate_map_blob, write_frame, FrameBuffer, LabelsStatus, MapSetMode,
-    MapSetStatus, ProtocolError, MAX_FRAME, VERSION,
+    encode_map_reply, encode_map_set, encode_stats_reply_into, encode_trace_dump, opcode,
+    parse_batch, parse_batch_ctx, parse_batch_reply, parse_goodbye, parse_health,
+    parse_health_reply, parse_hello, parse_hello_ok, parse_labels, parse_labels_ok, parse_map_get,
+    parse_map_ok, parse_map_reply, parse_map_set, parse_stats, parse_stats_reply, parse_trace_dump,
+    read_frame, trace_dump_flags, validate_map_blob, write_frame, FrameBuffer, LabelsStatus,
+    MapSetMode, MapSetStatus, ProtocolError, MAX_FRAME, VERSION,
 };
-use pl_wire::{bind, Answer, FrontStats, FrontendOptions, Query, QueryEngine, Snapshot};
+use pl_wire::{bind, Answer, FrontendOptions, Query, QueryEngine, Stats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The system allocator, recording on each thread the largest single
+/// allocation made while that thread's probe is armed.
+struct Tracking;
+
+thread_local! {
+    /// `None` when disarmed; else the largest allocation seen so far.
+    static LARGEST: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+// SAFETY: every call forwards unchanged to `System`; the bookkeeping
+// touches only a const-initialized thread-local `Cell`, which never
+// allocates.
+unsafe impl GlobalAlloc for Tracking {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = LARGEST.try_with(|l| l.set(l.get().map(|m| m.max(layout.size()))));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Tracking = Tracking;
+
+/// Runs `f`, returning its result and the largest single allocation it
+/// made on this thread.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|l| l.set(Some(0)));
+    let out = f();
+    (out, LARGEST.with(|l| l.replace(None)).unwrap_or(0))
+}
+
+/// A `STATS_REPLY` body carrying `stats`.
+fn stats_reply(stats: &Stats) -> Vec<u8> {
+    let mut b = Vec::new();
+    encode_stats_reply_into(stats, &mut b);
+    b
+}
+
+/// One labeled counter, one gauge and one histogram, as a registry
+/// reports them.
+fn sample_stats() -> Stats {
+    let reg = pl_obs::MetricsRegistry::new();
+    reg.counter_with("c", &[("k", "v")]).add(10);
+    reg.gauge("g").set(-1);
+    reg.histogram("h").record(800);
+    Stats::of(&reg)
+}
 
 /// A structurally valid `ClusterMap` blob: magic, fixed fields, one
 /// backend address, trailing FNV-1a-32.
@@ -90,14 +146,6 @@ fn corpus() -> Vec<Vec<u8>> {
         Answer::Overloaded,
         Answer::NotOwned,
     ];
-    let snap = Snapshot {
-        adj_queries: 10,
-        batches: 2,
-        p50_ns: 800,
-        max_ns: 9_000,
-        open_conns: 1,
-        ..Snapshot::default()
-    };
     let blob = map_blob();
     vec![
         encode_hello(),
@@ -106,7 +154,7 @@ fn corpus() -> Vec<Vec<u8>> {
         encode_batch_ctx(&queries, Some(&ctx), VERSION).unwrap(),
         encode_batch_reply(&answers),
         vec![opcode::STATS],
-        encode_stats_reply(&snap),
+        stats_reply(&sample_stats()),
         vec![opcode::GOODBYE],
         vec![opcode::GOODBYE_OK],
         encode_trace_dump(0),
@@ -138,7 +186,7 @@ fn reencode(body: &[u8]) -> Option<Result<Vec<u8>, ProtocolError>> {
             .and_then(|(q, ctx)| encode_batch_ctx(&q, ctx.as_ref(), VERSION)),
         opcode::BATCH_REPLY => parse_batch_reply(body, VERSION).map(|a| encode_batch_reply(&a)),
         opcode::STATS => parse_stats(body).map(|()| vec![opcode::STATS]),
-        opcode::STATS_REPLY => parse_stats_reply(body).map(|s| encode_stats_reply(&s)),
+        opcode::STATS_REPLY => parse_stats_reply(body).map(|s| stats_reply(&s)),
         opcode::GOODBYE => parse_goodbye(body).map(|()| vec![opcode::GOODBYE]),
         opcode::TRACE_DUMP => parse_trace_dump(body).map(encode_trace_dump),
         opcode::HEALTH => parse_health(body).map(|()| vec![opcode::HEALTH]),
@@ -180,8 +228,8 @@ fn parse_everything(body: &[u8]) {
     }
     let _ = parse_labels_ok(body);
     let _ = validate_map_blob(body);
-    let _ = Snapshot::from_bytes(body);
-    let _ = Snapshot::from_bytes(body.get(1..).unwrap_or_default());
+    let _ = Stats::parse(body);
+    let _ = Stats::parse(body.get(1..).unwrap_or_default());
 }
 
 /// Values a corrupted length or count field is set to.
@@ -344,6 +392,56 @@ fn reassembly_survives_corrupted_length_prefixes() {
     }
 }
 
+/// `STATS_REPLY` bodies cut short, flipped, or with a length or count
+/// prefix overwritten up to `u32::MAX`: each prefix that promises more
+/// than the body holds is refused, and no parse allocates more than a
+/// small multiple of the body, whatever the prefixes claim.
+#[test]
+fn stats_reply_prefixes_never_drive_an_allocation() {
+    let frame = stats_reply(&sample_stats());
+    let len = frame.len();
+    let bounded = |body: &[u8]| {
+        let (parsed, largest) = largest_allocation(|| parse_stats_reply(body));
+        assert!(
+            largest <= 8 * body.len() + 64,
+            "{largest} bytes allocated for a {}-byte body",
+            body.len()
+        );
+        parsed
+    };
+    assert_eq!(bounded(&frame), Ok(sample_stats()));
+    for cut in 0..len {
+        assert!(
+            bounded(&frame[..cut]).is_err(),
+            "prefix of {cut} bytes parsed"
+        );
+    }
+    let mut rng = StdRng::seed_from_u64(0x57A7);
+    for at in 0..len {
+        let mut f = frame.clone();
+        f[at] ^= rng.gen_range(1..=255u8);
+        let _ = bounded(&f);
+    }
+    // Offsets in the frame of every u32 length and count: the sample
+    // count; "c": name, label count, key, value; "g": name, label
+    // count; "h": name, label count, bucket count.
+    let prefixes = [1, 5, 10, 14, 19, 33, 38, 51, 56, 61];
+    assert_eq!(frame[61..65], [64, 0, 0, 0], "layout of the corpus frame");
+    for at in prefixes {
+        for value in [len as u32, 0x1_0000, 0x7FFF_FFFF, u32::MAX] {
+            let mut f = frame.clone();
+            f[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            assert!(bounded(&f).is_err(), "{value:#x} at byte {at} parsed");
+        }
+    }
+    // Any bucket count but 64 is refused.
+    for value in EDGES.into_iter().filter(|&v| v != 64) {
+        let mut f = frame.clone();
+        f[61..65].copy_from_slice(&value.to_le_bytes());
+        assert!(bounded(&f).is_err(), "bucket count {value} parsed");
+    }
+}
+
 /// Answers "adjacent" exactly when `u + v` is odd, so a client can check
 /// every answer without a graph.
 struct ParityEngine;
@@ -362,12 +460,6 @@ impl QueryEngine for ParityEngine {
     }
     fn health(&self) -> Vec<bool> {
         vec![true]
-    }
-    fn wire_stats(&self, _s: &mut (), front: &FrontStats) -> Snapshot {
-        self.local_snapshot(front)
-    }
-    fn local_snapshot(&self, front: &FrontStats) -> Snapshot {
-        front.metrics.snapshot(front.started, front.faults.total())
     }
 }
 
@@ -481,13 +573,16 @@ fn live_front_end_closes_garbage_sessions_and_keeps_serving() {
     assert_eq!(answers, expected);
     write_frame(&mut client, &[opcode::STATS]).expect("stats");
     let stats = parse_stats_reply(&read_frame(&mut client).expect("stats reply")).unwrap();
-    assert!(stats.protocol_errors > 0, "{stats}");
-    assert_eq!(stats.batches, 1, "{stats}");
+    assert!(
+        stats.counter("plserve_protocol_errors_total") > 0,
+        "{stats}"
+    );
+    assert_eq!(stats.counter("plserve_batches_total"), 1, "{stats}");
     write_frame(&mut client, &[opcode::GOODBYE]).expect("goodbye");
     let mut rest = Vec::new();
     client.read_to_end(&mut rest).expect("close");
     assert_eq!(rest, [1, 0, 0, 0, opcode::GOODBYE_OK]);
 
-    let snap = front.shutdown();
-    assert_eq!(snap.open_conns, 0, "{snap}");
+    let stats = front.shutdown();
+    assert_eq!(stats.gauge("plserve_open_conns"), 0, "{stats}");
 }

@@ -13,18 +13,19 @@
 
 use pl_labeling::bits::BitWriter;
 use pl_labeling::{Label, Labeling};
+use pl_obs::MetricsRegistry;
 use pl_obs::TraceContext;
 use pl_wire::protocol::{
     checksum, encode_batch, encode_batch_ctx, encode_batch_reply, encode_health_reply,
     encode_hello, encode_hello_ok, encode_labels, encode_labels_ok, encode_map_get, encode_map_ok,
-    encode_map_reply, encode_map_set, encode_stats_reply, encode_trace_dump, opcode, parse_batch,
-    parse_batch_ctx, parse_batch_reply, parse_goodbye, parse_health, parse_health_reply,
-    parse_hello, parse_hello_ok, parse_labels, parse_labels_ok, parse_map_get, parse_map_ok,
-    parse_map_reply, parse_map_set, parse_stats, parse_stats_reply, parse_trace_dump,
+    encode_map_reply, encode_map_set, encode_stats_reply_into, encode_trace_dump, opcode,
+    parse_batch, parse_batch_ctx, parse_batch_reply, parse_goodbye, parse_health,
+    parse_health_reply, parse_hello, parse_hello_ok, parse_labels, parse_labels_ok, parse_map_get,
+    parse_map_ok, parse_map_reply, parse_map_set, parse_stats, parse_stats_reply, parse_trace_dump,
     trace_dump_flags, Answer, HealthReport, LabelsStatus, MapSetMode, MapSetRequest, MapSetStatus,
     ProtocolError, MAP_TARGET_ROUTER, VERSION,
 };
-use pl_wire::stats::Snapshot;
+use pl_wire::stats::Stats;
 use pl_wire::Query;
 
 /// Every opcode's byte. Requests sit below `0x80`, each reply at
@@ -50,7 +51,7 @@ fn opcode_bytes() {
     for (code, byte) in pinned {
         assert_eq!(code, byte);
     }
-    assert_eq!(VERSION, 8);
+    assert_eq!(VERSION, 9);
     for (bare, parse) in [
         (0x02, parse_stats as fn(&[u8]) -> Result<(), ProtocolError>),
         (0x03, parse_goodbye),
@@ -63,22 +64,22 @@ fn opcode_bytes() {
     assert_eq!(encode_map_get(), [0x06]);
 }
 
-/// HELLO: opcode, `"PLSV"`, version 8. HELLO_OK: opcode, version 8,
+/// HELLO: opcode, `"PLSV"`, version 9. HELLO_OK: opcode, version 9,
 /// scheme tag, n u32 LE.
 #[test]
 fn hello_golden_bytes() {
-    assert_eq!(encode_hello(), [0x00, b'P', b'L', b'S', b'V', 0x08]);
-    assert_eq!(parse_hello(&[0x00, b'P', b'L', b'S', b'V', 0x08]), Ok(()));
+    assert_eq!(encode_hello(), [0x00, b'P', b'L', b'S', b'V', 0x09]);
+    assert_eq!(parse_hello(&[0x00, b'P', b'L', b'S', b'V', 0x09]), Ok(()));
     // The previous version's HELLO is refused, not misread.
     assert_eq!(
-        parse_hello(&[0x00, b'P', b'L', b'S', b'V', 0x07]),
-        Err(ProtocolError::UnsupportedVersion(7))
+        parse_hello(&[0x00, b'P', b'L', b'S', b'V', 0x08]),
+        Err(ProtocolError::UnsupportedVersion(8))
     );
 
     #[rustfmt::skip]
     let hello_ok: &[u8] = &[
         0x80,                   // opcode HELLO_OK
-        0x08,                   // version 8
+        0x09,                   // version 9
         0x02,                   // scheme tag
         0x04, 0x03, 0x02, 0x01, // n = 0x01020304, u32 LE
     ];
@@ -196,51 +197,55 @@ fn batch_reply_rejects_every_single_byte_flip() {
     }
 }
 
-/// STATS_REPLY: `0x82`, then exactly eighteen u64 LE words in
-/// `Snapshot` field order.
+/// STATS_REPLY: `0x82`, a u32 sample count, then each sample in
+/// name-then-labels order: its name, a u32 label count and the
+/// key/value pairs (every string a u32 byte length plus UTF-8), a kind
+/// byte (0 counter, 1 gauge, 2 histogram) and the value. A histogram is
+/// a u32 bucket count (64), the 64 buckets, then sum, min and max. All
+/// integers little-endian.
 #[test]
 fn stats_reply_golden_bytes() {
-    let snap = Snapshot {
-        adj_queries: 0x0101,
-        dist_queries: 0x0202,
-        batches: 0x0303,
-        connections: 0x0404,
-        bytes_in: 0x0505,
-        bytes_out: 0x0606,
-        protocol_errors: 0x0707,
-        p50_ns: 0x0808,
-        p90_ns: 0x0909,
-        p99_ns: 0x0A0A,
-        p999_ns: 0x0B0B,
-        min_ns: 0x0C0C,
-        max_ns: 0x0D0D,
-        qps_milli: 0x0E0E,
-        slow_queries: 0x0F0F,
-        faults_injected: 0x1010,
-        shed: 0x1111,
-        open_conns: 0x1212,
-    };
+    let reg = MetricsRegistry::new();
+    reg.counter_with("c", &[("k", "v")]).add(0x0102);
+    reg.gauge("g").set(-2);
+    let h = reg.histogram("h");
+    h.record(2);
+    h.record(3); // both in bucket 1: [2, 4)
+    let stats = Stats::of(&reg);
     #[rustfmt::skip]
-    let words: &[u64] = &[
-        0x0101, 0x0202, 0x0303, 0x0404,     // adj, dist, batches, conns
-        0x0505, 0x0606, 0x0707,             // bytes in, bytes out, proto errs
-        0x0808, 0x0909, 0x0A0A, 0x0B0B,     // p50, p90, p99, p999
-        0x0C0C, 0x0D0D,                     // min, max
-        0x0E0E, 0x0F0F,                     // qps_milli, slow queries
-        0x1010, 0x1111, 0x1212,             // faults, shed, open conns
+    let mut expected: Vec<u8> = vec![
+        0x82,                               // opcode STATS_REPLY
+        0x03, 0x00, 0x00, 0x00,             // 3 samples
+        0x01, 0x00, 0x00, 0x00, b'c',       // name "c"
+        0x01, 0x00, 0x00, 0x00,             // 1 label
+        0x01, 0x00, 0x00, 0x00, b'k',       // key "k"
+        0x01, 0x00, 0x00, 0x00, b'v',       // value "v"
+        0x00,                               // kind counter
+        0x02, 0x01, 0, 0, 0, 0, 0, 0,       // 0x0102, u64 LE
+        0x01, 0x00, 0x00, 0x00, b'g',       // name "g"
+        0x00, 0x00, 0x00, 0x00,             // no labels
+        0x01,                               // kind gauge
+        0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, // -2, i64 LE
+        0x01, 0x00, 0x00, 0x00, b'h',       // name "h"
+        0x00, 0x00, 0x00, 0x00,             // no labels
+        0x02,                               // kind histogram
+        0x40, 0x00, 0x00, 0x00,             // 64 buckets
     ];
-    let mut expected = vec![0x82u8]; // opcode STATS_REPLY
-    for w in words {
+    // Bucket 0 empty, bucket 1 holds 2, buckets 2..64 empty; then
+    // sum 5, min 2, max 3.
+    for w in [0u64, 2].into_iter().chain([0; 62]).chain([5, 2, 3]) {
         expected.extend_from_slice(&w.to_le_bytes());
     }
-    assert_eq!(expected.len(), 1 + 18 * 8);
-    assert_eq!(encode_stats_reply(&snap), expected);
-    assert_eq!(parse_stats_reply(&expected).unwrap(), snap);
+    assert_eq!(expected.len(), 65 + 67 * 8);
+    let mut encoded = vec![0xAA; 3]; // `_into` clears first
+    encode_stats_reply_into(&stats, &mut encoded);
+    assert_eq!(encoded, expected);
+    assert_eq!(parse_stats_reply(&expected), Ok(stats));
 
-    // Exact length: a word short or a word long is malformed.
-    assert!(parse_stats_reply(&expected[..expected.len() - 8]).is_err());
+    // Exact length: a byte short or a byte long is malformed.
+    assert!(parse_stats_reply(&expected[..expected.len() - 1]).is_err());
     let mut long = expected.clone();
-    long.extend_from_slice(&[0; 8]);
+    long.push(0);
     assert!(parse_stats_reply(&long).is_err());
 }
 

@@ -314,57 +314,22 @@ fn connect_resilient(addr: SocketAddr) -> Result<ResilientClient, String> {
         .map_err(|e| format!("connecting {addr}: {}", e.source_io()))
 }
 
-/// `plab stats <HOST:PORT>`: fetch a live server's snapshot; `--prom`
-/// renders it in Prometheus text form instead of the human layout.
+/// `plab stats <HOST:PORT>`: fetch a live server's (or a router's
+/// cluster-merged) metric samples; `--prom` renders them in Prometheus
+/// text, through the renderer the `/metrics` endpoint uses, instead of
+/// the human layout.
 fn server_stats(addr: SocketAddr, prom: bool) -> Result<(), String> {
     let mut client = connect_resilient(addr)?;
     let stats = client
         .stats()
         .map_err(|e| format!("fetching stats: {}", e.source_io()))?;
     if prom {
-        print!("{}", snapshot_prom(&stats));
+        print!("{}", pl_obs::prom::render(&stats.samples));
     } else {
         println!("{stats}");
     }
     client.goodbye();
     Ok(())
-}
-
-/// Renders a STATS snapshot as Prometheus text — the client-side twin of
-/// the server's own scrape endpoint, fed over the wire instead of from
-/// the live registry (quantiles arrive precomputed, so they are emitted
-/// as labeled gauges rather than a summary).
-fn snapshot_prom(s: &pl_serve::Snapshot) -> String {
-    let mut p = pl_obs::prom::PromText::new();
-    let no_labels = Vec::new();
-    for (name, v) in [
-        ("plserve_adj_queries_total", s.adj_queries),
-        ("plserve_dist_queries_total", s.dist_queries),
-        ("plserve_batches_total", s.batches),
-        ("plserve_connections_total", s.connections),
-        ("plserve_bytes_in_total", s.bytes_in),
-        ("plserve_bytes_out_total", s.bytes_out),
-        ("plserve_protocol_errors_total", s.protocol_errors),
-        ("plserve_slow_queries_total", s.slow_queries),
-        ("plserve_faults_injected_total", s.faults_injected),
-        ("plserve_shed_total", s.shed),
-    ] {
-        p.counter(name, &no_labels, v);
-    }
-    p.gauge("plserve_open_conns", &no_labels, s.open_conns as i64);
-    for (q, v) in [
-        ("0.5", s.p50_ns),
-        ("0.9", s.p90_ns),
-        ("0.99", s.p99_ns),
-        ("0.999", s.p999_ns),
-    ] {
-        let labels = vec![("quantile".to_string(), q.to_string())];
-        p.gauge("plserve_query_latency_ns", &labels, v as i64);
-    }
-    p.gauge("plserve_query_latency_ns_min", &no_labels, s.min_ns as i64);
-    p.gauge("plserve_query_latency_ns_max", &no_labels, s.max_ns as i64);
-    p.gauge_f64("plserve_qps", &no_labels, s.qps());
-    p.finish()
 }
 
 fn cmd_fit(raw: &[String]) -> Result<(), String> {
